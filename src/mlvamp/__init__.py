@@ -9,7 +9,6 @@ from .denoisers import (
     linear_pair,
     map_pair_nonlinear,
     mmse_pair_nonlinear,
-    output_denoiser,
 )
 from .engine import EngineConfig, FixedPointReport, IterationTrace, MessageState, nmse_db, run
 from .model import (
@@ -59,7 +58,6 @@ __all__ = [
     "linear_pair",
     "map_pair_nonlinear",
     "mmse_pair_nonlinear",
-    "output_denoiser",
     "forward_generate",
     "geometric_singular_values",
     "load_network",

@@ -91,7 +91,7 @@ def _cmd_run(args):
         from .model import SignalSet
 
         truth = SignalSet(signals=tuple(signals))
-        state, trace, report = run(spec, y, config.engine, seed=config.master_seed, truth=truth)
+        state, trace, report = run(spec, y, config.engine, truth=truth)
         rows = []
         for row in trace.rows:
             for ell, db in enumerate(row.nmse_db or ()):
@@ -126,14 +126,7 @@ def _cmd_se(args):
     config = _load_config(args)
     calibration = harness.calibrate_recipe(config.recipe, config.master_seed)
     law = harness.recipe_law(config.recipe, calibration)
-    se_cfg = replace(
-        config.se,
-        iterations=config.engine.max_iters,
-        mode=config.engine.mode,
-        damping=config.engine.damping,
-        alpha_clip=config.engine.alpha_clip,
-    )
-    result = run_se(law, se_cfg)
+    result = run_se(law, harness.predictor_config(config))
     out = args.out or "se.csv"
     harness.write_result_csv(out, harness.se_rows(config.experiment_id, result))
     print(f"wrote {out}")
@@ -198,7 +191,7 @@ def _cmd_fixedpoint(args):
         calibration = harness.calibrate_recipe(config.recipe, config.master_seed)
         spec = harness.build_synthetic_network(config.recipe, config.master_seed, calibration)
         y = forward_generate(spec, config.master_seed).y
-    _, _, report = run(spec, y, config.engine, seed=config.master_seed)
+    _, _, report = run(spec, y, config.engine)
     print(json.dumps(report.as_dict(), indent=2))
     return 0
 

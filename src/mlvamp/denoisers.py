@@ -364,14 +364,10 @@ def _sign_map(r_out, r_in, g_out, g_in):
 
 def _sigmoid_map(r_out, r_in, g_out, g_in):
     r_out, r_in = np.broadcast_arrays(np.asarray(r_out, float), np.asarray(r_in, float))
-    # the cost can have two local minima; start Newton from both candidate
-    # basins and keep the cheaper solution
-    clipped = np.clip(r_out, 1e-4, 1.0 - 1e-4)
-    alt = np.log(clipped) - np.log1p(-clipped)
-    x_a = _sigmoid_mode(r_out, r_in, g_out, g_in, start=r_in)
-    x_b = _sigmoid_mode(r_out, r_in, g_out, g_in, start=alt)
-    cost_a = 0.5 * g_out * (expit(x_a) - r_out) ** 2 + 0.5 * g_in * (x_a - r_in) ** 2
-    cost_b = 0.5 * g_out * (expit(x_b) - r_out) ** 2 + 0.5 * g_in * (x_b - r_in) ** 2
+    # the cost can have two local minima: keep the cheaper basin's mode
+    x_a, x_b = _sigmoid_basins(r_out, r_in, g_out, g_in)
+    cost_a = _sigmoid_cost(x_a, r_out, r_in, g_out, g_in)
+    cost_b = _sigmoid_cost(x_b, r_out, r_in, g_out, g_in)
     xhat = np.where(cost_a <= cost_b, x_a, x_b)
     s, sp, _, curv = _sigmoid_cost_derivs(xhat, r_out, r_in, g_out, g_in)
     curv = np.maximum(curv, 1e-12)
@@ -599,21 +595,6 @@ def output_separable(r_plus, gamma_plus, y, layer, mode):
         r_plus, gamma_plus, y, layer.activation, layer.noise_precision, mode
     )
     return DenoiserResult(None, zm, None, float(np.mean(dm)))
-
-
-def output_denoiser(r_plus, gamma_plus, y, final_layer, mode="mmse", factors=None):
-    """Estimate of the last hidden signal given the observation of the chain output.
-
-    Dispatches on the measurement layer's kind: affine layers route through
-    the SVD-domain solve with the output coordinate pinned to the
-    observation, separable layers through the componentwise rules.
-    """
-    if final_layer.kind == "linear":
-        from .model import svd_factorize
-
-        factors = factors if factors is not None else svd_factorize(final_layer)
-        return output_linear(r_plus, gamma_plus, y, factors, final_layer.noise_precision)
-    return output_separable(r_plus, gamma_plus, y, final_layer, mode)
 
 
 # ---------------------------------------------------------------------------

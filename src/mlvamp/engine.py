@@ -5,13 +5,15 @@ estimates (one per sweep direction), the extrinsic pseudo-observations
 ``r_minus`` / ``r_plus`` with scalar precisions ``gamma_minus`` /
 ``gamma_plus``, and the divergence bookkeeping that ties them together:
 after each estimator call ``eta = gamma / alpha`` and the opposite-side
-precision is ``eta - gamma``.
+precision is ``eta - gamma``.  The sweep schedule and that bookkeeping are
+shared with the scalar predictor in ``state_evolution``, which runs the same
+algorithm on scalars.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .errors import (
     NumericFailureError,
     UndefinedMetricError,
 )
-from .model import activation_slope, apply_activation, svd_factorize
+from .model import NetworkSpec, activation_slope, apply_activation, svd_factorize
 
 #: Divergences are clamped to [ALPHA_MIN, 1 - ALPHA_MIN] before the
 #: extrinsic division; clamp events are logged in the trace.
@@ -54,19 +56,25 @@ class EngineConfig:
 
 
 @dataclass
-class MessageState:
-    """All per-layer iterates for hidden signals 0 .. L-1."""
+class Precisions:
+    """Per-signal precisions and divergences of both sides (``eta = gamma / alpha``)."""
 
-    r_minus: list
-    r_plus: list
-    zhat_plus: list
-    zhat_minus: list
     gamma_minus: np.ndarray
     gamma_plus: np.ndarray
     alpha_plus: np.ndarray
     alpha_minus: np.ndarray
     eta_plus: np.ndarray
     eta_minus: np.ndarray
+
+
+@dataclass
+class MessageState(Precisions):
+    """All per-layer iterates for hidden signals 0 .. L-1."""
+
+    r_minus: list
+    r_plus: list
+    zhat_plus: list
+    zhat_minus: list
 
     @property
     def num_signals(self):
@@ -118,86 +126,116 @@ class FixedPointReport:
 
 
 # ---------------------------------------------------------------------------
-# Estimator bank: one pair estimator per interior layer plus two endpoints
+# The schedule and the precision bookkeeping, shared with the predictor
 # ---------------------------------------------------------------------------
 
 
-class _LinearPair:
-    def __init__(self, layer):
-        self.factors = svd_factorize(layer)
-        self.nu = layer.noise_precision
-
-    def estimate(self, r_minus, r_plus, gamma_minus, gamma_plus):
-        params = dn.BeliefParams(r_minus, r_plus, gamma_minus, gamma_plus)
-        return dn.linear_pair(params, self.factors, self.nu)
+def clip_alpha(alpha, bound=ALPHA_MIN):
+    """A divergence clamped to ``[bound, 1 - bound]``."""
+    return float(np.clip(alpha, bound, 1.0 - bound))
 
 
-class _SeparablePair:
-    def __init__(self, layer, mode):
-        self.layer = layer
-        self.mode = mode
-
-    def estimate(self, r_minus, r_plus, gamma_minus, gamma_plus):
-        params = dn.BeliefParams(r_minus, r_plus, gamma_minus, gamma_plus)
-        if self.mode == "mmse":
-            return dn.mmse_pair_nonlinear(params, self.layer)
-        return dn.map_pair_nonlinear(params, self.layer)
+def damp(old, new, damping):
+    """Geometric damping of a precision; a fixed point (``new == old``) stays put."""
+    if damping >= 1.0:
+        return new
+    return float(old ** (1.0 - damping) * new**damping)
 
 
-class _LinearOutput:
-    def __init__(self, layer, y):
-        self.factors = svd_factorize(layer)
-        self.nu = layer.noise_precision
-        self.y = np.asarray(y, float)
+class Bookkeeping:
+    """The precision bookkeeping of one iteration, for vectors and scalars alike.
 
-    def estimate(self, r_plus, gamma_plus):
-        return dn.output_linear(r_plus, gamma_plus, self.y, self.factors, self.nu)
+    An estimator call on one side of a signal yields the divergence alpha.
+    ``clip`` clamps it before the extrinsic division; ``update`` then sets
+    ``eta = gamma_other / alpha`` and the side's precision to the damped
+    ``clip_gamma(eta - gamma_other)``.  Clips of either are counted in
+    ``events``.
+    """
+
+    def __init__(self, alpha_clip=ALPHA_MIN, damping=1.0, iteration=0):
+        self.alpha_clip = alpha_clip
+        self.damping = damping
+        self.iteration = iteration
+        self.events = 0
+
+    def clip(self, alpha, layer=None):
+        if not np.isfinite(alpha):
+            raise DivergedIterationError(
+                f"divergence estimate is not finite at layer {layer}",
+                layer=layer,
+                iteration=self.iteration,
+            )
+        clipped = clip_alpha(alpha, self.alpha_clip)
+        if clipped != alpha:
+            self.events += 1
+        return clipped
+
+    def update(self, gamma, gamma_other, alpha):
+        """``(eta, new gamma)`` for the side whose clipped divergence is ``alpha``."""
+        eta = gamma_other / alpha
+        raw = eta - gamma_other
+        new = dn.clip_gamma(raw)
+        if new != raw:  # out of range, or not a number
+            self.events += 1
+        return eta, damp(gamma, new, self.damping)
 
 
-class _SeparableOutput:
-    def __init__(self, layer, y, mode):
-        self.layer = layer
-        self.y = np.asarray(y, float)
-        self.mode = mode
+def sweep(prec, forward, endpoint, pair, book):
+    """One directional sweep of the schedule over the precisions ``prec``.
 
-    def estimate(self, r_plus, gamma_plus):
-        return dn.output_separable(r_plus, gamma_plus, self.y, self.layer, self.mode)
+    Forward, the input prior updates the plus side of signal 0, then the
+    pair at layer ``ell = 1 .. L-1`` that of signal ``ell``.  Backward, the
+    observed output layer updates the minus side of signal L-1, then the
+    pair at layer ``ell = L-1 .. 1`` that of signal ``ell - 1``.
+    ``endpoint()`` and ``pair(ell)`` run the estimator, store the new
+    extrinsic message and return the divergence clipped by ``book.clip``.
+    """
+    n = prec.gamma_plus.size
+    if forward:
+        for ell in range(n):
+            alpha = pair(ell) if ell > 0 else endpoint()
+            prec.alpha_plus[ell] = alpha
+            prec.eta_plus[ell], prec.gamma_plus[ell] = book.update(
+                prec.gamma_plus[ell], prec.gamma_minus[ell], alpha
+            )
+    else:
+        for ell in range(n - 1, -1, -1):
+            alpha = pair(ell + 1) if ell < n - 1 else endpoint()
+            prec.alpha_minus[ell] = alpha
+            prec.eta_minus[ell], prec.gamma_minus[ell] = book.update(
+                prec.gamma_minus[ell], prec.gamma_plus[ell], alpha
+            )
 
 
-@dataclass
+# ---------------------------------------------------------------------------
+# Engine state and sweeps
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
 class DenoiserBank:
-    pairs: list  # pair estimator for layers 1 .. L-1 (index ell-1)
-    output: object
+    """The network with every affine layer's SVD factors attached, plus y and the mode."""
 
-    def input_estimate(self, r_minus, gamma_minus):
-        return dn.input_denoiser(r_minus, gamma_minus)
+    spec: NetworkSpec
+    y: np.ndarray
+    mode: str
 
 
 def build_denoiser_bank(spec, y, mode):
-    """Instantiate all estimators once (SVDs included) for a run."""
+    """Factorize every affine layer once (loaded networks carry no factors) for a run."""
     y = np.asarray(y, float)
     if y.shape != (spec.dims[-1],):
         raise InvalidModelError("observation length mismatches the network output width")
-    pairs = []
-    for layer in spec.layers[:-1]:
-        if layer.kind == "linear":
-            pairs.append(_LinearPair(layer))
-        else:
-            pairs.append(_SeparablePair(layer, mode))
-    final = spec.layers[-1]
-    if final.kind == "linear":
-        output = _LinearOutput(final, y)
-    else:
-        output = _SeparableOutput(final, y, mode)
-    return DenoiserBank(pairs=pairs, output=output)
+    layers = tuple(
+        replace(layer, factors=svd_factorize(layer))
+        if layer.kind == "linear" and layer.factors is None
+        else layer
+        for layer in spec.layers
+    )
+    return DenoiserBank(spec=replace(spec, layers=layers), y=y, mode=mode)
 
 
-# ---------------------------------------------------------------------------
-# State updates
-# ---------------------------------------------------------------------------
-
-
-def initialize(spec, y, config, seed=0):
+def initialize(spec, y, config):
     """Fresh state: all pseudo-observations zero, precisions at gamma_init."""
     y = np.asarray(y, float)
     if y.shape != (spec.dims[-1],):
@@ -219,136 +257,90 @@ def initialize(spec, y, config, seed=0):
 
 
 def signal_power_ladder(spec):
-    """A-priori per-component second moments of the hidden signals.
+    """A-priori per-component second moments of the signals z_0 .. z_L.
 
-    Scalar recursion through the layer chain (orthogonal mixing preserves
-    the quantity); used to detect runaway estimates.
+    The predictor's initial pass over the network's own law; used to detect
+    runaway estimates.  The affine layers of ``spec`` should carry their
+    factors (as the bank's do), or each is factorized here.
     """
-    from scipy.special import roots_hermitenorm
+    from .state_evolution import NetworkLaw, se_initial_pass  # it imports this module
 
-    nodes, weights = roots_hermitenorm(40)
-    weights = weights / weights.sum()
-    tau = [1.0]
-    mean = 0.0
-    for ell, layer in enumerate(spec.layers[:-1], start=1):
-        if layer.kind == "linear":
-            s2 = float(np.sum(layer.factors.singular_values ** 2)) if layer.factors is not None else float(
-                np.sum(np.linalg.svd(layer.weight, compute_uv=False) ** 2)
-            )
-            second = s2 / layer.out_dim * tau[-1] + float(np.mean(layer.bias**2))
-            mean = float(np.mean(layer.bias))
-            if math.isfinite(layer.noise_precision):
-                second += 1.0 / layer.noise_precision
-        else:
-            var = max(tau[-1] - mean * mean, 0.0)
-            x = mean + math.sqrt(var) * nodes
-            second = float(weights @ apply_activation(layer.activation, x) ** 2)
-            if math.isfinite(layer.noise_precision):
-                second += 1.0 / layer.noise_precision
-            mean = 0.0
-        tau.append(second)
-    return np.asarray(tau)
+    return se_initial_pass(NetworkLaw.from_network(spec))[0]
 
 
-class _ClipCounter:
-    def __init__(self, alpha_clip):
-        self.alpha_clip = alpha_clip
-        self.events = 0
-
-    def alpha(self, value, layer, iteration):
-        if not np.isfinite(value):
-            raise DivergedIterationError(
-                f"divergence estimate is not finite at layer {layer}",
-                layer=layer,
-                iteration=iteration,
-            )
-        lo, hi = self.alpha_clip, 1.0 - self.alpha_clip
-        if value < lo or value > hi:
-            self.events += 1
-        return float(np.clip(value, lo, hi))
-
-    def gamma(self, value):
-        if value < dn.GAMMA_MIN or value > dn.GAMMA_MAX or not np.isfinite(value):
-            self.events += 1
-        return dn.clip_gamma(value)
-
-
-def _damped_gamma(old, raw, damping):
-    if damping >= 1.0:
-        return raw
-    return float(old ** (1.0 - damping) * raw**damping)
-
-
-def forward_pass(state, bank, config, clip, iteration=0):
-    """One left-to-right sweep; updates the plus-side quantities."""
-    n = state.num_signals
-    res = bank.input_estimate(state.r_minus[0], state.gamma_minus[0])
-    _plus_update(state, 0, res, clip, config, iteration)
-    for ell in range(1, n):
-        try:
-            res = bank.pairs[ell - 1].estimate(
-                state.r_minus[ell],
-                state.r_plus[ell - 1],
-                state.gamma_minus[ell],
-                state.gamma_plus[ell - 1],
-            )
-        except NumericFailureError as exc:
-            raise DivergedIterationError(str(exc), layer=ell, iteration=iteration) from exc
-        _plus_update(state, ell, res, clip, config, iteration)
-    return state
-
-
-def _plus_update(state, ell, res, clip, config, iteration):
-    if not np.all(np.isfinite(res.zhat_plus)):
-        raise DivergedIterationError(
-            f"non-finite estimate at layer {ell}", layer=ell, iteration=iteration
-        )
-    alpha = clip.alpha(res.alpha_plus, ell, iteration)
-    state.zhat_plus[ell] = res.zhat_plus
-    state.alpha_plus[ell] = alpha
-    state.r_plus[ell] = (res.zhat_plus - alpha * state.r_minus[ell]) / (1.0 - alpha)
-    eta = state.gamma_minus[ell] / alpha
-    state.eta_plus[ell] = eta
-    raw = clip.gamma(eta - state.gamma_minus[ell])
-    state.gamma_plus[ell] = _damped_gamma(state.gamma_plus[ell], raw, config.damping)
-
-
-def backward_pass(state, bank, config, clip, iteration=0):
-    """One right-to-left sweep; updates the minus-side quantities."""
-    n = state.num_signals
-    last = n - 1
+def _pair_estimate(state, bank, ell, iteration):
+    """Joint estimate at the pair layer ``ell`` (1-based) from the current messages."""
+    layer = bank.spec.layers[ell - 1]
+    params = dn.BeliefParams(
+        state.r_minus[ell], state.r_plus[ell - 1], state.gamma_minus[ell], state.gamma_plus[ell - 1]
+    )
     try:
-        res = bank.output.estimate(state.r_plus[last], state.gamma_plus[last])
+        if layer.kind == "linear":
+            return dn.linear_pair(params, layer.factors, layer.noise_precision)
+        if bank.mode == "mmse":
+            return dn.mmse_pair_nonlinear(params, layer)
+        return dn.map_pair_nonlinear(params, layer)
+    except NumericFailureError as exc:
+        raise DivergedIterationError(str(exc), layer=ell, iteration=iteration) from exc
+
+
+def _output_estimate(state, bank, iteration):
+    """Estimate of the last hidden signal given the observation."""
+    last = state.num_signals - 1
+    layer = bank.spec.layers[-1]
+    r_plus, gamma_plus = state.r_plus[last], state.gamma_plus[last]
+    try:
+        if layer.kind == "linear":
+            return dn.output_linear(r_plus, gamma_plus, bank.y, layer.factors, layer.noise_precision)
+        return dn.output_separable(r_plus, gamma_plus, bank.y, layer, bank.mode)
     except NumericFailureError as exc:
         raise DivergedIterationError(str(exc), layer=last, iteration=iteration) from exc
-    _minus_update(state, last, res, clip, config, iteration)
-    for ell in range(last, 0, -1):
-        try:
-            res = bank.pairs[ell - 1].estimate(
-                state.r_minus[ell],
-                state.r_plus[ell - 1],
-                state.gamma_minus[ell],
-                state.gamma_plus[ell - 1],
-            )
-        except NumericFailureError as exc:
-            raise DivergedIterationError(str(exc), layer=ell, iteration=iteration) from exc
-        _minus_update(state, ell - 1, res, clip, config, iteration)
+
+
+def _extrinsic(zhat, message, alpha, ell, book):
+    """Clipped divergence and extrinsic message ``(zhat - alpha message) / (1 - alpha)``."""
+    if not np.all(np.isfinite(zhat)):
+        raise DivergedIterationError(
+            f"non-finite estimate at layer {ell}", layer=ell, iteration=book.iteration
+        )
+    alpha = book.clip(alpha, ell)
+    return alpha, (zhat - alpha * message) / (1.0 - alpha)
+
+
+def forward_pass(state, bank, book):
+    """One left-to-right sweep; updates the plus-side quantities."""
+
+    def update(ell, res):
+        alpha, state.r_plus[ell] = _extrinsic(res.zhat_plus, state.r_minus[ell], res.alpha_plus, ell, book)
+        state.zhat_plus[ell] = res.zhat_plus
+        return alpha
+
+    sweep(
+        state,
+        True,
+        lambda: update(0, dn.input_denoiser(state.r_minus[0], state.gamma_minus[0])),
+        lambda ell: update(ell, _pair_estimate(state, bank, ell, book.iteration)),
+        book,
+    )
     return state
 
 
-def _minus_update(state, ell, res, clip, config, iteration):
-    if not np.all(np.isfinite(res.zhat_minus)):
-        raise DivergedIterationError(
-            f"non-finite estimate at layer {ell}", layer=ell, iteration=iteration
-        )
-    alpha = clip.alpha(res.alpha_minus, ell, iteration)
-    state.zhat_minus[ell] = res.zhat_minus
-    state.alpha_minus[ell] = alpha
-    state.r_minus[ell] = (res.zhat_minus - alpha * state.r_plus[ell]) / (1.0 - alpha)
-    eta = state.gamma_plus[ell] / alpha
-    state.eta_minus[ell] = eta
-    raw = clip.gamma(eta - state.gamma_plus[ell])
-    state.gamma_minus[ell] = _damped_gamma(state.gamma_minus[ell], raw, config.damping)
+def backward_pass(state, bank, book):
+    """One right-to-left sweep; updates the minus-side quantities."""
+
+    def update(ell, res):
+        alpha, state.r_minus[ell] = _extrinsic(res.zhat_minus, state.r_plus[ell], res.alpha_minus, ell, book)
+        state.zhat_minus[ell] = res.zhat_minus
+        return alpha
+
+    sweep(
+        state,
+        False,
+        lambda: update(state.num_signals - 1, _output_estimate(state, bank, book.iteration)),
+        lambda ell: update(ell - 1, _pair_estimate(state, bank, ell, book.iteration)),
+        book,
+    )
+    return state
 
 
 def nmse_db(zhat, z0):
@@ -372,35 +364,34 @@ def _consistency(state):
     return worst
 
 
-def run(spec, y, config, seed=0, truth=None):
+def run(spec, y, config, truth=None):
     """Alternate sweeps until the budget or the convergence tolerance is hit.
 
-    Pure function of ``(spec, y, config, seed)``; ``truth`` only adds
-    per-pass error metrics to the trace.  Returns
-    ``(state, trace, report)``.
+    Pure function of ``(spec, y, config)``; ``truth`` only adds per-pass
+    error metrics to the trace.  Returns ``(state, trace, report)``.
     """
     bank = build_denoiser_bank(spec, y, config.mode)
-    state = initialize(spec, y, config, seed)
-    power = signal_power_ladder(spec)
+    state = initialize(spec, y, config)
+    power = signal_power_ladder(bank.spec)
     trace = IterationTrace()
     half = 0
     for k in range(config.max_iters):
         prev_plus = [z.copy() for z in state.zhat_plus]
         prev_minus = [z.copy() for z in state.zhat_minus]
-        clip = _ClipCounter(config.alpha_clip)
+        book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)
         try:
-            forward_pass(state, bank, config, clip, iteration=k)
+            forward_pass(state, bank, book)
             _check_blowup(state, power, k)
             half += 1
-            _record(trace, state, config, half, "forward", truth, clip.events, math.nan)
-            backward_pass(state, bank, config, clip, iteration=k)
+            _record(trace, state, config, half, "forward", truth, book.events, math.nan)
+            backward_pass(state, bank, book)
             _check_blowup(state, power, k)
         except DivergedIterationError as exc:
             exc.trace = trace
             raise
         half += 1
         delta = _max_delta(state, prev_plus, prev_minus, first=(k == 0))
-        _record(trace, state, config, half, "backward", truth, clip.events, delta)
+        _record(trace, state, config, half, "backward", truth, book.events, delta)
         if config.convergence_tol > 0 and delta < config.convergence_tol:
             break
     report = fixed_point_report(state, spec, y, config.mode)

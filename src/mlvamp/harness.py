@@ -63,9 +63,15 @@ CSV_COLUMNS = (
 def worker_count():
     """Worker pool size: MLVAMP_THREADS if set, else available parallelism."""
     env = os.environ.get("MLVAMP_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise InvalidModelError(f"MLVAMP_THREADS must be a positive integer, not {env!r}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +311,7 @@ def run_single_trial(recipe, calibration, engine_cfg, trial_seed):
     try:
         spec = build_synthetic_network(recipe, trial_seed, calibration)
         truth = forward_generate(spec, trial_seed)
-        _, trace, _ = run(spec, truth.y, engine_cfg, seed=trial_seed, truth=truth)
+        _, trace, _ = run(spec, truth.y, engine_cfg, truth=truth)
     except (DivergedIterationError, NumericFailureError) as exc:
         return TrialResult(
             seed=trial_seed,
@@ -335,6 +341,17 @@ def run_single_trial(recipe, calibration, engine_cfg, trial_seed):
     )
 
 
+def predictor_config(config):
+    """The predictor settings of an experiment: its ``se`` block run as the engine runs."""
+    return replace(
+        config.se,
+        iterations=config.engine.max_iters,
+        mode=config.engine.mode,
+        damping=config.engine.damping,
+        alpha_clip=config.engine.alpha_clip,
+    )
+
+
 def _trial_star(args):
     return run_single_trial(*args)
 
@@ -345,26 +362,19 @@ def run_trials(config, calibration=None, law=None, workers=None):
     Trial seeds derive from the master seed; aggregation is keyed by trial
     index so the result is independent of completion order.
     """
+    n_workers = workers if workers is not None else worker_count()
     recipe = config.recipe
     if calibration is None:
         calibration = calibrate_recipe(recipe, config.master_seed)
     if law is None:
         law = recipe_law(recipe, calibration)
-    se_cfg = replace(
-        config.se,
-        iterations=config.engine.max_iters,
-        mode=config.engine.mode,
-        damping=config.engine.damping,
-        alpha_clip=config.engine.alpha_clip,
-    )
-    se_result = run_se(law, se_cfg)
+    se_result = run_se(law, predictor_config(config))
 
     seeds = [
         int(substream(config.master_seed, 0x7A1A, t).integers(2**62))
         for t in range(config.trials)
     ]
     jobs = [(recipe, calibration, config.engine, s) for s in seeds]
-    n_workers = workers if workers is not None else worker_count()
     if n_workers > 1 and config.trials > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_trial_star, jobs))

@@ -43,11 +43,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import denoisers as dn
+from .engine import ALPHA_MIN, Bookkeeping, Precisions, clip_alpha, damp, sweep
 from .errors import InvalidModelError
 from .model import apply_activation, svd_factorize
 from .seeding import substream
-
-_ALPHA_MIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +159,7 @@ class SEConfig:
     mode: str = "mmse"
     gamma_init: float = 1e-4
     damping: float = 1.0
-    alpha_clip: float = _ALPHA_MIN
+    alpha_clip: float = ALPHA_MIN
     expectation: ExpectationEngine = field(default_factory=ExpectationEngine)
     stop_tol: float = 0.0
 
@@ -182,8 +181,6 @@ class SEState:
     alpha_bar_minus: np.ndarray
     gamma_bar_plus: np.ndarray
     gamma_bar_minus: np.ndarray
-    eta_bar_plus: np.ndarray
-    eta_bar_minus: np.ndarray
 
 
 @dataclass
@@ -193,10 +190,6 @@ class SEResult:
     mse: np.ndarray  # same grid, linear scale
     tau_zero: np.ndarray  # (L + 1,)
     directions: list
-
-
-def _clip_alpha(a, bound=_ALPHA_MIN):
-    return float(np.clip(a, bound, 1.0 - bound))
 
 
 # ---------------------------------------------------------------------------
@@ -275,85 +268,47 @@ def _cross_moment(ca, da, cb, db, K, tau_m, xi_var, b_var):
     )
 
 
-def _linear_forward_step(layer, K_prev, tau_m, gm, gp_prev, clip=_ALPHA_MIN):
-    """Forward update at an affine layer: returns (alpha, K_new, mse_plus)."""
+def _affine_step(layer, forward, gains, K_prev, tau_m, clip=clip_alpha):
+    """Update at an affine layer from its per-component gains (g_q, g_p, g_b).
+
+    The estimate is ``g_q u_out + g_p u_in + g_b bbar``.  Forward it
+    estimates the output ``Q0 = s P0 + Xi + Bg + atoms`` from its message
+    ``Q0 + Qm`` (divergence: the mean of ``g_q``); backward, the input ``P0``
+    from ``P0 + Pp`` (the mean of ``g_p``).  An exactly observed output is
+    the backward step with ``observed_linear_gains`` and ``tau_m = 0``.
+    Returns ``(alpha, K, mse)`` forward, ``K`` the second moments of (truth,
+    extrinsic error), and ``(alpha, tau, mse)`` backward, ``tau = K11``: the
+    recursion models the minus error as noise independent of the truth.
+    """
     nu = layer.noise_precision
     xi_var = 0.0 if math.isinf(nu) else 1.0 / nu
-    s = layer.padded(layer.n_out)
-    atoms, b_var = layer.bias_terms(layer.n_out)
-    aq, ap, ab = dn.linear_gains_plus(s, nu, gm, gp_prev)
-    alpha = _clip_alpha(np.mean(aq), clip)
-
+    s = layer.padded(layer.n_out if forward else layer.n_in)
+    atoms, b_var = layer.bias_terms(s.size)
+    g_q, g_p, g_b = gains
     one = np.ones_like(s)
     zero = np.zeros_like(s)
-    c_q0 = (s, zero, zero, one, one)
-    d_q0 = atoms
-    c_h = (aq * s + ap, ap, aq, aq, aq + ab)
-    d_h = atoms * (aq + ab)
-    c_err = tuple(ch - cq for ch, cq in zip(c_h, c_q0))
-    d_err = d_h - d_q0
-    mse_plus = float(np.mean(_cross_moment(c_err, d_err, c_err, d_err, K_prev, tau_m, xi_var, b_var)))
-
+    # (coefficients on X, deterministic part) of the estimate, truth and message
+    c_est, d_est = (g_q * s + g_p, g_p, g_q, g_q, g_q + g_b), atoms * (g_q + g_b)
+    if forward:
+        c_t, d_t, c_msg = (s, zero, zero, one, one), atoms, (zero, zero, one, zero, zero)
+        alpha = clip(np.mean(g_q))
+    else:
+        c_t, d_t, c_msg = (one, zero, zero, zero, zero), zero, (zero, one, zero, zero, zero)
+        alpha = clip(np.mean(g_p))
+    c_err = tuple(ce - ct for ce, ct in zip(c_est, c_t))
+    d_err = d_est - d_t
     scale = 1.0 / (1.0 - alpha)
-    c_qp = (
-        c_err[0] * scale,
-        c_err[1] * scale,
-        (c_err[2] - alpha) * scale,
-        c_err[3] * scale,
-        c_err[4] * scale,
-    )
-    d_qp = d_err * scale
-    k00 = float(np.mean(_cross_moment(c_q0, d_q0, c_q0, d_q0, K_prev, tau_m, xi_var, b_var)))
-    k01 = float(np.mean(_cross_moment(c_q0, d_q0, c_qp, d_qp, K_prev, tau_m, xi_var, b_var)))
-    k11 = float(np.mean(_cross_moment(c_qp, d_qp, c_qp, d_qp, K_prev, tau_m, xi_var, b_var)))
-    return alpha, np.array([[k00, k01], [k01, k11]]), mse_plus
+    c_ext = tuple((ce - alpha * cm) * scale for ce, cm in zip(c_err, c_msg))
+    d_ext = d_err * scale
 
+    def moment(ca, da, cb, db):
+        return float(np.mean(_cross_moment(ca, da, cb, db, K_prev, tau_m, xi_var, b_var)))
 
-def _linear_backward_step(layer, K_prev, tau_m, gm, gp_prev, clip=_ALPHA_MIN):
-    """Backward update at an affine layer: returns (alpha, tau_new, mse_minus)."""
-    nu = layer.noise_precision
-    xi_var = 0.0 if math.isinf(nu) else 1.0 / nu
-    s = layer.padded(layer.n_in)
-    atoms, b_var = layer.bias_terms(layer.n_in)
-    bq, bp, bb = dn.linear_gains_minus(s, nu, gm, gp_prev)
-    alpha = _clip_alpha(np.mean(bp), clip)
-
-    one = np.ones_like(s)
-    zero = np.zeros_like(s)
-    c_h = (bq * s + bp, bp, bq, bq, bq + bb)
-    d_h = atoms * (bq + bb)
-    c_err = (c_h[0] - one, c_h[1], c_h[2], c_h[3], c_h[4])
-    d_err = d_h
-    mse_minus = float(np.mean(_cross_moment(c_err, d_err, c_err, d_err, K_prev, tau_m, xi_var, b_var)))
-    scale = 1.0 / (1.0 - alpha)
-    c_pm = (
-        c_err[0] * scale,
-        (c_err[1] - alpha) * scale,
-        c_err[2] * scale,
-        c_err[3] * scale,
-        c_err[4] * scale,
-    )
-    d_pm = d_err * scale
-    tau_new = float(np.mean(_cross_moment(c_pm, d_pm, c_pm, d_pm, K_prev, tau_m, xi_var, b_var)))
-    return alpha, tau_new, mse_minus
-
-
-def _linear_output_step(layer, K_prev, gp_prev, clip=_ALPHA_MIN):
-    """Backward update at an exactly observed affine measurement layer."""
-    nu = layer.noise_precision
-    xi_var = 0.0 if math.isinf(nu) else 1.0 / nu
-    s = layer.padded(layer.n_in)
-    g_r, g_obs = dn.observed_linear_gains(s, nu, gp_prev)
-    alpha = _clip_alpha(np.mean(g_r), clip)
-    one = np.ones_like(s)
-    zero = np.zeros_like(s)
-    c_h = (g_r + g_obs * s, g_r, zero, g_obs, zero)
-    c_err = (c_h[0] - one, c_h[1], zero, c_h[3], zero)
-    mse_minus = float(np.mean(_cross_moment(c_err, zero, c_err, zero, K_prev, 0.0, xi_var, 0.0)))
-    scale = 1.0 / (1.0 - alpha)
-    c_pm = (c_err[0] * scale, (c_err[1] - alpha) * scale, zero, c_err[3] * scale, zero)
-    tau_new = float(np.mean(_cross_moment(c_pm, zero, c_pm, zero, K_prev, 0.0, xi_var, 0.0)))
-    return alpha, tau_new, mse_minus
+    mse, k11 = moment(c_err, d_err, c_err, d_err), moment(c_ext, d_ext, c_ext, d_ext)
+    if not forward:
+        return alpha, k11, mse
+    k01 = moment(c_t, d_t, c_ext, d_ext)
+    return alpha, np.array([[moment(c_t, d_t, c_t, d_t), k01], [k01, k11]]), mse
 
 
 # ---------------------------------------------------------------------------
@@ -455,65 +410,49 @@ def _activation_kink(activation):
     return 0.0 if activation in ("relu", "sign") else None
 
 
-def _separable_forward_step(layer, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip=_ALPHA_MIN):
+def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip=clip_alpha):
+    """Update at a separable layer: returns what the affine step returns.
+
+    Forward, the estimate is of the output ``q0 = phi(p0) + xi`` from its
+    message ``r_minus``; backward, of the input ``p0`` from ``r_plus``.  At an
+    exactly observed output (``gm = inf``, backward) the observation ``q0``
+    replaces the minus message.
+    """
     xi_var = 0.0 if math.isinf(layer.noise_precision) else 1.0 / layer.noise_precision
     p0, r_plus, t_minus, xi, w = _grid(K_prev, mu_prev, tau_m, xi_var, engine, tag,
                                        kink=_activation_kink(layer.activation))
     q0 = apply_activation(layer.activation, p0) + xi
-    r_minus = q0 + math.sqrt(max(tau_m, 0.0)) * t_minus
-    zp, _, dp, _ = dn.scalar_pair(
-        mode, layer.activation, layer.noise_precision, r_minus, r_plus, gm, gp_prev
-    )
-    alpha = _clip_alpha(np.sum(w * dp), clip)
-    err = zp - q0
-    mse_plus = float(np.sum(w * err * err))
-    qp = (err - alpha * (r_minus - q0)) / (1.0 - alpha)
-    # raw second moments, means included: the next (mixing) layer sees them
-    # as the covariance of mean-free rotated components
-    k00 = float(np.sum(w * q0 * q0))
-    k01 = float(np.sum(w * q0 * qp))
-    k11 = float(np.sum(w * qp * qp))
-    return alpha, np.array([[k00, k01], [k01, k11]]), mse_plus
+    if math.isinf(gm):
+        zm, dm = dn.separable_output_fields(
+            r_plus, gp_prev, q0, layer.activation, layer.noise_precision, mode
+        )
+    else:
+        r_minus = q0 + math.sqrt(max(tau_m, 0.0)) * t_minus
+        zp, zm, dp, dm = dn.scalar_pair(
+            mode, layer.activation, layer.noise_precision, r_minus, r_plus, gm, gp_prev
+        )
+        if forward:
+            return _extrinsic_moments(w, q0, r_minus, zp, clip(np.sum(w * dp)), True)
+    return _extrinsic_moments(w, p0, r_plus, zm, clip(np.sum(w * dm)), False)
 
 
-def _separable_backward_step(layer, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip=_ALPHA_MIN):
-    xi_var = 0.0 if math.isinf(layer.noise_precision) else 1.0 / layer.noise_precision
-    p0, r_plus, t_minus, xi, w = _grid(K_prev, mu_prev, tau_m, xi_var, engine, tag,
-                                       kink=_activation_kink(layer.activation))
-    q0 = apply_activation(layer.activation, p0) + xi
-    r_minus = q0 + math.sqrt(max(tau_m, 0.0)) * t_minus
-    _, zm, _, dm = dn.scalar_pair(
-        mode, layer.activation, layer.noise_precision, r_minus, r_plus, gm, gp_prev
-    )
-    alpha = _clip_alpha(np.sum(w * dm), clip)
-    err = zm - p0
-    mse_minus = float(np.sum(w * err * err))
-    pm = (err - alpha * (r_plus - p0)) / (1.0 - alpha)
-    tau_new = float(np.sum(w * pm * pm))
-    return alpha, tau_new, mse_minus
+def _extrinsic_moments(w, truth, message, est, alpha, forward):
+    """The affine step's returns, on the grid.  ``K`` holds raw second moments,
+    means included: the next (mixing) layer sees them as the covariance of
+    mean-free rotated components."""
+    err = est - truth
+    ext = (err - alpha * (message - truth)) / (1.0 - alpha)
+    mse, k11 = float(np.sum(w * err * err)), float(np.sum(w * ext * ext))
+    if not forward:
+        return alpha, k11, mse
+    k01 = float(np.sum(w * truth * ext))
+    return alpha, np.array([[float(np.sum(w * truth * truth)), k01], [k01, k11]]), mse
 
 
-def _separable_output_step(layer, K_prev, mu_prev, gp_prev, mode, engine, tag, clip=_ALPHA_MIN):
-    """Backward update at an exactly observed separable measurement layer."""
-    xi_var = 0.0 if math.isinf(layer.noise_precision) else 1.0 / layer.noise_precision
-    p0, r_plus, _, xi, w = _grid(K_prev, mu_prev, 0.0, xi_var, engine, tag,
-                                 kink=_activation_kink(layer.activation))
-    y = apply_activation(layer.activation, p0) + xi
-    zm, dm = dn.separable_output_fields(
-        r_plus, gp_prev, y, layer.activation, layer.noise_precision, mode
-    )
-    alpha = _clip_alpha(np.sum(w * dm), clip)
-    err = zm - p0
-    mse_minus = float(np.sum(w * err * err))
-    pm = (err - alpha * (r_plus - p0)) / (1.0 - alpha)
-    tau_new = float(np.sum(w * pm * pm))
-    return alpha, tau_new, mse_minus
-
-
-def _input_step(gm, tau_m, clip=_ALPHA_MIN):
+def _input_step(gm, tau_m, clip=clip_alpha):
     """Forward update for the standard-normal input prior (exact algebra)."""
     slope = gm / (1.0 + gm)
-    alpha = _clip_alpha(slope, clip)
+    alpha = clip(slope)
     mse_plus = slope * slope * tau_m + (1.0 - slope) ** 2
     scale = 1.0 / (1.0 - alpha)
     # Qp = ((slope - alpha) Qm - (1 - slope) Z) / (1 - alpha)
@@ -528,103 +467,100 @@ def _input_step(gm, tau_m, clip=_ALPHA_MIN):
 # ---------------------------------------------------------------------------
 
 
-def se_forward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag=(), clip=_ALPHA_MIN):
-    """One forward update at layer ``ell`` (1-based), dispatched by kind."""
+def se_forward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag=(), clip=clip_alpha):
+    """One forward update at layer ``ell`` (1-based): ``(alpha, K_new, mse_plus)``."""
     layer = law.layers[ell - 1]
     if layer.kind == "linear":
-        return _linear_forward_step(layer, K_prev, tau_m, gm, gp_prev, clip)
-    return _separable_forward_step(layer, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip)
+        gains = dn.linear_gains_plus(layer.padded(layer.n_out), layer.noise_precision, gm, gp_prev)
+        return _affine_step(layer, True, gains, K_prev, tau_m, clip)
+    return _separable_step(layer, True, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip)
 
 
-def se_backward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag=(), clip=_ALPHA_MIN):
-    """One backward update at layer ``ell`` (1-based), dispatched by kind."""
+def se_backward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag=(), clip=clip_alpha):
+    """One backward update at layer ``ell`` (1-based): ``(alpha, tau_new, mse_minus)``.
+
+    The measurement layer is observed exactly: it takes ``gm = inf`` and
+    ``tau_m = 0``.
+    """
     layer = law.layers[ell - 1]
-    if layer.kind == "linear":
-        return _linear_backward_step(layer, K_prev, tau_m, gm, gp_prev, clip)
-    return _separable_backward_step(layer, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip)
+    if layer.kind == "nonlinear":
+        return _separable_step(layer, False, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip)
+    s = layer.padded(layer.n_in)
+    if math.isinf(gm):
+        g_r, g_obs = dn.observed_linear_gains(s, layer.noise_precision, gp_prev)
+        gains = (g_obs, g_r, -g_obs)
+    else:
+        gains = dn.linear_gains_minus(s, layer.noise_precision, gm, gp_prev)
+    return _affine_step(layer, False, gains, K_prev, tau_m, clip)
 
 
 def run_se(law, config):
-    """Iterate the scalar recursion and emit per-half-iteration error predictions."""
+    """Iterate the scalar recursion and emit per-half-iteration error predictions.
+
+    The recursion runs the engine's sweep schedule and precision bookkeeping
+    (``engine.sweep``, ``engine.Bookkeeping``); its messages are the plus-side
+    moments ``K`` and the minus-side error second moments ``tau_m``.
+    """
     engine = config.expectation
     n = law.num_layers  # hidden signals 0 .. n-1
     tau0, mu = se_initial_pass(law, engine)
-    gm = np.full(n, float(config.gamma_init))
-    gp = np.full(n, float(config.gamma_init))
-    eta_p = np.full(n, np.nan)
-    eta_m = np.full(n, np.nan)
-    ap = np.full(n, np.nan)
-    am = np.full(n, np.nan)
+    prec = Precisions(
+        gamma_minus=np.full(n, float(config.gamma_init)),
+        gamma_plus=np.full(n, float(config.gamma_init)),
+        alpha_plus=np.full(n, np.nan),
+        alpha_minus=np.full(n, np.nan),
+        eta_plus=np.full(n, np.nan),
+        eta_minus=np.full(n, np.nan),
+    )
     tau_m = tau0[:n].copy()
     # prior messages are zero, so the plus error is minus the truth
     K = [np.array([[tau0[ell], -tau0[ell]], [-tau0[ell], tau0[ell]]]) for ell in range(n)]
-
-    def damped(old, raw):
-        if config.damping >= 1.0:
-            return raw
-        return float(old ** (1.0 - config.damping) * raw**config.damping)
 
     states = []
     nmse_rows = []
     directions = []
     prev_params = None
     for k in range(config.iterations):
-        mse_fwd = np.zeros(n)
-        alpha, K[0], mse_fwd[0] = _input_step(gm[0], tau_m[0], config.alpha_clip)
-        ap[0] = alpha
-        eta_p[0] = gm[0] / alpha
-        gp[0] = damped(gp[0], dn.clip_gamma(eta_p[0] - gm[0]))
-        for ell in range(1, n):
-            alpha, K[ell], mse_fwd[ell] = se_forward_layer(
-                law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], gm[ell], gp[ell - 1],
-                config.mode, engine, tag=(k, 0, ell), clip=config.alpha_clip,
-            )
-            ap[ell] = alpha
-            eta_p[ell] = gm[ell] / alpha
-            gp[ell] = damped(gp[ell], dn.clip_gamma(eta_p[ell] - gm[ell]))
-        nmse_rows.append(mse_fwd / tau0[:n])
-        directions.append("forward")
+        book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)
+        mse = np.zeros((2, n))
 
-        mse_bwd = np.zeros(n)
-        last = n - 1
-        final = law.layers[-1]
-        if final.kind == "linear":
-            alpha, tau_new, mse_bwd[last] = _linear_output_step(final, K[last], gp[last], config.alpha_clip)
-        else:
-            alpha, tau_new, mse_bwd[last] = _separable_output_step(
-                final, K[last], mu[last], gp[last], config.mode, engine, tag=(k, 1, n),
-                clip=config.alpha_clip,
+        def input_prior():
+            alpha, K[0], mse[0, 0] = _input_step(prec.gamma_minus[0], tau_m[0], book.clip)
+            return alpha
+
+        def forward(ell):
+            alpha, K[ell], mse[0, ell] = se_forward_layer(
+                law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], prec.gamma_minus[ell],
+                prec.gamma_plus[ell - 1], config.mode, engine, tag=(k, 0, ell), clip=book.clip,
             )
-        am[last] = alpha
-        eta_m[last] = gp[last] / alpha
-        gm[last] = damped(gm[last], dn.clip_gamma(eta_m[last] - gp[last]))
-        tau_m[last] = tau_new
-        for ell in range(last, 0, -1):
-            alpha, tau_new, mse_bwd[ell - 1] = se_backward_layer(
-                law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], gm[ell], gp[ell - 1],
-                config.mode, engine, tag=(k, 1, ell), clip=config.alpha_clip,
+            return alpha
+
+        def backward(ell):
+            observed = ell == n
+            alpha, tau_m[ell - 1], mse[1, ell - 1] = se_backward_layer(
+                law, ell, K[ell - 1], mu[ell - 1],
+                0.0 if observed else tau_m[ell], math.inf if observed else prec.gamma_minus[ell],
+                prec.gamma_plus[ell - 1], config.mode, engine, tag=(k, 1, ell), clip=book.clip,
             )
-            am[ell - 1] = alpha
-            eta_m[ell - 1] = gp[ell - 1] / alpha
-            gm[ell - 1] = damped(gm[ell - 1], dn.clip_gamma(eta_m[ell - 1] - gp[ell - 1]))
-            tau_m[ell - 1] = tau_new
-        nmse_rows.append(mse_bwd / tau0[:n])
-        directions.append("backward")
+            return alpha
+
+        sweep(prec, True, input_prior, forward, book)
+        sweep(prec, False, lambda: backward(n), backward, book)
+        nmse_rows += [mse[0] / tau0[:n], mse[1] / tau0[:n]]
+        directions += ["forward", "backward"]
 
         states.append(
             SEState(
                 K_plus=np.array([k_.copy() for k_ in K]),
                 tau_minus=tau_m.copy(),
                 tau_zero=tau0[:n].copy(),
-                alpha_bar_plus=ap.copy(),
-                alpha_bar_minus=am.copy(),
-                gamma_bar_plus=gp.copy(),
-                gamma_bar_minus=gm.copy(),
-                eta_bar_plus=eta_p.copy(),
-                eta_bar_minus=eta_m.copy(),
+                alpha_bar_plus=prec.alpha_plus.copy(),
+                alpha_bar_minus=prec.alpha_minus.copy(),
+                gamma_bar_plus=prec.gamma_plus.copy(),
+                gamma_bar_minus=prec.gamma_minus.copy(),
             )
         )
-        params = np.concatenate([gp, gm])
+        params = np.concatenate([prec.gamma_plus, prec.gamma_minus])
         if prev_params is not None and config.stop_tol > 0:
             change = np.max(np.abs(params - prev_params) / np.maximum(np.abs(prev_params), 1e-30))
             if change < config.stop_tol:
@@ -646,7 +582,6 @@ def run_se(law, config):
 class MatchedResult:
     gamma_bar_plus: np.ndarray
     gamma_bar_minus: np.ndarray
-    eta_bar: np.ndarray
     mse: np.ndarray
     residual: float
     converged: bool
@@ -660,43 +595,24 @@ def _matched_K(tau0, gp_prev):
     return np.array([[tau0, -k11], [-k11, k11]])
 
 
-def _matched_mse_plus(law, ell, tau0, mu, gm, gp_prev, engine):
+def _matched_mse(law, ell, forward, tau0, mu, gm, gp_prev, engine):
+    """Posterior variance of the output (forward) or input (backward) of layer
+    ``ell`` under matched channels; ``gm = inf`` at the observed output."""
     layer = law.layers[ell - 1]
     if layer.kind == "linear":
-        s = layer.padded(layer.n_out)
-        aq, _, _ = dn.linear_gains_plus(s, layer.noise_precision, gm, gp_prev)
-        return float(np.mean(aq)) / gm
-    K = _matched_K(tau0[ell - 1], gp_prev)
-    _, _, mse = _separable_forward_step(
-        layer, K, mu[ell - 1], 1.0 / gm, gm, gp_prev, "mmse", engine, tag=(0xE, 0, ell)
-    )
-    return mse
-
-
-def _matched_mse_minus(law, ell, tau0, mu, gm, gp_prev, engine):
-    layer = law.layers[ell - 1]
-    if layer.kind == "linear":
+        nu = layer.noise_precision
+        if forward:
+            aq, _, _ = dn.linear_gains_plus(layer.padded(layer.n_out), nu, gm, gp_prev)
+            return float(np.mean(aq)) / gm
         s = layer.padded(layer.n_in)
-        _, bp, _ = dn.linear_gains_minus(s, layer.noise_precision, gm, gp_prev)
-        return float(np.mean(bp)) / gp_prev
-    K = _matched_K(tau0[ell - 1], gp_prev)
-    _, _, mse = _separable_backward_step(
-        layer, K, mu[ell - 1], 1.0 / gm, gm, gp_prev, "mmse", engine, tag=(0xE, 1, ell)
-    )
-    return mse
-
-
-def _matched_mse_output(law, tau0, mu, gp_prev, engine):
-    layer = law.layers[-1]
-    n = law.num_layers
-    if layer.kind == "linear":
-        s = layer.padded(layer.n_in)
-        if math.isinf(layer.noise_precision):
+        if not math.isinf(gm):
+            return float(np.mean(dn.linear_gains_minus(s, nu, gm, gp_prev)[1])) / gp_prev
+        if math.isinf(nu):
             return float(np.mean(np.where(s > 0, 0.0, 1.0 / gp_prev)))
-        return float(np.mean(1.0 / (gp_prev + layer.noise_precision * s * s)))
-    K = _matched_K(tau0[n - 1], gp_prev)
-    _, _, mse = _separable_output_step(layer, K, mu[n - 1], gp_prev, "mmse", engine, tag=(0xE, 1, n))
-    return mse
+        return float(np.mean(1.0 / (gp_prev + nu * s * s)))
+    K = _matched_K(tau0[ell - 1], gp_prev)
+    tag = (0xE, 0 if forward else 1, ell)
+    return _separable_step(layer, forward, K, mu[ell - 1], 1.0 / gm, gm, gp_prev, "mmse", engine, tag)[2]
 
 
 def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
@@ -714,24 +630,24 @@ def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
     gm = np.full(n, float(config.gamma_init))
     gp = np.full(n, float(config.gamma_init))
 
-    def damp(old, raw):
-        raw = dn.clip_gamma(raw)
-        return float(old ** (1.0 - damping) * raw**damping)
+    def visit(update):
+        """Set each precision, in sweep order, to ``update(old, matched target)``."""
+        gp[0] = update(gp[0], (1.0 + gm[0]) - gm[0])
+        for ell in range(1, n):
+            mse = _matched_mse(law, ell, True, tau0, mu, gm[ell], gp[ell - 1], engine)
+            gp[ell] = update(gp[ell], 1.0 / mse - gm[ell])
+        mse = _matched_mse(law, n, False, tau0, mu, math.inf, gp[n - 1], engine)
+        gm[n - 1] = update(gm[n - 1], 1.0 / mse - gp[n - 1])
+        for ell in range(n - 1, 0, -1):
+            mse = _matched_mse(law, ell, False, tau0, mu, gm[ell], gp[ell - 1], engine)
+            gm[ell - 1] = update(gm[ell - 1], 1.0 / mse - gp[ell - 1])
 
     converged = False
     sweeps = 0
-    for sweep in range(max_sweeps):
-        sweeps = sweep + 1
+    for sweep_index in range(max_sweeps):
+        sweeps = sweep_index + 1
         prev = np.concatenate([gp, gm])
-        gp[0] = damp(gp[0], (1.0 + gm[0]) - gm[0])
-        for ell in range(1, n):
-            mse = _matched_mse_plus(law, ell, tau0, mu, gm[ell], gp[ell - 1], engine)
-            gp[ell] = damp(gp[ell], 1.0 / mse - gm[ell])
-        mse = _matched_mse_output(law, tau0, mu, gp[n - 1], engine)
-        gm[n - 1] = damp(gm[n - 1], 1.0 / mse - gp[n - 1])
-        for ell in range(n - 1, 0, -1):
-            mse = _matched_mse_minus(law, ell, tau0, mu, gm[ell], gp[ell - 1], engine)
-            gm[ell - 1] = damp(gm[ell - 1], 1.0 / mse - gp[ell - 1])
+        visit(lambda old, raw: damp(old, dn.clip_gamma(raw), damping))
         new = np.concatenate([gp, gm])
         change = np.max(np.abs(new - prev) / np.maximum(np.abs(prev), 1e-30))
         if change < tol:
@@ -739,23 +655,17 @@ def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
             break
 
     residual = 0.0
-    raw = (1.0 + gm[0]) - gm[0]
-    residual = max(residual, abs(gp[0] - raw) / abs(gp[0]))
-    for ell in range(1, n):
-        raw = 1.0 / _matched_mse_plus(law, ell, tau0, mu, gm[ell], gp[ell - 1], engine) - gm[ell]
-        residual = max(residual, abs(gp[ell] - raw) / abs(gp[ell]))
-    raw = 1.0 / _matched_mse_output(law, tau0, mu, gp[n - 1], engine) - gp[n - 1]
-    residual = max(residual, abs(gm[n - 1] - raw) / abs(gm[n - 1]))
-    for ell in range(n - 1, 0, -1):
-        raw = 1.0 / _matched_mse_minus(law, ell, tau0, mu, gm[ell], gp[ell - 1], engine) - gp[ell - 1]
-        residual = max(residual, abs(gm[ell - 1] - raw) / abs(gm[ell - 1]))
 
-    eta = gp + gm
+    def measure(old, raw):
+        nonlocal residual
+        residual = max(residual, abs(old - raw) / abs(old))
+        return old
+
+    visit(measure)
     return MatchedResult(
         gamma_bar_plus=gp,
         gamma_bar_minus=gm,
-        eta_bar=eta,
-        mse=1.0 / eta,
+        mse=1.0 / (gp + gm),
         residual=float(residual),
         converged=converged,
         sweeps=sweeps,

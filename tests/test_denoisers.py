@@ -512,19 +512,3 @@ class TestOutputDenoisers:
         res = output_separable(np.array([0.8, -0.4]), 2.0, np.array([0.0, 0.0]), layer, "map")
         assert res.zhat_minus[0] == pytest.approx(0.0)
         assert res.zhat_minus[1] == pytest.approx(-0.4)
-
-    def test_unified_dispatch_matches_the_kind_specific_paths(self):
-        rng = np.random.default_rng(14)
-        sep = NonlinearLayerSpec("identity", noise_precision=1.0)
-        r_plus = rng.standard_normal(3)
-        y = rng.standard_normal(3)
-        a = dn.output_denoiser(r_plus, 1.0, y, sep, "mmse")
-        b = output_separable(r_plus, 1.0, y, sep, "mmse")
-        np.testing.assert_array_equal(a.zhat_minus, b.zhat_minus)
-        lin = LinearLayerSpec(
-            weight=rng.standard_normal((4, 3)), bias=np.zeros(4), noise_precision=2.0
-        )
-        y4 = rng.standard_normal(4)
-        c = dn.output_denoiser(r_plus, 1.0, y4, lin)
-        d = output_linear(r_plus, 1.0, y4, svd_factorize(lin), 2.0)
-        np.testing.assert_allclose(c.zhat_minus, d.zhat_minus)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mlvamp import engine
+from mlvamp.denoisers import GAMMA_MIN
 from mlvamp.engine import (
     EngineConfig,
     build_denoiser_bank,
@@ -43,24 +44,42 @@ class TestInitialize:
         spec = make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=1)
         sig = forward_generate(spec, 2)
         cfg = EngineConfig(max_iters=5, convergence_tol=0.0)
-        a = run(spec, sig.y, cfg, seed=9)
-        b = run(spec, sig.y, cfg, seed=9)
+        a = run(spec, sig.y, cfg)
+        b = run(spec, sig.y, cfg)
         for za, zb in zip(a[0].zhat_plus, b[0].zhat_plus):
             np.testing.assert_array_equal(za, zb)
 
 
 class TestUpdateArithmetic:
-    def test_extrinsic_update(self):
-        # alpha = 1/2, r_minus = 0: the pseudo-observation doubles the estimate.
-        z = np.array([1.0, -2.0])
-        r = (z - 0.5 * np.zeros(2)) / (1 - 0.5)
-        np.testing.assert_allclose(r, 2 * z)
-
     def test_precision_bookkeeping(self):
-        # gamma 1, alpha 1/4 -> eta 4, opposite precision 3.
-        gamma, alpha = 1.0, 0.25
-        eta = gamma / alpha
-        assert eta == 4.0 and eta - gamma == 3.0
+        # undamped: eta = gamma_other / alpha, the side's precision eta - gamma_other
+        book = engine.Bookkeeping(damping=1.0)
+        eta, gamma = book.update(0.7, 1.3, 0.25)
+        assert eta == pytest.approx(1.3 / 0.25, rel=1e-15)
+        assert gamma == pytest.approx(eta - 1.3, rel=1e-15)
+        assert book.events == 0
+
+    def test_out_of_range_alpha_is_clipped_and_counted(self):
+        book = engine.Bookkeeping(alpha_clip=1e-3)
+        assert book.clip(0.4) == 0.4 and book.events == 0
+        assert book.clip(1e-5) == 1e-3 and book.events == 1
+        assert book.clip(1.0) == 1.0 - 1e-3 and book.events == 2
+        # an opposite precision outside [GAMMA_MIN, GAMMA_MAX] is a clip too
+        _, gamma = book.update(1.0, 1e-12, 0.5)
+        assert gamma == GAMMA_MIN and book.events == 3
+        with pytest.raises(DivergedIterationError):
+            book.clip(math.nan, layer=2)
+
+    def test_damping_leaves_a_fixed_point_in_place(self):
+        # at a fixed point (alpha = gamma_other / (gamma + gamma_other)) the
+        # damped update returns the old precision; elsewhere it moves part way
+        gamma, other = 2.5, 4.0
+        book = engine.Bookkeeping(damping=0.3)
+        _, again = book.update(gamma, other, other / (gamma + other))
+        assert again == pytest.approx(gamma, rel=1e-14)
+        _, moved = book.update(gamma, other, 0.5)
+        assert moved == pytest.approx(gamma ** 0.7 * 4.0 ** 0.3, rel=1e-14)
+        assert engine.damp(gamma, gamma, 0.3) == pytest.approx(gamma, rel=1e-15)
 
     def test_identities_hold_during_a_run(self):
         spec = make_gaussian_chain((10, 8, 6), (1.0, 2.0), seed=3)
@@ -68,11 +87,10 @@ class TestUpdateArithmetic:
         cfg = EngineConfig(max_iters=6, convergence_tol=0.0)
         bank = build_denoiser_bank(spec, sig.y, "mmse")
         state = initialize(spec, sig.y, cfg)
-        power = engine.signal_power_ladder(spec)
         for k in range(cfg.max_iters):
-            clip = engine._ClipCounter(cfg.alpha_clip)
+            book = engine.Bookkeeping(cfg.alpha_clip, cfg.damping, iteration=k)
             old_minus = [r.copy() for r in state.r_minus]
-            engine.forward_pass(state, bank, cfg, clip, k)
+            engine.forward_pass(state, bank, book)
             for ell in range(state.num_signals):
                 # eta = gamma/alpha and gamma_plus = eta - gamma_minus
                 assert state.eta_plus[ell] == pytest.approx(
@@ -86,7 +104,7 @@ class TestUpdateArithmetic:
                 recon = (1 - a) * state.r_plus[ell] + a * old_minus[ell]
                 np.testing.assert_allclose(recon, state.zhat_plus[ell], atol=1e-10)
             old_plus = [r.copy() for r in state.r_plus]
-            engine.backward_pass(state, bank, cfg, clip, k)
+            engine.backward_pass(state, bank, book)
             for ell in range(state.num_signals):
                 assert state.eta_minus[ell] == pytest.approx(
                     state.gamma_plus[ell] / state.alpha_minus[ell], rel=1e-12

@@ -1,7 +1,10 @@
 """Experiment orchestration: builders, trials, CSV round-trips, CLI."""
 
+import importlib
+import importlib.util
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -124,6 +127,10 @@ class TestTrials:
         assert harness.worker_count() == 3
         monkeypatch.delenv("MLVAMP_THREADS")
         assert harness.worker_count() >= 1
+        for bad in ("abc", "0", "-2", "1.5"):
+            monkeypatch.setenv("MLVAMP_THREADS", bad)
+            with pytest.raises(InvalidModelError):
+                harness.worker_count()
 
 
 class TestCsv:
@@ -266,7 +273,26 @@ class TestCli:
             ["run", "--config", cfg, "--network", net, "--signals", sig_path, "--out", out]
         ) == 3
 
+    def test_invalid_worker_count_exit_code(self, tmp_path, monkeypatch):
+        # read before any work: no calibration or predictor run comes first
+        monkeypatch.setenv("MLVAMP_THREADS", "abc")
+        assert cli_main(["run", "--config", self._config_file(tmp_path)]) == 2
+
     def test_invalid_config_contents_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"recipe": {"hidden_dims": [8, 24, 20], "measurements": 5}}))
         assert cli_main(["run", "--config", str(path)]) == 2
+
+
+class TestBenchTracer:
+    def test_traced_names_resolve(self):
+        # the benchmark's tracer wraps these functions by name and fails on a
+        # missing one
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.TRACED
+        for module, name in tracing.TRACED:
+            fn = getattr(importlib.import_module(f"mlvamp.{module}"), name, None)
+            assert callable(fn), f"mlvamp.{module}.{name}"

@@ -95,14 +95,14 @@ class TestScalarUpdates:
         layer = SeparableLaw("relu", NOISELESS, 100)
         K = np.array([[1.0, -0.3], [-0.3, 0.3]])
         eng = ExpectationEngine(quad_order=40)
-        alpha, K_new, mse = se._separable_forward_step(
-            layer, K, 0.0, 0.5, 1 / 0.5, 1 / 0.3, "mmse", eng, (0,)
+        alpha, K_new, mse = se._separable_step(
+            layer, True, K, 0.0, 0.5, 1 / 0.5, 1 / 0.3, "mmse", eng, (0,)
         )
         assert alpha == pytest.approx(0.174631, abs=3e-4)
         assert mse == pytest.approx(0.087391, abs=3e-4)
         assert K_new[1, 1] == pytest.approx(0.105873, abs=4e-4)
-        alpha_b, tau_new, mse_b = se._separable_backward_step(
-            layer, K, 0.0, 0.5, 1 / 0.5, 1 / 0.3, "mmse", eng, (0,)
+        alpha_b, tau_new, mse_b = se._separable_step(
+            layer, False, K, 0.0, 0.5, 1 / 0.5, 1 / 0.3, "mmse", eng, (0,)
         )
         assert alpha_b == pytest.approx(0.839399, abs=3e-4)
         assert tau_new == pytest.approx(1.568166, abs=2e-3)
@@ -111,20 +111,25 @@ class TestScalarUpdates:
     def test_exact_observation_collapses_the_backward_error(self):
         # Noiseless square measurement with unit spectrum reveals the layer
         # input: the backward error variance vanishes.
-        layer = LinearLaw(np.ones(40), 40, 40, NOISELESS, bbar_atoms=np.zeros(40))
+        law = NetworkLaw(
+            layers=(LinearLaw(np.ones(40), 40, 40, NOISELESS, bbar_atoms=np.zeros(40)),),
+            dims=(40, 40),
+        )
         K = np.array([[1.3, 0.0], [0.0, 0.4]])
-        alpha, tau_new, mse = se._linear_output_step(layer, K, 2.5)
+        alpha, tau_new, mse = se.se_backward_layer(
+            law, 1, K, 0.0, 0.0, math.inf, 2.5, "mmse", ExpectationEngine()
+        )
         assert tau_new <= 1e-9
         assert mse <= 1e-9
 
     def test_monte_carlo_expectations_agree_with_quadrature(self):
         layer = SeparableLaw("relu", NOISELESS, 100)
         K = np.array([[1.0, 0.0], [0.0, 0.3]])
-        quad = se._separable_forward_step(
-            layer, K, -0.3, 0.5, 2.0, 3.0, "mmse", ExpectationEngine(quad_order=30), (1,)
+        quad = se._separable_step(
+            layer, True, K, -0.3, 0.5, 2.0, 3.0, "mmse", ExpectationEngine(quad_order=30), (1,)
         )
-        mc = se._separable_forward_step(
-            layer, K, -0.3, 0.5, 2.0, 3.0, "mmse",
+        mc = se._separable_step(
+            layer, True, K, -0.3, 0.5, 2.0, 3.0, "mmse",
             ExpectationEngine(method="mc", mc_samples=2_000_000, seed=4), (1,),
         )
         assert mc[0] == pytest.approx(quad[0], abs=3e-3)
@@ -133,12 +138,12 @@ class TestScalarUpdates:
     def test_doubling_monte_carlo_samples_is_stable(self):
         layer = SeparableLaw("relu", NOISELESS, 100)
         K = np.array([[1.0, 0.0], [0.0, 0.3]])
-        small = se._separable_forward_step(
-            layer, K, 0.0, 0.5, 2.0, 3.0, "mmse",
+        small = se._separable_step(
+            layer, True, K, 0.0, 0.5, 2.0, 3.0, "mmse",
             ExpectationEngine(method="mc", mc_samples=500_000, seed=11), (2,),
         )
-        big = se._separable_forward_step(
-            layer, K, 0.0, 0.5, 2.0, 3.0, "mmse",
+        big = se._separable_step(
+            layer, True, K, 0.0, 0.5, 2.0, 3.0, "mmse",
             ExpectationEngine(method="mc", mc_samples=1_000_000, seed=12), (2,),
         )
         # three standard errors of the 5e5-sample estimator
