@@ -2,7 +2,6 @@
 
 from .denoisers import (
     BeliefParams,
-    DenoiserResult,
     QuadratureRule,
     divergence_finite_difference,
     input_denoiser,
@@ -37,7 +36,6 @@ from .state_evolution import (
 
 __all__ = [
     "BeliefParams",
-    "DenoiserResult",
     "EngineConfig",
     "ExpectationEngine",
     "FixedPointReport",

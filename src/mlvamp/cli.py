@@ -24,8 +24,8 @@ import numpy as np
 
 from . import harness
 from .engine import run
-from .errors import DivergedIterationError, MlvampError, NumericFailureError
-from .model import forward_generate, load_network, save_network
+from .errors import DivergedIterationError, InvalidModelError, MlvampError, NumericFailureError
+from .model import SignalSet, forward_generate, load_network, save_network
 from .state_evolution import run_se
 
 
@@ -80,18 +80,23 @@ def _cmd_generate(args):
     return 0
 
 
+def _load_problem(args):
+    """The network of ``--network`` and the signals of ``--signals``."""
+    if not args.signals:
+        raise InvalidModelError("--network needs --signals")
+    spec = load_network(args.network)
+    with open(args.signals) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InvalidModelError("a signals file must be a JSON object")
+    return spec, SignalSet(signals=tuple(np.asarray(z, float) for z in doc["signals"]))
+
+
 def _cmd_run(args):
     config = _load_config(args)
     if args.network:
-        spec = load_network(args.network)
-        with open(args.signals) as fh:
-            doc = json.load(fh)
-        signals = [np.asarray(z, float) for z in doc["signals"]]
-        y = signals[-1]
-        from .model import SignalSet
-
-        truth = SignalSet(signals=tuple(signals))
-        state, trace, report = run(spec, y, config.engine, truth=truth)
+        spec, truth = _load_problem(args)
+        state, trace, report = run(spec, truth.y, config.engine, truth=truth)
         rows = []
         for row in trace.rows:
             for ell, db in enumerate(row.nmse_db or ()):
@@ -135,7 +140,12 @@ def _cmd_se(args):
 
 def _cmd_sweep(args):
     config = _load_config(args)
-    m_list = [int(v) for v in args.measurements.split(",")]
+    try:
+        m_list = [int(v) for v in args.measurements.split(",")]
+    except ValueError:
+        raise InvalidModelError(
+            f"--measurements takes a comma list of integers, not {args.measurements!r}"
+        ) from None
     results = harness.measurement_sweep(config, m_list)
     rows = []
     for m, result in results.items():
@@ -183,15 +193,12 @@ def _cmd_compare(args):
 def _cmd_fixedpoint(args):
     config = _load_config(args)
     if args.network:
-        spec = load_network(args.network)
-        with open(args.signals) as fh:
-            doc = json.load(fh)
-        y = np.asarray(doc["signals"][-1], float)
+        spec, signals = _load_problem(args)
     else:
         calibration = harness.calibrate_recipe(config.recipe, config.master_seed)
         spec = harness.build_synthetic_network(config.recipe, config.master_seed, calibration)
-        y = forward_generate(spec, config.master_seed).y
-    _, _, report = run(spec, y, config.engine)
+        signals = forward_generate(spec, config.master_seed)
+    _, _, report = run(spec, signals.y, config.engine)
     print(json.dumps(report.as_dict(), indent=2))
     return 0
 

@@ -3,9 +3,10 @@
 Every layer of the chain gets a pair estimator that consumes Gaussian
 pseudo-observations ``r_minus`` (of the layer output, precision
 ``gamma_minus``) and ``r_plus`` (of the layer input, precision
-``gamma_plus``) and returns estimates of both signals together with the
-mean input-output derivatives ("divergences") needed by the message
-updates.
+``gamma_plus``).  Each call serves one sweep direction and returns
+``(estimate, divergence)`` for the one side that sweep updates: forward the
+layer output, backward the layer input.  The divergence is the mean
+input-output derivative needed by the message update.
 
 Separable layers use scalar posterior-mean (``mmse``) or joint-maximizer
 (``map``) rules applied componentwise; affine layers reduce to a
@@ -58,16 +59,6 @@ class BeliefParams:
             g = getattr(self, name)
             if not (GAMMA_MIN <= g <= GAMMA_MAX):
                 raise InvalidModelError(f"{name}={g} outside [{GAMMA_MIN}, {GAMMA_MAX}]")
-
-
-@dataclass(frozen=True)
-class DenoiserResult:
-    """Paired estimates plus raw mean divergences (clipping happens downstream)."""
-
-    zhat_plus: np.ndarray | None
-    zhat_minus: np.ndarray | None
-    alpha_plus: float | None
-    alpha_minus: float | None
 
 
 @dataclass(frozen=True)
@@ -474,36 +465,29 @@ def _pad(vec, n):
     return out
 
 
-def linear_pair(params, factors, noise_precision):
-    """Joint estimate of an affine layer's output and input signals.
+def linear_pair(params, factors, noise_precision, forward):
+    """One side's estimate of an affine layer and its divergence.
 
     Rotates the pseudo-observations into the SVD basis, solves the
     per-component 2x2 system (with zero-padded singular values where one
-    side has no partner), and rotates back.  Identical for mmse and map.
+    side has no partner) for the output (``forward``) or the input, and
+    rotates that side back.  Identical for mmse and map.
     """
-    n_out, n_in = factors.out_dim, factors.in_dim
     gm, gp = params.gamma_minus, params.gamma_plus
     u_out = factors.left_orthogonal.T @ params.r_minus
     u_in = factors.right_orthogonal @ params.r_plus
-
-    s_q = factors.padded_singular_values(n_out)
-    aq, ap, ab = linear_gains_plus(s_q, noise_precision, gm, gp)
-    qhat = aq * u_out + ap * _pad(u_in, n_out) + ab * factors.transformed_bias
-
-    s_p = factors.padded_singular_values(n_in)
-    bq, bp, bb = linear_gains_minus(s_p, noise_precision, gm, gp)
-    phat = bq * _pad(u_out, n_in) + bp * u_in + bb * _pad(factors.transformed_bias, n_in)
-
-    if not (np.all(np.isfinite(qhat)) and np.all(np.isfinite(phat))):
-        bad = int(np.argwhere(~np.isfinite(np.concatenate([qhat, phat]))).ravel()[0])
-        raise NumericFailureError(f"affine solve produced non-finite value (component {bad})")
-
-    return DenoiserResult(
-        zhat_plus=factors.left_orthogonal @ qhat,
-        zhat_minus=factors.right_orthogonal.T @ phat,
-        alpha_plus=float(np.mean(aq)),
-        alpha_minus=float(np.mean(bp)),
-    )
+    if forward:
+        n = factors.out_dim
+        g_q, g_p, g_b = linear_gains_plus(factors.padded_singular_values(n), noise_precision, gm, gp)
+        est = g_q * u_out + g_p * _pad(u_in, n) + g_b * factors.transformed_bias
+        back, alpha = factors.left_orthogonal, np.mean(g_q)
+    else:
+        n = factors.in_dim
+        g_q, g_p, g_b = linear_gains_minus(factors.padded_singular_values(n), noise_precision, gm, gp)
+        est = g_q * _pad(u_out, n) + g_p * u_in + g_b * _pad(factors.transformed_bias, n)
+        back, alpha = factors.right_orthogonal.T, np.mean(g_p)
+    _check_finite(est)
+    return back @ est, float(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +502,7 @@ def input_denoiser(r_minus, gamma_minus):
     shrinkage slope ``gamma / (gamma + 1)``.
     """
     g = gamma_minus
-    return DenoiserResult(
-        zhat_plus=g * np.asarray(r_minus, float) / (g + 1.0),
-        zhat_minus=None,
-        alpha_plus=g / (g + 1.0),
-        alpha_minus=None,
-    )
+    return g * np.asarray(r_minus, float) / (g + 1.0), g / (g + 1.0)
 
 
 def output_linear(r_plus, gamma_plus, y, factors, noise_precision):
@@ -535,12 +514,7 @@ def output_linear(r_plus, gamma_plus, y, factors, noise_precision):
     g_r, g_obs = observed_linear_gains(s_p, noise_precision, gamma_plus)
     resid = _pad(u_obs - factors.transformed_bias, n_in)
     phat = g_r * u_in + g_obs * resid
-    return DenoiserResult(
-        zhat_plus=None,
-        zhat_minus=factors.right_orthogonal.T @ phat,
-        alpha_plus=None,
-        alpha_minus=float(np.mean(g_r)),
-    )
+    return factors.right_orthogonal.T @ phat, float(np.mean(g_r))
 
 
 def separable_output_fields(r_plus, gamma_plus, y, activation, noise_precision, mode):
@@ -594,7 +568,7 @@ def output_separable(r_plus, gamma_plus, y, layer, mode):
     zm, dm = separable_output_fields(
         r_plus, gamma_plus, y, layer.activation, layer.noise_precision, mode
     )
-    return DenoiserResult(None, zm, None, float(np.mean(dm)))
+    return zm, float(np.mean(dm))
 
 
 # ---------------------------------------------------------------------------
@@ -602,38 +576,38 @@ def output_separable(r_plus, gamma_plus, y, layer, mode):
 # ---------------------------------------------------------------------------
 
 
-def mmse_pair_nonlinear(params, layer):
-    """Posterior-mean pair estimate for a separable layer."""
-    zp, zm, dp, dm = scalar_pair_mmse(
-        layer.activation,
-        layer.noise_precision,
-        params.r_minus,
-        params.r_plus,
-        params.gamma_minus,
-        params.gamma_plus,
-    )
+def mmse_pair_nonlinear(params, layer, forward):
+    """Posterior-mean estimate of a separable layer's output (``forward``) or input."""
+    return _one_side(scalar_pair_mmse(
+        layer.activation, layer.noise_precision,
+        params.r_minus, params.r_plus, params.gamma_minus, params.gamma_plus,
+    ), forward)
+
+
+def map_pair_nonlinear(params, layer, forward):
+    """Joint-maximizer estimate of a separable layer's output (``forward``) or input."""
+    return _one_side(scalar_pair_map(
+        layer.activation, layer.noise_precision,
+        params.r_minus, params.r_plus, params.gamma_minus, params.gamma_plus,
+    ), forward)
+
+
+def _one_side(fields, forward):
+    """``(estimate, divergence)`` of one side of a scalar pair rule's
+    ``(zhat_plus, zhat_minus, d_plus, d_minus)``.  Both sides come out of
+    one evaluation, and both are checked, so a failure is reported
+    whichever sweep meets it first."""
+    zp, zm, dp, dm = fields
     _check_finite(zp, zm)
-    return DenoiserResult(zp, zm, float(np.mean(dp)), float(np.mean(dm)))
+    return (zp, float(np.mean(dp))) if forward else (zm, float(np.mean(dm)))
 
 
-def map_pair_nonlinear(params, layer):
-    """Joint-maximizer pair estimate for a separable layer."""
-    zp, zm, dp, dm = scalar_pair_map(
-        layer.activation,
-        layer.noise_precision,
-        params.r_minus,
-        params.r_plus,
-        params.gamma_minus,
-        params.gamma_plus,
-    )
-    _check_finite(zp, zm)
-    return DenoiserResult(zp, zm, float(np.mean(dp)), float(np.mean(dm)))
-
-
-def _check_finite(zp, zm):
-    if not (np.all(np.isfinite(zp)) and np.all(np.isfinite(zm))):
-        bad = int(np.argwhere(~np.isfinite(np.concatenate([np.ravel(zp), np.ravel(zm)]))).ravel()[0])
-        raise NumericFailureError(f"denoiser produced non-finite value (component {bad})")
+def _check_finite(*estimates):
+    if all(np.all(np.isfinite(z)) for z in estimates):
+        return
+    flat = np.concatenate([np.ravel(z) for z in estimates])
+    bad = int(np.argwhere(~np.isfinite(flat)).ravel()[0])
+    raise NumericFailureError(f"denoiser produced non-finite value (component {bad})")
 
 
 def divergence_finite_difference(fn, r_minus, r_plus, epsilon=1e-6):

@@ -44,7 +44,6 @@ class EngineConfig:
     damping: float = 1.0
     alpha_clip: float = ALPHA_MIN
     convergence_tol: float = 1e-8
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.mode not in ("mmse", "map"):
@@ -268,24 +267,25 @@ def signal_power_ladder(spec):
     return se_initial_pass(NetworkLaw.from_network(spec))[0]
 
 
-def _pair_estimate(state, bank, ell, iteration):
-    """Joint estimate at the pair layer ``ell`` (1-based) from the current messages."""
+def _pair_estimate(state, bank, ell, forward, iteration):
+    """``(estimate, divergence)`` at the pair layer ``ell`` (1-based) from the
+    current messages: of its output forward, of its input backward."""
     layer = bank.spec.layers[ell - 1]
     params = dn.BeliefParams(
         state.r_minus[ell], state.r_plus[ell - 1], state.gamma_minus[ell], state.gamma_plus[ell - 1]
     )
     try:
         if layer.kind == "linear":
-            return dn.linear_pair(params, layer.factors, layer.noise_precision)
+            return dn.linear_pair(params, layer.factors, layer.noise_precision, forward)
         if bank.mode == "mmse":
-            return dn.mmse_pair_nonlinear(params, layer)
-        return dn.map_pair_nonlinear(params, layer)
+            return dn.mmse_pair_nonlinear(params, layer, forward)
+        return dn.map_pair_nonlinear(params, layer, forward)
     except NumericFailureError as exc:
         raise DivergedIterationError(str(exc), layer=ell, iteration=iteration) from exc
 
 
 def _output_estimate(state, bank, iteration):
-    """Estimate of the last hidden signal given the observation."""
+    """``(estimate, divergence)`` of the last hidden signal given the observation."""
     last = state.num_signals - 1
     layer = bank.spec.layers[-1]
     r_plus, gamma_plus = state.r_plus[last], state.gamma_plus[last]
@@ -310,16 +310,17 @@ def _extrinsic(zhat, message, alpha, ell, book):
 def forward_pass(state, bank, book):
     """One left-to-right sweep; updates the plus-side quantities."""
 
-    def update(ell, res):
-        alpha, state.r_plus[ell] = _extrinsic(res.zhat_plus, state.r_minus[ell], res.alpha_plus, ell, book)
-        state.zhat_plus[ell] = res.zhat_plus
+    def update(ell, estimate):
+        zhat, alpha = estimate
+        alpha, state.r_plus[ell] = _extrinsic(zhat, state.r_minus[ell], alpha, ell, book)
+        state.zhat_plus[ell] = zhat
         return alpha
 
     sweep(
         state,
         True,
         lambda: update(0, dn.input_denoiser(state.r_minus[0], state.gamma_minus[0])),
-        lambda ell: update(ell, _pair_estimate(state, bank, ell, book.iteration)),
+        lambda ell: update(ell, _pair_estimate(state, bank, ell, True, book.iteration)),
         book,
     )
     return state
@@ -328,16 +329,17 @@ def forward_pass(state, bank, book):
 def backward_pass(state, bank, book):
     """One right-to-left sweep; updates the minus-side quantities."""
 
-    def update(ell, res):
-        alpha, state.r_minus[ell] = _extrinsic(res.zhat_minus, state.r_plus[ell], res.alpha_minus, ell, book)
-        state.zhat_minus[ell] = res.zhat_minus
+    def update(ell, estimate):
+        zhat, alpha = estimate
+        alpha, state.r_minus[ell] = _extrinsic(zhat, state.r_plus[ell], alpha, ell, book)
+        state.zhat_minus[ell] = zhat
         return alpha
 
     sweep(
         state,
         False,
         lambda: update(state.num_signals - 1, _output_estimate(state, bank, book.iteration)),
-        lambda ell: update(ell - 1, _pair_estimate(state, bank, ell, book.iteration)),
+        lambda ell: update(ell - 1, _pair_estimate(state, bank, ell, False, book.iteration)),
         book,
     )
     return state
@@ -383,7 +385,7 @@ def run(spec, y, config, truth=None):
             forward_pass(state, bank, book)
             _check_blowup(state, power, k)
             half += 1
-            _record(trace, state, config, half, "forward", truth, book.events, math.nan)
+            _record(trace, state, half, "forward", truth, book.events, math.nan)
             backward_pass(state, bank, book)
             _check_blowup(state, power, k)
         except DivergedIterationError as exc:
@@ -391,7 +393,7 @@ def run(spec, y, config, truth=None):
             raise
         half += 1
         delta = _max_delta(state, prev_plus, prev_minus, first=(k == 0))
-        _record(trace, state, config, half, "backward", truth, book.events, delta)
+        _record(trace, state, half, "backward", truth, book.events, delta)
         if config.convergence_tol > 0 and delta < config.convergence_tol:
             break
     report = fixed_point_report(state, spec, y, config.mode)
@@ -425,9 +427,7 @@ def _max_delta(state, prev_plus, prev_minus, first=False):
     return worst
 
 
-def _record(trace, state, config, half, direction, truth, clip_events, delta):
-    if not config.record_trace:
-        return
+def _record(trace, state, half, direction, truth, clip_events, delta):
     nmse = None
     if truth is not None:
         estimates = state.zhat_plus if direction == "forward" else state.zhat_minus

@@ -347,6 +347,7 @@ def predictor_config(config):
         config.se,
         iterations=config.engine.max_iters,
         mode=config.engine.mode,
+        gamma_init=config.engine.gamma_init,
         damping=config.engine.damping,
         alpha_clip=config.engine.alpha_clip,
     )
@@ -539,13 +540,11 @@ def max_abs_gap(joined, layer=None, min_half=1):
 
 
 def config_to_json(config):
-    doc = {
+    """The config as JSON; of ``se`` only what ``predictor_config`` keeps."""
+    return {
         "recipe": asdict(config.recipe),
         "engine": asdict(config.engine),
         "se": {
-            "iterations": config.se.iterations,
-            "mode": config.se.mode,
-            "gamma_init": config.se.gamma_init,
             "stop_tol": config.se.stop_tol,
             "expectation": asdict(config.se.expectation),
         },
@@ -553,30 +552,29 @@ def config_to_json(config):
         "master_seed": config.master_seed,
         "experiment_id": config.experiment_id,
     }
-    return doc
 
 
 def config_from_json(doc):
-    recipe_doc = dict(doc.get("recipe", {}))
-    if "hidden_dims" in recipe_doc:
-        recipe_doc["hidden_dims"] = tuple(recipe_doc["hidden_dims"])
-    se_doc = dict(doc.get("se", {}))
-    expectation = ExpectationEngine(**se_doc.pop("expectation", {}))
-    return ExperimentConfig(
-        recipe=SyntheticRecipe(**recipe_doc),
-        engine=EngineConfig(**doc.get("engine", {})),
-        se=SEConfig(expectation=expectation, **se_doc),
-        trials=int(doc.get("trials", 50)),
-        master_seed=int(doc.get("master_seed", 0)),
-        experiment_id=doc.get("experiment_id", "synthetic"),
-    )
+    if not isinstance(doc, dict):
+        raise InvalidModelError("a config must be a JSON object")
+    try:
+        recipe_doc = dict(doc.get("recipe", {}))
+        if "hidden_dims" in recipe_doc:
+            recipe_doc["hidden_dims"] = tuple(recipe_doc["hidden_dims"])
+        se_doc = dict(doc.get("se", {}))
+        expectation = ExpectationEngine(**se_doc.pop("expectation", {}))
+        return ExperimentConfig(
+            recipe=SyntheticRecipe(**recipe_doc),
+            engine=EngineConfig(**doc.get("engine", {})),
+            se=SEConfig(expectation=expectation, **se_doc),
+            trials=int(doc.get("trials", 50)),
+            master_seed=int(doc.get("master_seed", 0)),
+            experiment_id=doc.get("experiment_id", "synthetic"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InvalidModelError(f"invalid config: {exc}") from exc
 
 
 def load_config(path):
     with open(path) as fh:
         return config_from_json(json.load(fh))
-
-
-def save_config(config, path):
-    with open(path, "w") as fh:
-        json.dump(config_to_json(config), fh, indent=2)

@@ -209,12 +209,6 @@ class NetworkSpec:
     def num_layers(self):
         return len(self.layers)
 
-    @property
-    def dim_ratios(self):
-        """Width ratios relative to the input dimension."""
-        n0 = self.dims[0]
-        return tuple(d / n0 for d in self.dims)
-
     @classmethod
     def from_layers(cls, layers, input_dim=None):
         """Infer ``dims`` from the layer list (first layer must fix the width)."""
@@ -261,14 +255,12 @@ def sample_haar_orthogonal(n, seed):
     return q * d
 
 
-def geometric_singular_values(m, n, cond, scale_policy="unit-mean-square"):
+def geometric_singular_values(m, n, cond):
     """Geometrically spaced singular values for an ``m x n`` matrix.
 
     Returns ``min(m, n)`` values sorted descending with constant successive
-    ratio and ``s_max / s_min == cond``.  ``scale_policy`` is either
-    ``"unit-mean-square"`` (default, ``sum(s^2) == min(m, n)``), ``"none"``
-    (``s_max == 1``), or a positive float multiplying the unit-mean-square
-    vector.
+    ratio, ``s_max / s_min == cond`` and unit mean square
+    (``sum(s^2) == min(m, n)``).
     """
     if cond < 1:
         raise InvalidModelError("condition number must be >= 1")
@@ -280,15 +272,7 @@ def geometric_singular_values(m, n, cond, scale_policy="unit-mean-square"):
     else:
         ratio = cond ** (-1.0 / (k - 1))
         s = ratio ** np.arange(k)
-    if scale_policy == "none":
-        return s
-    s = s * math.sqrt(k / np.sum(s * s))
-    if scale_policy == "unit-mean-square":
-        return s
-    factor = float(scale_policy)
-    if factor <= 0:
-        raise InvalidModelError("scale factor must be positive")
-    return s * factor
+    return s * math.sqrt(k / np.sum(s * s))
 
 
 def svd_factorize(layer):

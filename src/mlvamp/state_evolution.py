@@ -381,6 +381,9 @@ def _grid(K, mu, tau_m, xi_var, engine, tag, kink=None):
             t0, w0 = _kinked_axis((kink - mu) / sd_p0, engine.quad_order)
             axes_nodes[0] = t0
             axes_weights[0] = w0
+        if tau_m <= 0:
+            # a noiseless minus message: the integrand is constant along t_minus
+            axes_nodes[2], axes_weights[2] = np.zeros(1), np.ones(1)
         axes = np.meshgrid(*axes_nodes, indexing="ij")
         t = [a.ravel() for a in axes]
         w = np.ones_like(t[0])

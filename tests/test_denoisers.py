@@ -94,30 +94,30 @@ class TestQuadratureRule:
 
 class TestInputDenoiser:
     def test_zero_input(self):
-        res = input_denoiser(np.zeros(5), 2.0)
-        np.testing.assert_array_equal(res.zhat_plus, 0.0)
+        zhat, _ = input_denoiser(np.zeros(5), 2.0)
+        np.testing.assert_array_equal(zhat, 0.0)
 
     def test_conjugacy_arithmetic(self):
-        res = input_denoiser(np.array([2.0]), 1.0)
-        assert res.zhat_plus[0] == pytest.approx(1.0)
-        assert res.alpha_plus == pytest.approx(0.5)
+        zhat, alpha = input_denoiser(np.array([2.0]), 1.0)
+        assert zhat[0] == pytest.approx(1.0)
+        assert alpha == pytest.approx(0.5)
 
     def test_large_precision_limit(self):
-        res = input_denoiser(np.array([1.7]), 1e9)
-        assert res.zhat_plus[0] == pytest.approx(1.7, rel=1e-8)
-        assert res.alpha_plus == pytest.approx(1.0, abs=1e-8)
+        zhat, alpha = input_denoiser(np.array([1.7]), 1e9)
+        assert zhat[0] == pytest.approx(1.7, rel=1e-8)
+        assert alpha == pytest.approx(1.0, abs=1e-8)
 
     def test_divergence_matches_finite_difference(self):
         rng = np.random.default_rng(0)
         r = rng.standard_normal(20)
-        res = input_denoiser(r, 1.0)
+        _, alpha = input_denoiser(r, 1.0)
 
         def fn(rm, rp):
-            return input_denoiser(rm, 1.0).zhat_plus, rp
+            return input_denoiser(rm, 1.0)[0], rp
 
         fd, _ = divergence_finite_difference(fn, r, np.zeros(1))
         assert abs(fd - 0.5) < 1e-7
-        assert abs(res.alpha_plus - fd) < 1e-7
+        assert abs(alpha - fd) < 1e-7
 
 
 class TestLinearPair:
@@ -142,9 +142,9 @@ class TestLinearPair:
             transformed_bias=np.zeros(6),
         )
         params = BeliefParams(np.zeros(6), np.zeros(4), 1.3, 0.7)
-        res = linear_pair(params, zero_bias, 1.5)
-        np.testing.assert_allclose(res.zhat_plus, 0.0, atol=1e-15)
-        np.testing.assert_allclose(res.zhat_minus, 0.0, atol=1e-15)
+        for forward in (True, False):
+            zhat, _ = linear_pair(params, zero_bias, 1.5, forward)
+            np.testing.assert_allclose(zhat, 0.0, atol=1e-15)
 
     def test_scalar_case_against_direct_solve(self):
         # s=1, b=0, nu=1, both precisions 1, both observations 1.
@@ -174,8 +174,8 @@ class TestLinearPair:
         rng = np.random.default_rng(1)
         r_plus = rng.standard_normal(5)
         params = BeliefParams(rng.standard_normal(5), r_plus, 1.0, 1e10)
-        res = linear_pair(params, f, 2.0)
-        np.testing.assert_allclose(res.zhat_minus, r_plus, atol=1e-6)
+        zhat_minus, _ = linear_pair(params, f, 2.0, False)
+        np.testing.assert_allclose(zhat_minus, r_plus, atol=1e-6)
 
     @given(
         s=st.floats(min_value=0.0, max_value=5.0),
@@ -214,10 +214,10 @@ class TestLinearPair:
         rng = np.random.default_rng(3)
         layer = NonlinearLayerSpec("identity", noise_precision=2.0)
         params = BeliefParams(rng.standard_normal(30), rng.standard_normal(30), 1.2, 0.8)
-        a = mmse_pair_nonlinear(params, layer)
-        b = map_pair_nonlinear(params, layer)
-        np.testing.assert_allclose(a.zhat_plus, b.zhat_plus, atol=1e-10)
-        np.testing.assert_allclose(a.zhat_minus, b.zhat_minus, atol=1e-10)
+        for forward in (True, False):
+            a, _ = mmse_pair_nonlinear(params, layer, forward)
+            b, _ = map_pair_nonlinear(params, layer, forward)
+            np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_rotational_consistency(self):
         # Conjugating the orthogonal factors by fixed rotations and rotating
@@ -227,7 +227,7 @@ class TestLinearPair:
         rng = np.random.default_rng(4)
         r_minus = rng.standard_normal(6)
         r_plus = rng.standard_normal(4)
-        base = linear_pair(BeliefParams(r_minus, r_plus, 1.1, 0.9), f, 2.0)
+        base = [linear_pair(BeliefParams(r_minus, r_plus, 1.1, 0.9), f, 2.0, fw) for fw in (True, False)]
         for k in range(5):
             rot_out = sample_haar_orthogonal(6, 100 + k)
             rot_in = sample_haar_orthogonal(4, 200 + k)
@@ -237,22 +237,20 @@ class TestLinearPair:
                 right_orthogonal=f.right_orthogonal @ rot_in.T,
                 transformed_bias=f.transformed_bias,
             )
-            res = linear_pair(
-                BeliefParams(rot_out @ r_minus, rot_in @ r_plus, 1.1, 0.9), f2, 2.0
-            )
-            np.testing.assert_allclose(res.zhat_plus, rot_out @ base.zhat_plus, atol=1e-8)
-            np.testing.assert_allclose(res.zhat_minus, rot_in @ base.zhat_minus, atol=1e-8)
-            assert res.alpha_plus == pytest.approx(base.alpha_plus, rel=1e-10)
-            assert res.alpha_minus == pytest.approx(base.alpha_minus, rel=1e-10)
+            params = BeliefParams(rot_out @ r_minus, rot_in @ r_plus, 1.1, 0.9)
+            for rot, fw, (zhat, alpha) in zip((rot_out, rot_in), (True, False), base):
+                res_z, res_alpha = linear_pair(params, f2, 2.0, fw)
+                np.testing.assert_allclose(res_z, rot @ zhat, atol=1e-8)
+                assert res_alpha == pytest.approx(alpha, rel=1e-10)
 
 
 class TestReluMmse:
     def test_identity_gaussian_symmetric_zero(self):
         layer = NonlinearLayerSpec("identity", noise_precision=1.0)
         params = BeliefParams(np.zeros(3), np.zeros(3), 1.0, 1.0)
-        res = mmse_pair_nonlinear(params, layer)
-        np.testing.assert_allclose(res.zhat_plus, 0.0, atol=1e-14)
-        np.testing.assert_allclose(res.zhat_minus, 0.0, atol=1e-14)
+        for forward in (True, False):
+            zhat, _ = mmse_pair_nonlinear(params, layer, forward)
+            np.testing.assert_allclose(zhat, 0.0, atol=1e-14)
 
     def test_vacuous_output_message_limit(self):
         # gamma_minus -> 0: the input estimate returns r_plus and the output
@@ -451,31 +449,31 @@ class TestDivergences:
         gm, gp = 1.3, 0.6
 
         def fn(a, b):
-            res = linear_pair(BeliefParams(a, b, gm, gp), f, 2.0)
-            return res.zhat_plus, res.zhat_minus
+            params = BeliefParams(a, b, gm, gp)
+            return linear_pair(params, f, 2.0, True)[0], linear_pair(params, f, 2.0, False)[0]
 
         rm = rng.standard_normal(8)
         rp = rng.standard_normal(6)
         fd_p, fd_m = divergence_finite_difference(fn, rm, rp, epsilon=1e-6)
-        res = linear_pair(BeliefParams(rm, rp, gm, gp), f, 2.0)
+        params = BeliefParams(rm, rp, gm, gp)
         # mean derivative in the original coordinates equals the mean of the
         # per-component gains in the rotated ones
-        assert res.alpha_plus == pytest.approx(fd_p, abs=1e-7)
-        assert res.alpha_minus == pytest.approx(fd_m, abs=1e-7)
+        assert linear_pair(params, f, 2.0, True)[1] == pytest.approx(fd_p, abs=1e-7)
+        assert linear_pair(params, f, 2.0, False)[1] == pytest.approx(fd_m, abs=1e-7)
 
 
 class TestOutputDenoisers:
     def test_exact_identity_observation(self):
         layer = NonlinearLayerSpec("identity", noise_precision=NOISELESS)
         y = np.array([0.3, -1.2])
-        res = output_separable(np.array([5.0, 5.0]), 1e-9, y, layer, "mmse")
-        np.testing.assert_allclose(res.zhat_minus, y)
+        zhat, _ = output_separable(np.array([5.0, 5.0]), 1e-9, y, layer, "mmse")
+        np.testing.assert_allclose(zhat, y)
 
     def test_awgn_scalar_channel(self):
         layer = NonlinearLayerSpec("identity", noise_precision=1.0)
         y = np.array([2.0])
-        res = output_separable(np.array([0.5]), 1.0, y, layer, "mmse")
-        assert res.zhat_minus[0] == pytest.approx(1.25)  # (y + r)/2 with nu=gp=1
+        zhat, _ = output_separable(np.array([0.5]), 1.0, y, layer, "mmse")
+        assert zhat[0] == pytest.approx(1.25)  # (y + r)/2 with nu=gp=1
 
     def test_occlusion_rows(self):
         # Selection-matrix measurement: observed coordinates follow the
@@ -487,28 +485,28 @@ class TestOutputDenoisers:
         rng = np.random.default_rng(9)
         r_plus = rng.standard_normal(4)
         y = np.array([0.7, 0.0, -0.3, 0.0])
-        res = output_linear(r_plus, 3.0, y, f, 2.0)
+        zhat, _ = output_linear(r_plus, 3.0, y, f, 2.0)
         for i in range(4):
             if keep[i] > 0:
                 expected = (3.0 * r_plus[i] + 2.0 * y[i]) / 5.0
             else:
                 expected = r_plus[i]
-            assert res.zhat_minus[i] == pytest.approx(expected, abs=1e-12)
+            assert zhat[i] == pytest.approx(expected, abs=1e-12)
 
     def test_relu_exact_observation(self):
         layer = NonlinearLayerSpec("relu", noise_precision=NOISELESS)
         y = np.array([1.5, 0.0])
         r_plus = np.array([0.3, 0.8])
-        res = output_separable(r_plus, 2.0, y, layer, "mmse")
-        assert res.zhat_minus[0] == pytest.approx(1.5)
+        zhat, _ = output_separable(r_plus, 2.0, y, layer, "mmse")
+        assert zhat[0] == pytest.approx(1.5)
         # y == 0 leaves an upper-truncated posterior; reference by trapezoid
         xs = np.arange(-12, 0, 1e-5)
         w = np.exp(-0.5 * 2.0 * (xs - 0.8) ** 2)
         w /= w.sum()
-        assert res.zhat_minus[1] == pytest.approx(float(w @ xs), abs=1e-5)
+        assert zhat[1] == pytest.approx(float(w @ xs), abs=1e-5)
 
     def test_relu_map_exact_observation(self):
         layer = NonlinearLayerSpec("relu", noise_precision=NOISELESS)
-        res = output_separable(np.array([0.8, -0.4]), 2.0, np.array([0.0, 0.0]), layer, "map")
-        assert res.zhat_minus[0] == pytest.approx(0.0)
-        assert res.zhat_minus[1] == pytest.approx(-0.4)
+        zhat, _ = output_separable(np.array([0.8, -0.4]), 2.0, np.array([0.0, 0.0]), layer, "map")
+        assert zhat[0] == pytest.approx(0.0)
+        assert zhat[1] == pytest.approx(-0.4)

@@ -123,12 +123,10 @@ class TestUpdateArithmetic:
         left = sample_haar_orthogonal(7, 50)
         right = sample_haar_orthogonal(7, 51)
         layer = linear_layer_from_factors(left, np.ones(7), right, np.zeros(7), 1.5)
-        res = linear_pair(
-            BeliefParams(rng.standard_normal(7), rng.standard_normal(7), 0.8, 0.8),
-            layer.factors,
-            1.5,
-        )
-        assert res.alpha_plus == pytest.approx(res.alpha_minus, rel=1e-12)
+        params = BeliefParams(rng.standard_normal(7), rng.standard_normal(7), 0.8, 0.8)
+        _, alpha_plus = linear_pair(params, layer.factors, 1.5, True)
+        _, alpha_minus = linear_pair(params, layer.factors, 1.5, False)
+        assert alpha_plus == pytest.approx(alpha_minus, rel=1e-12)
 
 
 class TestScalarChainIsExactInOneSweep:

@@ -31,6 +31,7 @@ from mlvamp.harness import (
     write_result_csv,
 )
 from mlvamp.model import forward_generate
+from mlvamp.state_evolution import SEConfig, run_se
 
 SMALL_RECIPE = SyntheticRecipe(
     hidden_dims=(8, 24, 24, 16, 16, 20, 20),
@@ -198,6 +199,22 @@ class TestConfigJson:
         assert back.engine == cfg.engine
         assert back.trials == 3 and back.master_seed == 11
 
+    def test_se_block_holds_only_what_the_predictor_keeps(self):
+        # iterations, mode, gamma_init, damping and alpha_clip come from the engine
+        doc = config_to_json(ExperimentConfig())
+        assert set(doc["se"]) == {"stop_tol", "expectation"}
+
+
+class TestPredictorConfig:
+    def test_predictor_starts_where_the_engine_starts(self):
+        engine = EngineConfig(max_iters=3, convergence_tol=0.0, gamma_init=0.1)
+        cfg = ExperimentConfig(recipe=SMALL_RECIPE, engine=engine, trials=1, master_seed=7)
+        calibration = calibrate_recipe(SMALL_RECIPE, 7)
+        law = recipe_law(SMALL_RECIPE, calibration)
+        result = run_trials(cfg, calibration=calibration, law=law, workers=1)
+        want = run_se(law, SEConfig(iterations=3, gamma_init=0.1))
+        np.testing.assert_array_equal(result.se_result.nmse_db, want.nmse_db)
+
 
 class TestCli:
     CONFIG = {
@@ -283,16 +300,80 @@ class TestCli:
         path.write_text(json.dumps({"recipe": {"hidden_dims": [8, 24, 20], "measurements": 5}}))
         assert cli_main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc", [{"engine": {"bogus": 1}}, [1, 2]], ids=["unknown-key", "not-an-object"])
+    def test_malformed_config_exit_code(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, signals",
+        [("run", None), ("fixedpoint", None), ("run", "[1]")],
+        ids=["run-without-signals", "fixedpoint-without-signals", "signals-not-an-object"],
+    )
+    def test_bad_network_input_exit_code(self, tmp_path, command, signals):
+        cfg = self._config_file(tmp_path)
+        net = str(tmp_path / "net.json")
+        assert cli_main(["generate", "--config", cfg, "--out", net]) == 0
+        argv = [command, "--config", cfg, "--network", net]
+        if signals is not None:
+            (tmp_path / "bad.json").write_text(signals)
+            argv += ["--signals", str(tmp_path / "bad.json")]
+        assert cli_main(argv) == 2
+
+    def test_non_integer_measurements_exit_code(self, tmp_path):
+        cfg = self._config_file(tmp_path)
+        assert cli_main(["sweep", "--config", cfg, "--measurements", "10,abc"]) == 2
+
+
+def _bench_tracing():
+    """``bench/tracing.py``, loaded from its file (``bench`` is no package)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
 
 class TestBenchTracer:
     def test_traced_names_resolve(self):
         # the benchmark's tracer wraps these functions by name and fails on a
         # missing one
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = _bench_tracing()
         assert tracing.TRACED
         for module, name in tracing.TRACED:
             fn = getattr(importlib.import_module(f"mlvamp.{module}"), name, None)
             assert callable(fn), f"mlvamp.{module}.{name}"
+
+    @pytest.mark.parametrize("mode", ["mmse", "map"])
+    def test_estimator_spans_carry_layer_and_direction(self, mode):
+        # the per-layer benchmark figures read the estimators' arguments
+        from conftest import make_relu_network
+        from mlvamp import engine
+        from mlvamp.model import NOISELESS
+
+        tracing = _bench_tracing()
+        spec = make_relu_network(
+            (12, 30, 30, 20, 20, 16),
+            rho=0.6, nu_lin=NOISELESS, nu_act=NOISELESS, nu_meas=100.0, seed=3,
+        )
+        sig = forward_generate(spec, 5)
+        originals = {
+            (module, name): getattr(importlib.import_module(f"mlvamp.{module}"), name)
+            for module, name in tracing.TRACED
+        }
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            engine.run(spec, sig.y, EngineConfig(max_iters=2, mode=mode, convergence_tol=0.0))
+        finally:
+            tracer.uninstall()
+        pairs = ("denoisers.linear_pair", f"denoisers.{mode}_pair_nonlinear")
+        seen = [(span[0], span[5]["layer"], span[5]["dir"]) for span in tracer.spans if span[0] in pairs]
+        assert len(seen) == 2 * 2 * 4  # iterations x sweeps x pair layers
+        # affine pairs at the odd layers, relu pairs at the even ones
+        assert set(seen) == {
+            (pairs[0] if ell % 2 else pairs[1], ell, d) for ell in (1, 2, 3, 4) for d in ("fwd", "bwd")
+        }
+        for (module, name), fn in originals.items():
+            assert getattr(importlib.import_module(f"mlvamp.{module}"), name) is fn, name

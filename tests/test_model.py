@@ -167,11 +167,6 @@ class TestNetworkValidation:
                 (lin, NonlinearLayerSpec("relu"), NonlinearLayerSpec("relu"))
             )
 
-    def test_dim_ratios(self):
-        lin = LinearLayerSpec(weight=np.zeros((6, 3)), bias=np.zeros(6), noise_precision=1.0)
-        spec = NetworkSpec.from_layers((lin,))
-        assert spec.dim_ratios == (1.0, 2.0)
-
 
 class TestForwardGenerate:
     def test_identity_chain_copies_the_input(self):

@@ -151,6 +151,52 @@ class TestScalarUpdates:
         assert abs(small[0] - big[0]) < band
         assert abs(small[2] - big[2]) < band
 
+    #: run_se curves (4 iterations, flattened nmse_db) of the relu-measurement
+    #: law below, from the quadrature that integrated the minus axis in full,
+    #: and the grid points each observed-layer call evaluated then.
+    FULL_GRID_CURVES = {
+        "mmse": [
+            -0.0008685021078054198, -4.169005551614444, -6.833929311513333, -10.958362113341973,
+            -6.833929311513334, -12.507601836615832, -9.048124505392863, -14.423671143567693,
+            -9.048124505392863, -14.990495997982194, -10.024299350101657, -15.841563766967901,
+            -10.024299350101655, -16.096989255963347, -10.486878024813464, -16.507009099220692,
+        ],
+        "map": [
+            -0.0008685021078054198, -4.169005551614444, -5.745037874276308, -9.220400262149415,
+            -5.745037874276308, -11.278082647740233, -7.894903587967116, -12.916650284694732,
+            -7.894903587967116, -13.69823633779589, -8.898202515670912, -14.40481751779755,
+            -8.898202515670912, -14.823469819984329, -9.380171327577365, -15.133211389991775,
+        ],
+    }
+    FULL_GRID_POINTS = 52_800
+
+    @pytest.mark.parametrize("mode", ["mmse", "map"])
+    def test_exact_observation_integrates_no_minus_axis(self, mode, monkeypatch):
+        # at an exactly observed separable layer (tau_m = 0) the minus message
+        # is never read, so its quadrature axis collapses to one node
+        from mlvamp import denoisers as dn
+        from mlvamp.model import geometric_singular_values
+
+        law = NetworkLaw(
+            layers=(
+                LinearLaw(geometric_singular_values(60, 40, 3.0), 60, 40, 100.0,
+                          bbar_var=0.3**2 + 1.0, bias_mean=0.3),
+                SeparableLaw("relu", NOISELESS, 60),
+            ),
+            dims=(40, 60, 60),
+        )
+        sizes = []
+        fields = dn.separable_output_fields
+
+        def counted(r_plus, *args):
+            sizes.append(np.size(r_plus))
+            return fields(r_plus, *args)
+
+        monkeypatch.setattr(dn, "separable_output_fields", counted)
+        res = run_se(law, SEConfig(iterations=4, mode=mode))
+        np.testing.assert_allclose(res.nmse_db.ravel(), self.FULL_GRID_CURVES[mode], rtol=1e-12)
+        assert sizes == [self.FULL_GRID_POINTS // 20] * 4
+
 
 class TestGaussianChainFixedPoint:
     def test_fixed_point_matches_exact_posterior_variances(self):
