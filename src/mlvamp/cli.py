@@ -29,34 +29,38 @@ from .model import SignalSet, forward_generate, load_network, save_network
 from .state_evolution import run_se
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON experiment configuration")
-    p.add_argument("--seed", type=int, default=None, help="master seed override")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--mode", choices=("map", "mmse"), default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--out", default=None, help="output path")
-    p.add_argument("--se-method", choices=("quadrature", "mc"), default=None)
-    p.add_argument("--se-samples", type=int, default=None)
+_FLAGS = {
+    "--config": dict(help="JSON experiment configuration"),
+    "--seed": dict(type=int, help="master seed override"),
+    "--trials": dict(type=int),
+    "--mode": dict(choices=("map", "mmse")),
+    "--max-iters": dict(type=int),
+    "--out": dict(help="output path"),
+    "--se-method": dict(choices=("quadrature", "mc")),
+    "--se-samples": dict(type=int),
+}
+
+
+def _add_common(p, skip=()):
+    """The common flags the subcommand reads; a skipped one is an argparse error."""
+    for flag, kwargs in _FLAGS.items():
+        if flag in skip:
+            p.set_defaults(**{flag[2:].replace("-", "_"): None})
+        else:
+            p.add_argument(flag, default=None, **kwargs)
+
+
+def _override(obj, **values):
+    """``obj`` with each field whose given value is not None replaced."""
+    return replace(obj, **{k: v for k, v in values.items() if v is not None})
 
 
 def _load_config(args):
     config = harness.load_config(args.config) if args.config else harness.ExperimentConfig()
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    if args.trials is not None:
-        config = replace(config, trials=args.trials)
-    engine_cfg = config.engine
-    if args.mode is not None:
-        engine_cfg = replace(engine_cfg, mode=args.mode)
-    if args.max_iters is not None:
-        engine_cfg = replace(engine_cfg, max_iters=args.max_iters)
-    se_cfg = config.se
-    if args.se_method is not None:
-        se_cfg = replace(se_cfg, expectation=replace(se_cfg.expectation, method=args.se_method))
-    if args.se_samples is not None:
-        se_cfg = replace(se_cfg, expectation=replace(se_cfg.expectation, mc_samples=args.se_samples))
-    return replace(config, engine=engine_cfg, se=se_cfg)
+    engine = _override(config.engine, mode=args.mode, max_iters=args.max_iters)
+    expectation = _override(config.se.expectation, method=args.se_method, mc_samples=args.se_samples)
+    se = replace(config.se, expectation=expectation)
+    return _override(config, master_seed=args.seed, trials=args.trials, engine=engine, se=se)
 
 
 def _cmd_generate(args):
@@ -66,7 +70,7 @@ def _cmd_generate(args):
     signals = forward_generate(spec, config.master_seed)
     out = args.out or "network.json"
     save_network(spec, out)
-    sig_path = out.replace(".json", "") + ".signals.json"
+    sig_path = out.removesuffix(".json") + ".signals.json"
     with open(sig_path, "w") as fh:
         json.dump(
             {
@@ -89,7 +93,11 @@ def _load_problem(args):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise InvalidModelError("a signals file must be a JSON object")
-    return spec, SignalSet(signals=tuple(np.asarray(z, float) for z in doc["signals"]))
+    try:
+        signals = tuple(np.asarray(z, float) for z in doc["signals"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidModelError(f"invalid signals file: {exc}") from exc
+    return spec, SignalSet(signals=signals)
 
 
 def _cmd_run(args):
@@ -97,25 +105,14 @@ def _cmd_run(args):
     if args.network:
         spec, truth = _load_problem(args)
         state, trace, report = run(spec, truth.y, config.engine, truth=truth)
-        rows = []
-        for row in trace.rows:
-            for ell, db in enumerate(row.nmse_db or ()):
-                rows.append(
-                    {
-                        "experiment_id": config.experiment_id,
-                        "trial_seed": config.master_seed,
-                        "half_iter": row.half_iter,
-                        "layer": ell,
-                        "nmse_db_empirical": db,
-                        "nmse_db_se": math.nan,
-                        "gamma_plus": row.gamma_plus[ell],
-                        "gamma_minus": row.gamma_minus[ell],
-                        "alpha_plus": row.alpha_plus[ell],
-                        "alpha_minus": row.alpha_minus[ell],
-                        "residual_consistency": row.consistency,
-                        "wall_ms": math.nan,
-                    }
-                )
+        half = trace.rows
+        rows = harness.curve_rows(
+            config.experiment_id, config.master_seed, [r.nmse_db for r in half],
+            [np.full_like(r.gamma_plus, math.nan) for r in half],
+            [r.gamma_plus for r in half], [r.gamma_minus for r in half],
+            [r.alpha_plus for r in half], [r.alpha_minus for r in half],
+            [r.consistency for r in half],
+        )
         out = args.out or "run.csv"
         harness.write_result_csv(out, rows)
         print(f"wrote {out} ({len(rows)} rows)")
@@ -147,23 +144,17 @@ def _cmd_sweep(args):
             f"--measurements takes a comma list of integers, not {args.measurements!r}"
         ) from None
     results = harness.measurement_sweep(config, m_list)
-    rows = []
-    for m, result in results.items():
-        rows.extend(harness.result_rows(result))
     out = args.out or "sweep.csv"
-    harness.write_result_csv(out, rows)
-    summary = {}
-    for m, result in results.items():
-        med = result.median_nmse_db()
-        mean = result.mean_nmse_db()
-        se_db = result.se_result.nmse_db
-        n = result.n_half
-        summary[m] = {
-            "median_final_nmse_db": float(med[-1, 0]),
-            "mean_final_nmse_db": float(mean[-1, 0]),
-            "se_final_nmse_db": float(se_db[n - 1, 0]),
-            "failed_trials": len(result.trials) - len(result.ok_trials),
+    harness.write_result_csv(out, [row for r in results.values() for row in harness.result_rows(r)])
+    summary = {
+        m: {
+            "median_final_nmse_db": float(r.median_nmse_db()[-1, 0]),
+            "mean_final_nmse_db": float(r.mean_nmse_db()[-1, 0]),
+            "se_final_nmse_db": float(r.se_result.nmse_db[r.n_half - 1, 0]),
+            "failed_trials": len(r.trials) - len(r.ok_trials),
         }
+        for m, r in results.items()
+    }
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -208,7 +199,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic network and signals")
-    _add_common(p)
+    _add_common(p, skip=("--trials", "--mode", "--max-iters", "--se-method", "--se-samples"))
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("run", help="run the engine; write a trace CSV")
@@ -218,7 +209,7 @@ def build_parser():
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("se", help="write the predictor's curves as CSV")
-    _add_common(p)
+    _add_common(p, skip=("--trials",))
     p.set_defaults(func=_cmd_se)
 
     p = sub.add_parser("sweep", help="repeat the experiment over measurement counts")
@@ -233,7 +224,7 @@ def build_parser():
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("fixedpoint", help="print fixed-point diagnostics as JSON")
-    _add_common(p)
+    _add_common(p, skip=("--trials", "--out", "--se-method", "--se-samples"))
     p.add_argument("--network", help="network JSON")
     p.add_argument("--signals", help="signals JSON accompanying --network")
     p.set_defaults(func=_cmd_fixedpoint)

@@ -13,7 +13,7 @@ algorithm on scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -115,13 +115,7 @@ class FixedPointReport:
     moment_match: float | None
 
     def as_dict(self):
-        return {
-            "consistency_residual": self.consistency_residual,
-            "eta_residual": self.eta_residual,
-            "combination_residual": self.combination_residual,
-            "map_stationarity": self.map_stationarity,
-            "moment_match": self.moment_match,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -267,14 +267,16 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
+    """One trial; a failed one keeps only its seed, wall time and error."""
+
     seed: int
-    nmse_db: np.ndarray | None  # (half_iters, L) hidden-signal errors
-    gamma_plus: np.ndarray | None  # (iters, L) end-of-iteration snapshots
-    gamma_minus: np.ndarray | None
-    alpha_plus: np.ndarray | None
-    alpha_minus: np.ndarray | None
-    consistency: np.ndarray | None  # (iters,)
     wall_ms: float
+    nmse_db: np.ndarray | None = None  # (half_iters, L) hidden-signal errors
+    gamma_plus: np.ndarray | None = None  # (iters, L) end-of-iteration snapshots
+    gamma_minus: np.ndarray | None = None
+    alpha_plus: np.ndarray | None = None
+    alpha_minus: np.ndarray | None = None
+    consistency: np.ndarray | None = None  # (iters,)
     error: str | None = None
     error_layer: int | None = None  # where a diverged trial left the iteration
     error_iteration: int | None = None
@@ -315,12 +317,6 @@ def run_single_trial(recipe, calibration, engine_cfg, trial_seed):
     except (DivergedIterationError, NumericFailureError) as exc:
         return TrialResult(
             seed=trial_seed,
-            nmse_db=None,
-            gamma_plus=None,
-            gamma_minus=None,
-            alpha_plus=None,
-            alpha_minus=None,
-            consistency=None,
             wall_ms=1e3 * (time.perf_counter() - start),
             error=str(exc),
             error_layer=getattr(exc, "layer", None),
@@ -402,32 +398,50 @@ def measurement_sweep(config, measurement_list, workers=None):
 # ---------------------------------------------------------------------------
 
 
+def curve_rows(experiment_id, trial_seed, nmse_empirical, nmse_se,
+               gamma_plus, gamma_minus, alpha_plus, alpha_minus, consistency):
+    """Tidy rows of one curve, one per (half iteration, hidden signal).
+
+    Every argument after the seed holds one entry per half iteration: the
+    NMSE and precision entries are per-signal arrays, ``consistency`` is a
+    number. The caller chooses what each half carries.
+    """
+    halves = zip(nmse_empirical, nmse_se, gamma_plus, gamma_minus, alpha_plus, alpha_minus,
+                 consistency, strict=True)
+    rows = []
+    for h, (emp, se, g_p, g_m, a_p, a_m, cons) in enumerate(halves):
+        for ell in range(len(g_p)):
+            rows.append(
+                {
+                    "experiment_id": experiment_id,
+                    "trial_seed": trial_seed,
+                    "half_iter": h + 1,
+                    "layer": ell,
+                    "nmse_db_empirical": emp[ell],
+                    "nmse_db_se": se[ell],
+                    "gamma_plus": g_p[ell],
+                    "gamma_minus": g_m[ell],
+                    "alpha_plus": a_p[ell],
+                    "alpha_minus": a_m[ell],
+                    "residual_consistency": cons,
+                    "wall_ms": math.nan,
+                }
+            )
+    return rows
+
+
 def result_rows(result):
-    """Tidy rows, one per (trial, half iteration, hidden signal)."""
+    """Rows of every successful trial; both halves of an iteration carry its end values."""
     n_half = result.n_half
-    se_db = result.se_result.nmse_db
+    se_db = result.se_result.nmse_db[:n_half]
+    se_db = np.vstack([se_db, np.full((n_half - len(se_db), se_db.shape[1]), math.nan)])
     rows = []
     for t in result.ok_trials:
-        n_layers = t.nmse_db.shape[1]
-        for h in range(n_half):
-            it = h // 2
-            for ell in range(n_layers):
-                rows.append(
-                    {
-                        "experiment_id": result.config.experiment_id,
-                        "trial_seed": t.seed,
-                        "half_iter": h + 1,
-                        "layer": ell,
-                        "nmse_db_empirical": t.nmse_db[h, ell],
-                        "nmse_db_se": se_db[h, ell] if h < se_db.shape[0] else math.nan,
-                        "gamma_plus": t.gamma_plus[it, ell],
-                        "gamma_minus": t.gamma_minus[it, ell],
-                        "alpha_plus": t.alpha_plus[it, ell],
-                        "alpha_minus": t.alpha_minus[it, ell],
-                        "residual_consistency": t.consistency[it],
-                        "wall_ms": math.nan,
-                    }
-                )
+        per_half = [
+            np.repeat(a, 2, axis=0)[:n_half]
+            for a in (t.gamma_plus, t.gamma_minus, t.alpha_plus, t.alpha_minus, t.consistency)
+        ]
+        rows += curve_rows(result.config.experiment_id, t.seed, t.nmse_db[:n_half], se_db, *per_half)
     return rows
 
 
@@ -468,29 +482,14 @@ def read_result_csv(path):
 
 def se_rows(experiment_id, se_result):
     """Predictor-only rows (trial_seed = -1, empirical columns NaN)."""
-    rows = []
     db = se_result.nmse_db
-    states = se_result.states
-    for h in range(db.shape[0]):
-        st = states[h // 2]
-        for ell in range(db.shape[1]):
-            rows.append(
-                {
-                    "experiment_id": experiment_id,
-                    "trial_seed": -1,
-                    "half_iter": h + 1,
-                    "layer": ell,
-                    "nmse_db_empirical": math.nan,
-                    "nmse_db_se": db[h, ell],
-                    "gamma_plus": st.gamma_bar_plus[ell],
-                    "gamma_minus": st.gamma_bar_minus[ell],
-                    "alpha_plus": st.alpha_bar_plus[ell],
-                    "alpha_minus": st.alpha_bar_minus[ell],
-                    "residual_consistency": math.nan,
-                    "wall_ms": math.nan,
-                }
-            )
-    return rows
+    states = [se_result.states[h // 2] for h in range(len(db))]
+    return curve_rows(
+        experiment_id, -1, np.full_like(db, math.nan), db,
+        [st.gamma_bar_plus for st in states], [st.gamma_bar_minus for st in states],
+        [st.alpha_bar_plus for st in states], [st.alpha_bar_minus for st in states],
+        np.full(len(db), math.nan),
+    )
 
 
 def compare_rows(empirical_rows, se_rows_):
@@ -562,6 +561,10 @@ def config_from_json(doc):
         if "hidden_dims" in recipe_doc:
             recipe_doc["hidden_dims"] = tuple(recipe_doc["hidden_dims"])
         se_doc = dict(doc.get("se", {}))
+        extra = sorted(set(se_doc) - {"stop_tol", "expectation"})
+        if extra:
+            # the predictor runs as the engine runs: iterations, mode and so on come from it
+            raise InvalidModelError(f"se holds only stop_tol and expectation, not {extra}")
         expectation = ExpectationEngine(**se_doc.pop("expectation", {}))
         return ExperimentConfig(
             recipe=SyntheticRecipe(**recipe_doc),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import DegenerateModelError, InvalidModelError, NumericFailureError
+from .errors import DegenerateModelError, InvalidModelError, MlvampError, NumericFailureError
 from .seeding import substream
 
 #: Sentinel for an exact (noise-free) conditional: precision -> infinity.
@@ -393,30 +393,32 @@ def network_to_json(spec):
 
 
 def network_from_json(doc):
-    """Inverse of :func:`network_to_json`."""
+    """Inverse of :func:`network_to_json`; a malformed document is an InvalidModelError."""
+    if not isinstance(doc, dict):
+        raise InvalidModelError("a network must be a JSON object")
     layers = []
-    for entry in doc["layers"]:
-        if entry["kind"] == "linear":
-            if entry.get("noiseless", False):
-                prec = NOISELESS
-            else:
-                prec = float(entry["noise_precision"])
-            layers.append(
-                LinearLayerSpec(
-                    weight=np.asarray(entry["weight"], dtype=float),
-                    bias=np.asarray(entry["bias"], dtype=float),
-                    noise_precision=prec,
+    try:
+        for entry in doc["layers"]:
+            if entry["kind"] == "linear":
+                prec = NOISELESS if entry.get("noiseless", False) else float(entry["noise_precision"])
+                layers.append(
+                    LinearLayerSpec(
+                        weight=np.asarray(entry["weight"], dtype=float),
+                        bias=np.asarray(entry["bias"], dtype=float),
+                        noise_precision=prec,
+                    )
                 )
-            )
-        elif entry["kind"] == "nonlinear":
-            noise = entry.get("noise", {"kind": "none"})
-            prec = NOISELESS if noise["kind"] == "none" else float(noise["precision"])
-            layers.append(
-                NonlinearLayerSpec(activation=entry["activation"], noise_precision=prec)
-            )
-        else:
-            raise InvalidModelError(f"unknown layer kind {entry.get('kind')!r}")
-    return NetworkSpec(layers=tuple(layers), dims=tuple(doc["dims"]))
+            elif entry["kind"] == "nonlinear":
+                noise = entry.get("noise", {"kind": "none"})
+                prec = NOISELESS if noise["kind"] == "none" else float(noise["precision"])
+                layers.append(NonlinearLayerSpec(activation=entry["activation"], noise_precision=prec))
+            else:
+                raise InvalidModelError(f"unknown layer kind {entry.get('kind')!r}")
+        return NetworkSpec(layers=tuple(layers), dims=tuple(doc["dims"]))
+    except MlvampError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidModelError(f"invalid network: {exc}") from exc
 
 
 def save_network(spec, path):

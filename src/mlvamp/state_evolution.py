@@ -176,7 +176,6 @@ class SEState:
 
     K_plus: np.ndarray  # (L, 2, 2) second moments of (true, plus error), cross term included
     tau_minus: np.ndarray  # (L,)
-    tau_zero: np.ndarray  # (L,) true-signal second moments for hidden signals
     alpha_bar_plus: np.ndarray
     alpha_bar_minus: np.ndarray
     gamma_bar_plus: np.ndarray
@@ -189,7 +188,6 @@ class SEResult:
     nmse_db: np.ndarray  # (half_iterations, L) predicted NMSE in dB
     mse: np.ndarray  # same grid, linear scale
     tau_zero: np.ndarray  # (L + 1,)
-    directions: list
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +519,6 @@ def run_se(law, config):
 
     states = []
     nmse_rows = []
-    directions = []
     prev_params = None
     for k in range(config.iterations):
         book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)
@@ -550,13 +547,11 @@ def run_se(law, config):
         sweep(prec, True, input_prior, forward, book)
         sweep(prec, False, lambda: backward(n), backward, book)
         nmse_rows += [mse[0] / tau0[:n], mse[1] / tau0[:n]]
-        directions += ["forward", "backward"]
 
         states.append(
             SEState(
                 K_plus=np.array([k_.copy() for k_ in K]),
                 tau_minus=tau_m.copy(),
-                tau_zero=tau0[:n].copy(),
                 alpha_bar_plus=prec.alpha_plus.copy(),
                 alpha_bar_minus=prec.alpha_minus.copy(),
                 gamma_bar_plus=prec.gamma_plus.copy(),
@@ -573,7 +568,7 @@ def run_se(law, config):
     mse = np.array(nmse_rows) * tau0[:n]
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.maximum(np.array(nmse_rows), 1e-30))
-    return SEResult(states=states, nmse_db=db, mse=mse, tau_zero=tau0, directions=directions)
+    return SEResult(states=states, nmse_db=db, mse=mse, tau_zero=tau0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlvamp import engine
 from mlvamp.denoisers import GAMMA_MIN
@@ -50,6 +52,58 @@ class TestInitialize:
             np.testing.assert_array_equal(za, zb)
 
 
+def _run_checking_pass_identities(spec, y, cfg):
+    """Step ``cfg.max_iters`` iterations; after every pass, for every signal,
+    eta = gamma_other / alpha and (1 - alpha) r_new + alpha r_old = zhat."""
+    bank = build_denoiser_bank(spec, y, cfg.mode)
+    state = initialize(spec, y, cfg)
+    for k in range(cfg.max_iters):
+        book = engine.Bookkeeping(cfg.alpha_clip, cfg.damping, iteration=k)
+        old_minus = [r.copy() for r in state.r_minus]
+        engine.forward_pass(state, bank, book)
+        for ell in range(state.num_signals):
+            a = state.alpha_plus[ell]
+            assert state.eta_plus[ell] == pytest.approx(state.gamma_minus[ell] / a, rel=1e-12)
+            if cfg.damping == 1.0:  # undamped, gamma_plus = eta - gamma_minus
+                assert state.gamma_plus[ell] == pytest.approx(
+                    state.eta_plus[ell] - state.gamma_minus[ell], rel=1e-12
+                )
+            recon = (1 - a) * state.r_plus[ell] + a * old_minus[ell]
+            np.testing.assert_allclose(recon, state.zhat_plus[ell], atol=1e-10)
+        old_plus = [r.copy() for r in state.r_plus]
+        engine.backward_pass(state, bank, book)
+        for ell in range(state.num_signals):
+            a = state.alpha_minus[ell]
+            assert state.eta_minus[ell] == pytest.approx(state.gamma_plus[ell] / a, rel=1e-12)
+            recon = (1 - a) * state.r_minus[ell] + a * old_plus[ell]
+            np.testing.assert_allclose(recon, state.zhat_minus[ell], atol=1e-10)
+
+
+@st.composite
+def gaussian_chains(draw):
+    """An all-affine chain of 2-3 layers, widths 2-10, noise precisions 0.5-4."""
+    n_layers = draw(st.integers(2, 3))
+    dims = draw(st.lists(st.integers(2, 10), min_size=n_layers + 1, max_size=n_layers + 1))
+    nus = draw(st.lists(st.floats(0.5, 4.0), min_size=n_layers, max_size=n_layers))
+    return make_gaussian_chain(tuple(dims), tuple(nus), seed=draw(st.integers(0, 10_000)))
+
+
+class TestFixedPointProperties:
+    @given(spec=gaussian_chains(), damping=st.sampled_from((1.0, 0.7)))
+    @settings(max_examples=40, deadline=None)
+    def test_pass_identities_hold_after_every_pass(self, spec, damping):
+        y = forward_generate(spec, 1).y
+        _run_checking_pass_identities(spec, y, EngineConfig(max_iters=8, damping=damping))
+
+    @given(spec=gaussian_chains(), damping=st.sampled_from((1.0, 0.7)))
+    @settings(max_examples=40, deadline=None)
+    def test_converged_run_has_tiny_residuals(self, spec, damping):
+        y = forward_generate(spec, 1).y
+        cfg = EngineConfig(max_iters=500, damping=damping, convergence_tol=1e-12)
+        _, _, report = run(spec, y, cfg)
+        assert max(report.eta_residual, report.combination_residual, report.moment_match) <= 1e-8
+
+
 class TestUpdateArithmetic:
     def test_precision_bookkeeping(self):
         # undamped: eta = gamma_other / alpha, the side's precision eta - gamma_other
@@ -83,35 +137,7 @@ class TestUpdateArithmetic:
 
     def test_identities_hold_during_a_run(self):
         spec = make_gaussian_chain((10, 8, 6), (1.0, 2.0), seed=3)
-        sig = forward_generate(spec, 4)
-        cfg = EngineConfig(max_iters=6, convergence_tol=0.0)
-        bank = build_denoiser_bank(spec, sig.y, "mmse")
-        state = initialize(spec, sig.y, cfg)
-        for k in range(cfg.max_iters):
-            book = engine.Bookkeeping(cfg.alpha_clip, cfg.damping, iteration=k)
-            old_minus = [r.copy() for r in state.r_minus]
-            engine.forward_pass(state, bank, book)
-            for ell in range(state.num_signals):
-                # eta = gamma/alpha and gamma_plus = eta - gamma_minus
-                assert state.eta_plus[ell] == pytest.approx(
-                    state.gamma_minus[ell] / state.alpha_plus[ell], rel=1e-12
-                )
-                assert state.gamma_plus[ell] == pytest.approx(
-                    state.eta_plus[ell] - state.gamma_minus[ell], rel=1e-12
-                )
-                # (1 - alpha) r_new + alpha r_old = zhat
-                a = state.alpha_plus[ell]
-                recon = (1 - a) * state.r_plus[ell] + a * old_minus[ell]
-                np.testing.assert_allclose(recon, state.zhat_plus[ell], atol=1e-10)
-            old_plus = [r.copy() for r in state.r_plus]
-            engine.backward_pass(state, bank, book)
-            for ell in range(state.num_signals):
-                assert state.eta_minus[ell] == pytest.approx(
-                    state.gamma_plus[ell] / state.alpha_minus[ell], rel=1e-12
-                )
-                a = state.alpha_minus[ell]
-                recon = (1 - a) * state.r_minus[ell] + a * old_plus[ell]
-                np.testing.assert_allclose(recon, state.zhat_minus[ell], atol=1e-10)
+        _run_checking_pass_identities(spec, forward_generate(spec, 4).y, EngineConfig(max_iters=6))
 
     def test_symmetric_layer_has_equal_divergences(self):
         # A square affine layer with equal precisions on both sides has the

@@ -5,13 +5,14 @@ import importlib.util
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from mlvamp import harness
 from mlvamp.cli import cli_main
-from mlvamp.engine import EngineConfig
+from mlvamp.engine import EngineConfig, run
 from mlvamp.errors import InvalidModelError
 from mlvamp.harness import (
     CSV_COLUMNS,
@@ -30,7 +31,7 @@ from mlvamp.harness import (
     se_rows,
     write_result_csv,
 )
-from mlvamp.model import forward_generate
+from mlvamp.model import SignalSet, forward_generate, load_network
 from mlvamp.state_evolution import SEConfig, run_se
 
 SMALL_RECIPE = SyntheticRecipe(
@@ -178,6 +179,15 @@ class TestCsv:
         )
         assert gap == pytest.approx(direct, abs=1e-12)
 
+    def test_both_halves_carry_the_end_of_iteration_precisions(self, small_result):
+        rows = result_rows(small_result)
+        n_layers = small_result.trials[0].nmse_db.shape[1]
+        assert len(rows) == len(small_result.ok_trials) * small_result.n_half * n_layers
+        trials = {t.seed: t for t in small_result.ok_trials}
+        for row in rows:
+            k = (row["half_iter"] - 1) // 2
+            assert row["gamma_plus"] == trials[row["trial_seed"]].gamma_plus[k, row["layer"]]
+
     def test_mismatched_grids_are_a_hard_error(self, small_result):
         emp = result_rows(small_result)
         pred = se_rows("t", small_result.se_result)
@@ -300,46 +310,134 @@ class TestCli:
         path.write_text(json.dumps({"recipe": {"hidden_dims": [8, 24, 20], "measurements": 5}}))
         assert cli_main(["run", "--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("doc", [{"engine": {"bogus": 1}}, [1, 2]], ids=["unknown-key", "not-an-object"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"engine": {"bogus": 1}},
+            [1, 2],
+            {"se": {"damping": 0.5, "iterations": 3, "mode": "map"}},
+        ],
+        ids=["unknown-key", "not-an-object", "se-keys-of-the-engine"],
+    )
     def test_malformed_config_exit_code(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
-        "command, signals",
-        [("run", None), ("fixedpoint", None), ("run", "[1]")],
-        ids=["run-without-signals", "fixedpoint-without-signals", "signals-not-an-object"],
+        "command, network, signals",
+        [
+            ("run", None, "omit"),
+            ("fixedpoint", None, "omit"),
+            ("run", None, [1]),
+            ("run", [1], None),
+            ("run", "ragged", None),
+            ("run", None, {"signals": [["a"]]}),
+        ],
+        ids=[
+            "run-without-signals",
+            "fixedpoint-without-signals",
+            "signals-not-an-object",
+            "network-not-an-object",
+            "ragged-weight",
+            "signal-not-a-number",
+        ],
     )
-    def test_bad_network_input_exit_code(self, tmp_path, command, signals):
+    def test_bad_network_input_exit_code(self, tmp_path, command, network, signals):
+        # None keeps the generated file; "omit" leaves --signals out
         cfg = self._config_file(tmp_path)
-        net = str(tmp_path / "net.json")
-        assert cli_main(["generate", "--config", cfg, "--out", net]) == 0
-        argv = [command, "--config", cfg, "--network", net]
-        if signals is not None:
-            (tmp_path / "bad.json").write_text(signals)
-            argv += ["--signals", str(tmp_path / "bad.json")]
+        net, sig = tmp_path / "net.json", tmp_path / "net.signals.json"
+        assert cli_main(["generate", "--config", cfg, "--out", str(net)]) == 0
+        if network == "ragged":
+            network = json.loads(net.read_text())
+            network["layers"][0]["weight"][0].pop()
+        if network is not None:
+            net.write_text(json.dumps(network))
+        argv = [command, "--config", cfg, "--network", str(net)]
+        if signals != "omit":
+            if signals is not None:
+                sig.write_text(json.dumps(signals))
+            argv += ["--signals", str(sig)]
         assert cli_main(argv) == 2
+
+    def test_generate_strips_only_a_trailing_json(self, tmp_path):
+        cfg = self._config_file(tmp_path)
+        (tmp_path / "a.json").mkdir()
+        assert cli_main(["generate", "--config", cfg, "--out", str(tmp_path / "a.json" / "net.json")]) == 0
+        assert (tmp_path / "a.json" / "net.signals.json").is_file()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--trials", "2"],
+            ["generate", "--mode", "map"],
+            ["generate", "--max-iters", "3"],
+            ["generate", "--se-method", "mc"],
+            ["generate", "--se-samples", "10"],
+            ["se", "--trials", "2"],
+            ["fixedpoint", "--trials", "2"],
+            ["fixedpoint", "--out", "x"],
+            ["fixedpoint", "--se-method", "mc"],
+            ["fixedpoint", "--se-samples", "10"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_network_rows_carry_each_half_own_precisions(self, tmp_path):
+        cfg = self._config_file(tmp_path)
+        net, sig, out = (str(tmp_path / name) for name in ("net.json", "net.signals.json", "t.csv"))
+        assert cli_main(["generate", "--config", cfg, "--out", net]) == 0
+        assert cli_main(["run", "--config", cfg, "--network", net, "--signals", sig, "--out", out]) == 0
+        signals = json.loads(open(sig).read())["signals"]
+        truth = SignalSet(signals=tuple(np.asarray(z, float) for z in signals))
+        _, trace, _ = run(load_network(net), truth.y, config_from_json(self.CONFIG).engine, truth=truth)
+        rows = read_result_csv(out)
+        assert len(rows) == len(trace.rows) * len(trace.rows[0].gamma_plus)
+        for row in rows:
+            half = trace.rows[row["half_iter"] - 1]  # half 1 carries trace.rows[0], and so on
+            for key in ("gamma_plus", "gamma_minus", "alpha_plus", "alpha_minus"):
+                assert row[key] == getattr(half, key)[row["layer"]]
+        # the forward half still carries the initial minus side, unlike the iteration's end
+        assert rows[0]["half_iter"] == 1 and rows[0]["gamma_minus"] != trace.rows[1].gamma_minus[0]
 
     def test_non_integer_measurements_exit_code(self, tmp_path):
         cfg = self._config_file(tmp_path)
         assert cli_main(["sweep", "--config", cfg, "--measurements", "10,abc"]) == 2
 
 
-def _bench_tracing():
-    """``bench/tracing.py``, loaded from its file (``bench`` is no package)."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _bench_module(name):
+    """``bench/<name>.py``, loaded from its file (``bench`` is no package)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchWorkloads:
+    def test_same_trial_holds_for_a_successful_and_a_failed_trial(self):
+        # the gated paper-serial workload compares trials with _same_trial
+        workloads = _bench_module("workloads")
+        calibration = calibrate_recipe(SMALL_RECIPE, 7)
+        ok = harness.run_single_trial(SMALL_RECIPE, calibration, FAST_ENGINE, 11)
+        assert ok.error is None
+        failed = harness.TrialResult(seed=12, wall_ms=1.0, error="diverged")
+        for trial in (ok, failed):
+            assert workloads._same_trial(trial, trial)
+        assert not workloads._same_trial(ok, failed)
 
 
 class TestBenchTracer:
     def test_traced_names_resolve(self):
         # the benchmark's tracer wraps these functions by name and fails on a
         # missing one
-        tracing = _bench_tracing()
+        tracing = _bench_module("tracing")
         assert tracing.TRACED
         for module, name in tracing.TRACED:
             fn = getattr(importlib.import_module(f"mlvamp.{module}"), name, None)
@@ -352,7 +450,7 @@ class TestBenchTracer:
         from mlvamp import engine
         from mlvamp.model import NOISELESS
 
-        tracing = _bench_tracing()
+        tracing = _bench_module("tracing")
         spec = make_relu_network(
             (12, 30, 30, 20, 20, 16),
             rho=0.6, nu_lin=NOISELESS, nu_act=NOISELESS, nu_meas=100.0, seed=3,
