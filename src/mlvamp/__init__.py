@@ -3,7 +3,6 @@
 from .denoisers import (
     BeliefParams,
     QuadratureRule,
-    divergence_finite_difference,
     input_denoiser,
     linear_pair,
     map_pair_nonlinear,
@@ -51,7 +50,6 @@ __all__ = [
     "QuadratureRule",
     "SvdFactors",
     "calibrate_noise_to_snr",
-    "divergence_finite_difference",
     "input_denoiser",
     "linear_pair",
     "map_pair_nonlinear",

@@ -63,11 +63,16 @@ def _load_config(args):
     return _override(config, master_seed=args.seed, trials=args.trials, engine=engine, se=se)
 
 
-def _cmd_generate(args):
-    config = _load_config(args)
+def _synthetic_problem(config):
+    """The recipe's network and signals drawn with the master seed."""
     calibration = harness.calibrate_recipe(config.recipe, config.master_seed)
     spec = harness.build_synthetic_network(config.recipe, config.master_seed, calibration)
-    signals = forward_generate(spec, config.master_seed)
+    return spec, forward_generate(spec, config.master_seed)
+
+
+def _cmd_generate(args):
+    config = _load_config(args)
+    spec, signals = _synthetic_problem(config)
     out = args.out or "network.json"
     save_network(spec, out)
     sig_path = out.removesuffix(".json") + ".signals.json"
@@ -104,7 +109,7 @@ def _cmd_run(args):
     config = _load_config(args)
     if args.network:
         spec, truth = _load_problem(args)
-        state, trace, report = run(spec, truth.y, config.engine, truth=truth)
+        _, trace, _ = run(spec, truth.y, config.engine, truth=truth)
         half = trace.rows
         rows = harness.curve_rows(
             config.experiment_id, config.master_seed, [r.nmse_db for r in half],
@@ -113,14 +118,13 @@ def _cmd_run(args):
             [r.alpha_plus for r in half], [r.alpha_minus for r in half],
             [r.consistency for r in half],
         )
-        out = args.out or "run.csv"
-        harness.write_result_csv(out, rows)
-        print(f"wrote {out} ({len(rows)} rows)")
-        return 0
-    result = harness.run_trials(config)
+        count = f"{len(rows)} rows"
+    else:
+        rows = harness.result_rows(harness.run_trials(config))
+        count = f"{config.trials} trials"
     out = args.out or "run.csv"
-    harness.write_result_csv(out, harness.result_rows(result))
-    print(f"wrote {out} ({config.trials} trials)")
+    harness.write_result_csv(out, rows)
+    print(f"wrote {out} ({count})")
     return 0
 
 
@@ -150,7 +154,8 @@ def _cmd_sweep(args):
         m: {
             "median_final_nmse_db": float(r.median_nmse_db()[-1, 0]),
             "mean_final_nmse_db": float(r.mean_nmse_db()[-1, 0]),
-            "se_final_nmse_db": float(r.se_result.nmse_db[r.n_half - 1, 0]),
+            # the predictor may stop early (se.stop_tol): its last half within the trials' grid
+            "se_final_nmse_db": float(r.se_result.nmse_db[: r.n_half][-1, 0]),
             "failed_trials": len(r.trials) - len(r.ok_trials),
         }
         for m, r in results.items()
@@ -161,7 +166,9 @@ def _cmd_sweep(args):
 
 def _cmd_compare(args):
     config = _load_config(args)
-    if args.empirical and args.predicted:
+    if bool(args.empirical) != bool(args.predicted):
+        raise InvalidModelError("--empirical and --predicted are given together or not at all")
+    if args.empirical:
         emp = harness.read_result_csv(args.empirical)
         pred = harness.read_result_csv(args.predicted)
     else:
@@ -183,12 +190,7 @@ def _cmd_compare(args):
 
 def _cmd_fixedpoint(args):
     config = _load_config(args)
-    if args.network:
-        spec, signals = _load_problem(args)
-    else:
-        calibration = harness.calibrate_recipe(config.recipe, config.master_seed)
-        spec = harness.build_synthetic_network(config.recipe, config.master_seed, calibration)
-        signals = forward_generate(spec, config.master_seed)
+    spec, signals = _load_problem(args) if args.network else _synthetic_problem(config)
     _, _, report = run(spec, signals.y, config.engine)
     print(json.dumps(report.as_dict(), indent=2))
     return 0
@@ -234,6 +236,11 @@ def build_parser():
 def cli_main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.network:  # no trials and no predictor to set up
+        unread = [f for f in ("--trials", "--se-method", "--se-samples")
+                  if getattr(args, f[2:].replace("-", "_")) is not None]
+        if unread:
+            parser.error(f"unrecognized arguments: {' '.join(unread)} (run --network)")
     try:
         return args.func(args)
     except (DivergedIterationError, NumericFailureError) as exc:

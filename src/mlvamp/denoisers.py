@@ -13,7 +13,7 @@ Separable layers use scalar posterior-mean (``mmse``) or joint-maximizer
 per-component 2x2 solve in the SVD basis, identical for both modes.
 Divergences are analytic everywhere: posterior-variance identities for
 the mmse rules, branch slopes for the map rules, and closed-form gains
-for the affine solve.  Finite differences exist only as a test oracle.
+for the affine solve.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit, log_ndtr
 
 from .errors import InvalidModelError, NumericFailureError
-from .model import apply_activation
+from .model import zero_pad
 
 #: Clipping bounds for message precisions.  Chosen to keep the 2x2 affine
 #: systems well-conditioned in double precision while permitting
@@ -395,17 +395,6 @@ def scalar_pair(mode, activation, noise_precision, r_minus, r_plus, gamma_minus,
     return fn(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus)
 
 
-def scalar_belief_cost(activation, noise_precision, x, r_minus, r_plus, gamma_minus, gamma_plus):
-    """Negative log of the (profiled) belief as a function of the layer input.
-
-    For noisy channels the output variable is profiled out analytically,
-    which preserves the joint minimizer.
-    """
-    g_eff = _effective_channel(gamma_minus, noise_precision)
-    phi = apply_activation(activation, x)
-    return 0.5 * g_eff * (phi - r_minus) ** 2 + 0.5 * gamma_plus * (x - r_plus) ** 2
-
-
 # ---------------------------------------------------------------------------
 # Affine layers: per-component 2x2 solve in the SVD basis
 # ---------------------------------------------------------------------------
@@ -458,13 +447,6 @@ def observed_linear_gains(s, nu, gamma_plus):
     return gamma_plus / den, nu * s / den
 
 
-def _pad(vec, n):
-    out = np.zeros(n)
-    k = min(n, vec.size)
-    out[:k] = vec[:k]
-    return out
-
-
 def linear_pair(params, factors, noise_precision, forward):
     """One side's estimate of an affine layer and its divergence.
 
@@ -476,15 +458,15 @@ def linear_pair(params, factors, noise_precision, forward):
     gm, gp = params.gamma_minus, params.gamma_plus
     u_out = factors.left_orthogonal.T @ params.r_minus
     u_in = factors.right_orthogonal @ params.r_plus
+    n = factors.out_dim if forward else factors.in_dim
+    s = zero_pad(factors.singular_values, n)
     if forward:
-        n = factors.out_dim
-        g_q, g_p, g_b = linear_gains_plus(factors.padded_singular_values(n), noise_precision, gm, gp)
-        est = g_q * u_out + g_p * _pad(u_in, n) + g_b * factors.transformed_bias
+        g_q, g_p, g_b = linear_gains_plus(s, noise_precision, gm, gp)
+        est = g_q * u_out + g_p * zero_pad(u_in, n) + g_b * factors.transformed_bias
         back, alpha = factors.left_orthogonal, np.mean(g_q)
     else:
-        n = factors.in_dim
-        g_q, g_p, g_b = linear_gains_minus(factors.padded_singular_values(n), noise_precision, gm, gp)
-        est = g_q * _pad(u_out, n) + g_p * u_in + g_b * _pad(factors.transformed_bias, n)
+        g_q, g_p, g_b = linear_gains_minus(s, noise_precision, gm, gp)
+        est = g_q * zero_pad(u_out, n) + g_p * u_in + g_b * zero_pad(factors.transformed_bias, n)
         back, alpha = factors.right_orthogonal.T, np.mean(g_p)
     _check_finite(est)
     return back @ est, float(alpha)
@@ -510,9 +492,9 @@ def output_linear(r_plus, gamma_plus, y, factors, noise_precision):
     n_in = factors.in_dim
     u_in = factors.right_orthogonal @ np.asarray(r_plus, float)
     u_obs = factors.left_orthogonal.T @ np.asarray(y, float)
-    s_p = factors.padded_singular_values(n_in)
+    s_p = zero_pad(factors.singular_values, n_in)
     g_r, g_obs = observed_linear_gains(s_p, noise_precision, gamma_plus)
-    resid = _pad(u_obs - factors.transformed_bias, n_in)
+    resid = zero_pad(u_obs - factors.transformed_bias, n_in)
     phat = g_r * u_in + g_obs * resid
     return factors.right_orthogonal.T @ phat, float(np.mean(g_r))
 
@@ -609,32 +591,3 @@ def _check_finite(*estimates):
     bad = int(np.argwhere(~np.isfinite(flat)).ravel()[0])
     raise NumericFailureError(f"denoiser produced non-finite value (component {bad})")
 
-
-def divergence_finite_difference(fn, r_minus, r_plus, epsilon=1e-6):
-    """Central-difference estimate of both mean divergences of a pair map.
-
-    ``fn(r_minus, r_plus) -> (zhat_plus, zhat_minus)``.  Used only in tests
-    to validate the analytic values; O(N^2) evaluations.
-    """
-    r_minus = np.asarray(r_minus, float)
-    r_plus = np.asarray(r_plus, float)
-    n_minus, n_plus = r_minus.size, r_plus.size
-    acc_p = 0.0
-    for i in range(n_minus):
-        hi = r_minus.copy()
-        lo = r_minus.copy()
-        hi[i] += epsilon
-        lo[i] -= epsilon
-        zp_hi, _ = fn(hi, r_plus)
-        zp_lo, _ = fn(lo, r_plus)
-        acc_p += (zp_hi[i] - zp_lo[i]) / (2.0 * epsilon)
-    acc_m = 0.0
-    for i in range(n_plus):
-        hi = r_plus.copy()
-        lo = r_plus.copy()
-        hi[i] += epsilon
-        lo[i] -= epsilon
-        _, zm_hi = fn(r_minus, hi)
-        _, zm_lo = fn(r_minus, lo)
-        acc_m += (zm_hi[i] - zm_lo[i]) / (2.0 * epsilon)
-    return acc_p / n_minus, acc_m / n_plus

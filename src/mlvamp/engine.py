@@ -100,9 +100,6 @@ class TraceRow:
 class IterationTrace:
     rows: list = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.rows)
-
 
 @dataclass(frozen=True)
 class FixedPointReport:
@@ -228,11 +225,8 @@ def build_denoiser_bank(spec, y, mode):
     return DenoiserBank(spec=replace(spec, layers=layers), y=y, mode=mode)
 
 
-def initialize(spec, y, config):
+def initialize(spec, config):
     """Fresh state: all pseudo-observations zero, precisions at gamma_init."""
-    y = np.asarray(y, float)
-    if y.shape != (spec.dims[-1],):
-        raise InvalidModelError("observation length mismatches the network output width")
     n = spec.num_layers
     dims = spec.dims[:-1]
     return MessageState(
@@ -367,7 +361,7 @@ def run(spec, y, config, truth=None):
     error metrics to the trace.  Returns ``(state, trace, report)``.
     """
     bank = build_denoiser_bank(spec, y, config.mode)
-    state = initialize(spec, y, config)
+    state = initialize(spec, config)
     power = signal_power_ladder(bank.spec)
     trace = IterationTrace()
     half = 0

@@ -15,7 +15,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtri
@@ -164,21 +165,11 @@ def calibrate_recipe(recipe, seed):
         x = mu_b + sigma_pre * rng.standard_normal(recipe.calibration_samples)
         v = float(np.mean(apply_activation(recipe.activation, x) ** 2))
 
-    probe = build_synthetic_network(recipe, seed, _probe_calibration(svals, bias_means))
-    nu = calibrate_noise_to_snr(probe, recipe.snr_db, recipe.snr_trials, seed)
-    return RecipeCalibration(
-        generative_singular_values=svals,
-        bias_means=tuple(bias_means),
-        measurement_noise_precision=nu,
+    probe = RecipeCalibration(svals, tuple(bias_means), measurement_noise_precision=1.0)
+    nu = calibrate_noise_to_snr(
+        build_synthetic_network(recipe, seed, probe), recipe.snr_db, recipe.snr_trials, seed
     )
-
-
-def _probe_calibration(svals, bias_means):
-    return RecipeCalibration(
-        generative_singular_values=tuple(svals),
-        bias_means=tuple(bias_means),
-        measurement_noise_precision=1.0,
-    )
+    return replace(probe, measurement_noise_precision=nu)
 
 
 def build_synthetic_network(recipe, seed, calibration):
@@ -349,10 +340,6 @@ def predictor_config(config):
     )
 
 
-def _trial_star(args):
-    return run_single_trial(*args)
-
-
 def run_trials(config, calibration=None, law=None, workers=None):
     """Run the predictor once and ``config.trials`` independent instances.
 
@@ -371,12 +358,12 @@ def run_trials(config, calibration=None, law=None, workers=None):
         int(substream(config.master_seed, 0x7A1A, t).integers(2**62))
         for t in range(config.trials)
     ]
-    jobs = [(recipe, calibration, config.engine, s) for s in seeds]
+    args = (repeat(recipe), repeat(calibration), repeat(config.engine), seeds)
     if n_workers > 1 and config.trials > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_trial_star, jobs))
+            results = list(pool.map(run_single_trial, *args))
     else:
-        results = [run_single_trial(*job) for job in jobs]
+        results = list(map(run_single_trial, *args))
     failed = [t for t in results if t.error is not None]
     if len(failed) == len(results):
         raise NumericFailureError(f"all trials failed; first error: {failed[0].error}")
@@ -486,8 +473,8 @@ def se_rows(experiment_id, se_result):
     states = [se_result.states[h // 2] for h in range(len(db))]
     return curve_rows(
         experiment_id, -1, np.full_like(db, math.nan), db,
-        [st.gamma_bar_plus for st in states], [st.gamma_bar_minus for st in states],
-        [st.alpha_bar_plus for st in states], [st.alpha_bar_minus for st in states],
+        [st.gamma_plus for st in states], [st.gamma_minus for st in states],
+        [st.alpha_plus for st in states], [st.alpha_minus for st in states],
         np.full(len(db), math.nan),
     )
 
@@ -534,23 +521,8 @@ def max_abs_gap(joined, layer=None, min_half=1):
 
 
 # ---------------------------------------------------------------------------
-# Config (de)serialization
+# Config loading
 # ---------------------------------------------------------------------------
-
-
-def config_to_json(config):
-    """The config as JSON; of ``se`` only what ``predictor_config`` keeps."""
-    return {
-        "recipe": asdict(config.recipe),
-        "engine": asdict(config.engine),
-        "se": {
-            "stop_tol": config.se.stop_tol,
-            "expectation": asdict(config.se.expectation),
-        },
-        "trials": config.trials,
-        "master_seed": config.master_seed,
-        "experiment_id": config.experiment_id,
-    }
 
 
 def config_from_json(doc):

@@ -62,7 +62,7 @@ class SvdFactors:
     """Orthogonal factorization ``W = left @ diag(s) @ right`` of an affine layer.
 
     ``right`` is applied untransposed; singular values are sorted descending
-    and zero-padding to either endpoint dimension happens at use sites.
+    and are zero-padded (``zero_pad``) to either endpoint dimension at use sites.
     ``transformed_bias`` is ``left.T @ bias``.
     """
 
@@ -99,13 +99,6 @@ class SvdFactors:
     @property
     def in_dim(self):
         return self.right_orthogonal.shape[0]
-
-    def padded_singular_values(self, n):
-        """Singular values zero-padded to length ``n``."""
-        s = np.zeros(n)
-        k = min(n, self.singular_values.size)
-        s[:k] = self.singular_values[:k]
-        return s
 
     def to_weight(self):
         """Reassemble the dense weight matrix."""
@@ -209,19 +202,6 @@ class NetworkSpec:
     def num_layers(self):
         return len(self.layers)
 
-    @classmethod
-    def from_layers(cls, layers, input_dim=None):
-        """Infer ``dims`` from the layer list (first layer must fix the width)."""
-        layers = tuple(layers)
-        if input_dim is None:
-            if not layers or layers[0].kind != "linear":
-                raise InvalidModelError("input_dim required unless the first layer is linear")
-            input_dim = layers[0].in_dim
-        dims = [int(input_dim)]
-        for layer in layers:
-            dims.append(layer.out_dim if layer.kind == "linear" else dims[-1])
-        return cls(layers=layers, dims=tuple(dims))
-
 
 @dataclass(frozen=True)
 class SignalSet:
@@ -233,21 +213,25 @@ class SignalSet:
     def y(self):
         return self.signals[-1]
 
-    def __len__(self):
-        return len(self.signals)
+
+def zero_pad(vec, n):
+    """``vec`` cut or zero-padded to length ``n``: an SVD component with no
+    partner across an affine layer has singular value and bias 0."""
+    out = np.zeros(n)
+    k = min(n, vec.size)
+    out[:k] = vec[:k]
+    return out
 
 
-def sample_haar_orthogonal(n, seed):
-    """Draw an ``n x n`` orthogonal matrix from the uniform (Haar) law.
+def sample_haar_orthogonal(n, rng):
+    """Draw an ``n x n`` orthogonal matrix from the uniform (Haar) law with ``rng``.
 
     Orthonormalizes an i.i.d. standard-normal matrix and absorbs the sign
     of the triangular factor's diagonal, which makes the law exactly Haar.
-    ``seed`` may be an integer or an existing Generator.
     """
     n = int(n)
     if n < 1:
         raise InvalidModelError("matrix size must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, 0x0A17)
     g = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     d = np.sign(np.diag(r))

@@ -36,6 +36,7 @@ default, seeded Monte-Carlo optionally).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -45,7 +46,7 @@ from scipy.special import ndtr
 from . import denoisers as dn
 from .engine import ALPHA_MIN, Bookkeeping, Precisions, clip_alpha, damp, sweep
 from .errors import InvalidModelError
-from .model import apply_activation, svd_factorize
+from .model import apply_activation, svd_factorize, zero_pad
 from .seeding import substream
 
 
@@ -75,19 +76,10 @@ class LinearLaw:
 
     kind = "linear"
 
-    def padded(self, n):
-        s = np.zeros(n)
-        k = min(n, self.singular_values.size)
-        s[:k] = self.singular_values[:k]
-        return s
-
     def bias_terms(self, n):
         """(deterministic per-component value, shared Gaussian variance)."""
         if self.bbar_atoms is not None:
-            atoms = np.zeros(n)
-            k = min(n, self.bbar_atoms.size)
-            atoms[:k] = self.bbar_atoms[:k]
-            return atoms, 0.0
+            return zero_pad(self.bbar_atoms, n), 0.0
         return np.zeros(n), float(self.bbar_var)
 
 
@@ -171,23 +163,18 @@ class SEConfig:
 
 
 @dataclass
-class SEState:
-    """Scalar parameters after one full iteration."""
+class SEState(Precisions):
+    """The engine's precisions, run on scalars, and the error moments they stand for."""
 
     K_plus: np.ndarray  # (L, 2, 2) second moments of (true, plus error), cross term included
     tau_minus: np.ndarray  # (L,)
-    alpha_bar_plus: np.ndarray
-    alpha_bar_minus: np.ndarray
-    gamma_bar_plus: np.ndarray
-    gamma_bar_minus: np.ndarray
 
 
 @dataclass
 class SEResult:
-    states: list
+    states: list  # an SEState after each full iteration
     nmse_db: np.ndarray  # (half_iterations, L) predicted NMSE in dB
     mse: np.ndarray  # same grid, linear scale
-    tau_zero: np.ndarray  # (L + 1,)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +201,13 @@ def activation_second_moment(name, mean, var):
     return float(np.sum(rule.weights * phi_vals * phi_vals))
 
 
-def se_initial_pass(law, engine=None):
+def se_initial_pass(law):
     """Second moments ``tau_zero[0..L]`` and means ``mu[0..L]`` of the chain.
 
     ``mu[ell]`` is nonzero only where the component basis is not freshly
     mixed before the next layer consumes it: the output of an affine layer
     feeding a separable layer keeps its raw bias mean.
     """
-    engine = engine or ExpectationEngine()
     n = law.num_layers
     tau = np.zeros(n + 1)
     mu = np.zeros(n + 1)
@@ -229,7 +215,7 @@ def se_initial_pass(law, engine=None):
     for ell, layer in enumerate(law.layers, start=1):
         if layer.kind == "linear":
             atoms, bvar = layer.bias_terms(layer.n_out)
-            s = layer.padded(layer.n_out)
+            s = zero_pad(layer.singular_values, layer.n_out)
             noise = 0.0 if math.isinf(layer.noise_precision) else 1.0 / layer.noise_precision
             tau[ell] = float(np.mean(s * s) * tau[ell - 1] + np.mean(atoms * atoms) + bvar + noise)
             next_separable = ell < n and law.layers[ell].kind == "nonlinear"
@@ -266,7 +252,7 @@ def _cross_moment(ca, da, cb, db, K, tau_m, xi_var, b_var):
     )
 
 
-def _affine_step(layer, forward, gains, K_prev, tau_m, clip=clip_alpha):
+def _affine_step(layer, forward, gains, K_prev, tau_m, clip):
     """Update at an affine layer from its per-component gains (g_q, g_p, g_b).
 
     The estimate is ``g_q u_out + g_p u_in + g_b bbar``.  Forward it
@@ -280,7 +266,7 @@ def _affine_step(layer, forward, gains, K_prev, tau_m, clip=clip_alpha):
     """
     nu = layer.noise_precision
     xi_var = 0.0 if math.isinf(nu) else 1.0 / nu
-    s = layer.padded(layer.n_out if forward else layer.n_in)
+    s = zero_pad(layer.singular_values, layer.n_out if forward else layer.n_in)
     atoms, b_var = layer.bias_terms(s.size)
     g_q, g_p, g_b = gains
     one = np.ones_like(s)
@@ -472,7 +458,8 @@ def se_forward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine
     """One forward update at layer ``ell`` (1-based): ``(alpha, K_new, mse_plus)``."""
     layer = law.layers[ell - 1]
     if layer.kind == "linear":
-        gains = dn.linear_gains_plus(layer.padded(layer.n_out), layer.noise_precision, gm, gp_prev)
+        s = zero_pad(layer.singular_values, layer.n_out)
+        gains = dn.linear_gains_plus(s, layer.noise_precision, gm, gp_prev)
         return _affine_step(layer, True, gains, K_prev, tau_m, clip)
     return _separable_step(layer, True, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip)
 
@@ -486,7 +473,7 @@ def se_backward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engin
     layer = law.layers[ell - 1]
     if layer.kind == "nonlinear":
         return _separable_step(layer, False, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip)
-    s = layer.padded(layer.n_in)
+    s = zero_pad(layer.singular_values, layer.n_in)
     if math.isinf(gm):
         g_r, g_obs = dn.observed_linear_gains(s, layer.noise_precision, gp_prev)
         gains = (g_obs, g_r, -g_obs)
@@ -499,23 +486,25 @@ def run_se(law, config):
     """Iterate the scalar recursion and emit per-half-iteration error predictions.
 
     The recursion runs the engine's sweep schedule and precision bookkeeping
-    (``engine.sweep``, ``engine.Bookkeeping``); its messages are the plus-side
-    moments ``K`` and the minus-side error second moments ``tau_m``.
+    (``engine.sweep``, ``engine.Bookkeeping``) on one ``SEState``, whose
+    messages are the plus-side moments ``K_plus`` and the minus-side error
+    second moments ``tau_minus``; ``states`` keeps a copy after each iteration.
     """
     engine = config.expectation
     n = law.num_layers  # hidden signals 0 .. n-1
-    tau0, mu = se_initial_pass(law, engine)
-    prec = Precisions(
+    tau0, mu = se_initial_pass(law)
+    state = SEState(
         gamma_minus=np.full(n, float(config.gamma_init)),
         gamma_plus=np.full(n, float(config.gamma_init)),
         alpha_plus=np.full(n, np.nan),
         alpha_minus=np.full(n, np.nan),
         eta_plus=np.full(n, np.nan),
         eta_minus=np.full(n, np.nan),
+        # prior messages are zero, so the plus error is minus the truth
+        K_plus=np.array([[[t, -t], [-t, t]] for t in tau0[:n]]),
+        tau_minus=tau0[:n].copy(),
     )
-    tau_m = tau0[:n].copy()
-    # prior messages are zero, so the plus error is minus the truth
-    K = [np.array([[tau0[ell], -tau0[ell]], [-tau0[ell], tau0[ell]]]) for ell in range(n)]
+    K, tau_m = state.K_plus, state.tau_minus
 
     states = []
     nmse_rows = []
@@ -525,13 +514,13 @@ def run_se(law, config):
         mse = np.zeros((2, n))
 
         def input_prior():
-            alpha, K[0], mse[0, 0] = _input_step(prec.gamma_minus[0], tau_m[0], book.clip)
+            alpha, K[0], mse[0, 0] = _input_step(state.gamma_minus[0], tau_m[0], book.clip)
             return alpha
 
         def forward(ell):
             alpha, K[ell], mse[0, ell] = se_forward_layer(
-                law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], prec.gamma_minus[ell],
-                prec.gamma_plus[ell - 1], config.mode, engine, tag=(k, 0, ell), clip=book.clip,
+                law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], state.gamma_minus[ell],
+                state.gamma_plus[ell - 1], config.mode, engine, tag=(k, 0, ell), clip=book.clip,
             )
             return alpha
 
@@ -539,26 +528,16 @@ def run_se(law, config):
             observed = ell == n
             alpha, tau_m[ell - 1], mse[1, ell - 1] = se_backward_layer(
                 law, ell, K[ell - 1], mu[ell - 1],
-                0.0 if observed else tau_m[ell], math.inf if observed else prec.gamma_minus[ell],
-                prec.gamma_plus[ell - 1], config.mode, engine, tag=(k, 1, ell), clip=book.clip,
+                0.0 if observed else tau_m[ell], math.inf if observed else state.gamma_minus[ell],
+                state.gamma_plus[ell - 1], config.mode, engine, tag=(k, 1, ell), clip=book.clip,
             )
             return alpha
 
-        sweep(prec, True, input_prior, forward, book)
-        sweep(prec, False, lambda: backward(n), backward, book)
+        sweep(state, True, input_prior, forward, book)
+        sweep(state, False, lambda: backward(n), backward, book)
         nmse_rows += [mse[0] / tau0[:n], mse[1] / tau0[:n]]
-
-        states.append(
-            SEState(
-                K_plus=np.array([k_.copy() for k_ in K]),
-                tau_minus=tau_m.copy(),
-                alpha_bar_plus=prec.alpha_plus.copy(),
-                alpha_bar_minus=prec.alpha_minus.copy(),
-                gamma_bar_plus=prec.gamma_plus.copy(),
-                gamma_bar_minus=prec.gamma_minus.copy(),
-            )
-        )
-        params = np.concatenate([prec.gamma_plus, prec.gamma_minus])
+        states.append(copy.deepcopy(state))
+        params = np.concatenate([state.gamma_plus, state.gamma_minus])
         if prev_params is not None and config.stop_tol > 0:
             change = np.max(np.abs(params - prev_params) / np.maximum(np.abs(prev_params), 1e-30))
             if change < config.stop_tol:
@@ -568,7 +547,7 @@ def run_se(law, config):
     mse = np.array(nmse_rows) * tau0[:n]
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.maximum(np.array(nmse_rows), 1e-30))
-    return SEResult(states=states, nmse_db=db, mse=mse, tau_zero=tau0)
+    return SEResult(states=states, nmse_db=db, mse=mse)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +557,8 @@ def run_se(law, config):
 
 @dataclass
 class MatchedResult:
-    gamma_bar_plus: np.ndarray
-    gamma_bar_minus: np.ndarray
+    gamma_plus: np.ndarray
+    gamma_minus: np.ndarray
     mse: np.ndarray
     residual: float
     converged: bool
@@ -599,10 +578,10 @@ def _matched_mse(law, ell, forward, tau0, mu, gm, gp_prev, engine):
     layer = law.layers[ell - 1]
     if layer.kind == "linear":
         nu = layer.noise_precision
+        s = zero_pad(layer.singular_values, layer.n_out if forward else layer.n_in)
         if forward:
-            aq, _, _ = dn.linear_gains_plus(layer.padded(layer.n_out), nu, gm, gp_prev)
+            aq, _, _ = dn.linear_gains_plus(s, nu, gm, gp_prev)
             return float(np.mean(aq)) / gm
-        s = layer.padded(layer.n_in)
         if not math.isinf(gm):
             return float(np.mean(dn.linear_gains_minus(s, nu, gm, gp_prev)[1])) / gp_prev
         if math.isinf(nu):
@@ -624,7 +603,7 @@ def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
         raise InvalidModelError("the matched recursion is defined for mmse mode")
     engine = config.expectation
     n = law.num_layers
-    tau0, mu = se_initial_pass(law, engine)
+    tau0, mu = se_initial_pass(law)
     gm = np.full(n, float(config.gamma_init))
     gp = np.full(n, float(config.gamma_init))
 
@@ -661,8 +640,8 @@ def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
 
     visit(measure)
     return MatchedResult(
-        gamma_bar_plus=gp,
-        gamma_bar_minus=gm,
+        gamma_plus=gp,
+        gamma_minus=gm,
         mse=1.0 / (gp + gm),
         residual=float(residual),
         converged=converged,

@@ -1,17 +1,75 @@
-"""Shared builders for network fixtures and exact Gaussian references."""
+"""Shared builders for network fixtures, exact Gaussian references and
+finite-difference oracles."""
 
 import numpy as np
 import pytest
 
+from mlvamp.denoisers import _effective_channel
 from mlvamp.model import (
     NOISELESS,
     LinearLayerSpec,
     NetworkSpec,
     NonlinearLayerSpec,
+    apply_activation,
     geometric_singular_values,
     linear_layer_from_factors,
     sample_haar_orthogonal,
 )
+from mlvamp.seeding import substream
+
+
+def haar(n, seed):
+    """``sample_haar_orthogonal`` on the integer seed's own substream."""
+    return sample_haar_orthogonal(n, substream(seed, 0x0A17))
+
+
+def network_from_layers(layers):
+    """A network whose ``dims`` follow from its layers; the first must be affine."""
+    dims = [layers[0].in_dim]
+    for layer in layers:
+        dims.append(layer.out_dim if layer.kind == "linear" else dims[-1])
+    return NetworkSpec(layers=tuple(layers), dims=tuple(dims))
+
+
+def divergence_finite_difference(fn, r_minus, r_plus, epsilon=1e-6):
+    """Central-difference estimate of both mean divergences of a pair map.
+
+    ``fn(r_minus, r_plus) -> (zhat_plus, zhat_minus)``.  Validates the
+    analytic values; O(N^2) evaluations.
+    """
+    r_minus = np.asarray(r_minus, float)
+    r_plus = np.asarray(r_plus, float)
+    n_minus, n_plus = r_minus.size, r_plus.size
+    acc_p = 0.0
+    for i in range(n_minus):
+        hi = r_minus.copy()
+        lo = r_minus.copy()
+        hi[i] += epsilon
+        lo[i] -= epsilon
+        zp_hi, _ = fn(hi, r_plus)
+        zp_lo, _ = fn(lo, r_plus)
+        acc_p += (zp_hi[i] - zp_lo[i]) / (2.0 * epsilon)
+    acc_m = 0.0
+    for i in range(n_plus):
+        hi = r_plus.copy()
+        lo = r_plus.copy()
+        hi[i] += epsilon
+        lo[i] -= epsilon
+        _, zm_hi = fn(r_minus, hi)
+        _, zm_lo = fn(r_minus, lo)
+        acc_m += (zm_hi[i] - zm_lo[i]) / (2.0 * epsilon)
+    return acc_p / n_minus, acc_m / n_plus
+
+
+def scalar_belief_cost(activation, noise_precision, x, r_minus, r_plus, gamma_minus, gamma_plus):
+    """Negative log of the (profiled) belief as a function of the layer input.
+
+    For noisy channels the output variable is profiled out analytically,
+    which preserves the joint minimizer.
+    """
+    g_eff = _effective_channel(gamma_minus, noise_precision)
+    phi = apply_activation(activation, x)
+    return 0.5 * g_eff * (phi - r_minus) ** 2 + 0.5 * gamma_plus * (x - r_plus) ** 2
 
 
 def make_gaussian_chain(dims, noise_precisions, conds=None, seed=0, bias_scale=0.3,
@@ -22,15 +80,15 @@ def make_gaussian_chain(dims, noise_precisions, conds=None, seed=0, bias_scale=0
     layers = []
     for i in range(len(dims) - 1):
         n_in, n_out = dims[i], dims[i + 1]
-        left = sample_haar_orthogonal(n_out, seed * 1000 + 2 * i)
-        right = sample_haar_orthogonal(n_in, seed * 1000 + 2 * i + 1)
+        left = haar(n_out, seed * 1000 + 2 * i)
+        right = haar(n_in, seed * 1000 + 2 * i + 1)
         if unit_spectrum:
             s = np.ones(min(n_out, n_in))
         else:
             s = geometric_singular_values(n_out, n_in, conds[i])
         bias = rng.normal(0.0, bias_scale, n_out)
         layers.append(linear_layer_from_factors(left, s, right, bias, noise_precisions[i]))
-    return NetworkSpec.from_layers(tuple(layers))
+    return network_from_layers(tuple(layers))
 
 
 def exact_gaussian_posterior(spec, y):
@@ -78,8 +136,8 @@ def make_relu_network(dims, rho, nu_lin, nu_act, nu_meas, seed=0, cond=3.0, bias
         n_in = dims[2 * i]
         n_out = dims[2 * i + 1]
         last = i == n_pairs
-        left = sample_haar_orthogonal(n_out, seed * 777 + 2 * i)
-        right = sample_haar_orthogonal(n_in, seed * 777 + 2 * i + 1)
+        left = haar(n_out, seed * 777 + 2 * i)
+        right = haar(n_in, seed * 777 + 2 * i + 1)
         s = geometric_singular_values(n_out, n_in, cond)
         v_pre = float(np.sum(s * s)) / n_out * v
         sigma_pre = np.sqrt(v_pre + bias_std**2)
@@ -94,4 +152,4 @@ def make_relu_network(dims, rho, nu_lin, nu_act, nu_meas, seed=0, cond=3.0, bias
             v = float(np.mean(np.maximum(x, 0.0) ** 2))
             if np.isfinite(nu_act):
                 v += 1.0 / nu_act
-    return NetworkSpec.from_layers(tuple(layers))
+    return network_from_layers(tuple(layers))

@@ -16,7 +16,13 @@ from mlvamp import harness
 from mlvamp import state_evolution as se
 from mlvamp.engine import EngineConfig, run
 from mlvamp.model import NOISELESS, forward_generate
-from conftest import exact_gaussian_posterior, make_gaussian_chain, make_relu_network
+from conftest import (
+    divergence_finite_difference,
+    exact_gaussian_posterior,
+    haar,
+    make_gaussian_chain,
+    make_relu_network,
+)
 from test_denoisers import trapezoid_mmse
 
 PAPER_TRIALS = 50
@@ -90,7 +96,7 @@ class TestCriterion1ExactPosterior:
         res = se.run_se(law, se.SEConfig(iterations=400, stop_tol=1e-14))
         st = res.states[-1]
         _, avg_vars = exact_gaussian_posterior(spec, sig.y)
-        got = 1.0 / (st.gamma_bar_plus + st.gamma_bar_minus)
+        got = 1.0 / (st.gamma_plus + st.gamma_minus)
         worst = float(np.max(np.abs(got - avg_vars) / np.asarray(avg_vars)))
         ok = worst <= 1e-6
         assert _verdict(1, ok, f"predicted-vs-exact posterior variance rel err {worst:.2e}")
@@ -204,8 +210,8 @@ class TestCriterion6MatchedRecursionConsistency:
         st = full.states[-1]
         matched = se.matched_mmse_recursion(law, se.SEConfig())
         rel = max(
-            float(np.max(np.abs(st.gamma_bar_plus - matched.gamma_bar_plus) / matched.gamma_bar_plus)),
-            float(np.max(np.abs(st.gamma_bar_minus - matched.gamma_bar_minus) / matched.gamma_bar_minus)),
+            float(np.max(np.abs(st.gamma_plus - matched.gamma_plus) / matched.gamma_plus)),
+            float(np.max(np.abs(st.gamma_minus - matched.gamma_minus) / matched.gamma_minus)),
         )
         elapsed = time.perf_counter() - start
         ok = rel <= 1e-4 and matched.converged and matched.residual <= 1e-8 and elapsed < 120
@@ -245,17 +251,17 @@ class TestCriterion7DivergenceCorrectness:
                     zp, zm, _, _ = fn(a, b, gm, gp)
                     return zp, zm
 
-                fd_p, fd_m = dn.divergence_finite_difference(pair, rm, rp, epsilon=1e-5)
+                fd_p, fd_m = divergence_finite_difference(pair, rm, rp, epsilon=1e-5)
                 _, _, dp, dmn = fn(rm, rp, gm, gp)
                 worst = max(worst, abs(float(np.mean(dp)) - fd_p), abs(float(np.mean(dmn)) - fd_m))
         # the affine pair and the input estimator
         from mlvamp.denoisers import BeliefParams, input_denoiser, linear_pair
-        from mlvamp.model import geometric_singular_values, linear_layer_from_factors, sample_haar_orthogonal
+        from mlvamp.model import geometric_singular_values, linear_layer_from_factors
 
         layer = linear_layer_from_factors(
-            sample_haar_orthogonal(25, 1),
+            haar(25, 1),
             geometric_singular_values(25, 20, 4.0),
-            sample_haar_orthogonal(20, 2),
+            haar(20, 2),
             rng.normal(0, 0.3, 25),
             2.0,
         )
@@ -269,7 +275,7 @@ class TestCriterion7DivergenceCorrectness:
                 params = BeliefParams(a, b, gm, gp)
                 return tuple(linear_pair(params, layer.factors, 2.0, fw)[0] for fw in (True, False))
 
-            fd_p, fd_m = dn.divergence_finite_difference(pair, rm, rp, epsilon=1e-6)
+            fd_p, fd_m = divergence_finite_difference(pair, rm, rp, epsilon=1e-6)
             params = BeliefParams(rm, rp, gm, gp)
             alpha_p, alpha_m = (linear_pair(params, layer.factors, 2.0, fw)[1] for fw in (True, False))
             worst = max(worst, abs(alpha_p - fd_p), abs(alpha_m - fd_m))
@@ -319,10 +325,10 @@ class TestCriterion9ParameterLimits:
         for k in (9, PAPER_ITERS - 1):
             st = states[k]
             for name, ref in (
-                ("gamma_plus", st.gamma_bar_plus),
-                ("gamma_minus", st.gamma_bar_minus),
-                ("alpha_plus", st.alpha_bar_plus),
-                ("alpha_minus", st.alpha_bar_minus),
+                ("gamma_plus", st.gamma_plus),
+                ("gamma_minus", st.gamma_minus),
+                ("alpha_plus", st.alpha_plus),
+                ("alpha_minus", st.alpha_minus),
             ):
                 values = np.array([getattr(t, name)[k] for t in ok_trials])
                 rels = np.abs(values.mean(axis=0) - ref) / np.abs(ref)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mlvamp import denoisers as dn
 from mlvamp.denoisers import (
     BeliefParams,
-    divergence_finite_difference,
     gauss_hermite_rule,
     input_denoiser,
     linear_pair,
@@ -26,9 +25,9 @@ from mlvamp.model import (
     NOISELESS,
     LinearLayerSpec,
     NonlinearLayerSpec,
-    sample_haar_orthogonal,
     svd_factorize,
 )
+from conftest import divergence_finite_difference, haar, scalar_belief_cost
 
 GAMMAS = st.floats(min_value=0.05, max_value=20.0)
 RS = st.floats(min_value=-4.0, max_value=4.0)
@@ -64,7 +63,7 @@ def stable_seed(*parts):
 def grid_map(activation, nu, rm, rp, gm, gp, lo=-10.0, hi=10.0, step=1e-5):
     """Brute-force minimizer of the (profiled) belief cost."""
     xs = np.arange(lo, hi + step, step)
-    cost = dn.scalar_belief_cost(activation, nu, xs, rm, rp, gm, gp)
+    cost = scalar_belief_cost(activation, nu, xs, rm, rp, gm, gp)
     return xs[np.argmin(cost)]
 
 
@@ -124,8 +123,8 @@ class TestLinearPair:
     def _factors(self, n_out, n_in, seed, cond=3.0):
         from mlvamp.model import geometric_singular_values, linear_layer_from_factors
 
-        u = sample_haar_orthogonal(n_out, seed)
-        v = sample_haar_orthogonal(n_in, seed + 1)
+        u = haar(n_out, seed)
+        v = haar(n_in, seed + 1)
         s = geometric_singular_values(n_out, n_in, cond)
         rng = np.random.default_rng(seed)
         layer = linear_layer_from_factors(u, s, v, rng.normal(0, 0.3, n_out), 2.0)
@@ -229,8 +228,8 @@ class TestLinearPair:
         r_plus = rng.standard_normal(4)
         base = [linear_pair(BeliefParams(r_minus, r_plus, 1.1, 0.9), f, 2.0, fw) for fw in (True, False)]
         for k in range(5):
-            rot_out = sample_haar_orthogonal(6, 100 + k)
-            rot_in = sample_haar_orthogonal(4, 200 + k)
+            rot_out = haar(6, 100 + k)
+            rot_in = haar(4, 200 + k)
             f2 = type(f)(
                 left_orthogonal=rot_out @ f.left_orthogonal,
                 singular_values=f.singular_values,
@@ -368,7 +367,7 @@ class TestReluMap:
             zp, zm, _, _ = scalar_pair_map(activation, nu, np.array([rm]), np.array([rp]), gm, gp)
             ref = grid_map(activation, nu, rm, rp, gm, gp)
             cost_mine = _pair_cost(activation, nu, zp[0], zm[0], rm, rp, gm, gp)
-            cost_ref = dn.scalar_belief_cost(activation, nu, ref, rm, rp, gm, gp)
+            cost_ref = scalar_belief_cost(activation, nu, ref, rm, rp, gm, gp)
             # the minimizer may sit in a flat region; compare costs
             assert cost_mine <= cost_ref + 1e-8
 
@@ -385,7 +384,7 @@ class TestReluMap:
                     activation, NOISELESS, np.array([rm]), np.array([rp]), gm, gp
                 )
                 at_opt = _pair_cost(activation, NOISELESS, zp[0], zm[0], rm, rp, gm, gp)
-                at_input = dn.scalar_belief_cost(activation, NOISELESS, rp, rm, rp, gm, gp)
+                at_input = scalar_belief_cost(activation, NOISELESS, rp, rm, rp, gm, gp)
                 assert at_opt <= at_input + 1e-12
 
 
@@ -440,8 +439,8 @@ class TestDivergences:
     def test_linear_pair_divergence(self):
         from mlvamp.model import geometric_singular_values, linear_layer_from_factors
 
-        u = sample_haar_orthogonal(8, 5)
-        v = sample_haar_orthogonal(6, 6)
+        u = haar(8, 5)
+        v = haar(6, 6)
         s = geometric_singular_values(8, 6, 4.0)
         rng = np.random.default_rng(7)
         layer = linear_layer_from_factors(u, s, v, rng.normal(0, 0.3, 8), 2.0)

@@ -25,21 +25,20 @@ from mlvamp.model import (
     NonlinearLayerSpec,
     forward_generate,
     linear_layer_from_factors,
-    sample_haar_orthogonal,
 )
-from conftest import exact_gaussian_posterior, make_gaussian_chain, make_relu_network
+from conftest import exact_gaussian_posterior, haar, make_gaussian_chain, make_relu_network
 
 
 class TestInitialize:
     def test_pseudo_observations_start_at_zero(self):
         spec = make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=1)
-        state = initialize(spec, np.zeros(5), EngineConfig())
+        state = initialize(spec, EngineConfig())
         for r in state.r_minus + state.r_plus:
             np.testing.assert_array_equal(r, 0.0)
 
     def test_gamma_init_assignment(self):
         spec = make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=1)
-        state = initialize(spec, np.zeros(5), EngineConfig(gamma_init=1.0))
+        state = initialize(spec, EngineConfig(gamma_init=1.0))
         np.testing.assert_array_equal(state.gamma_minus, 1.0)
 
     def test_determinism(self):
@@ -56,7 +55,7 @@ def _run_checking_pass_identities(spec, y, cfg):
     """Step ``cfg.max_iters`` iterations; after every pass, for every signal,
     eta = gamma_other / alpha and (1 - alpha) r_new + alpha r_old = zhat."""
     bank = build_denoiser_bank(spec, y, cfg.mode)
-    state = initialize(spec, y, cfg)
+    state = initialize(spec, cfg)
     for k in range(cfg.max_iters):
         book = engine.Bookkeeping(cfg.alpha_clip, cfg.damping, iteration=k)
         old_minus = [r.copy() for r in state.r_minus]
@@ -146,8 +145,8 @@ class TestUpdateArithmetic:
         from mlvamp.model import svd_factorize
 
         rng = np.random.default_rng(5)
-        left = sample_haar_orthogonal(7, 50)
-        right = sample_haar_orthogonal(7, 51)
+        left = haar(7, 50)
+        right = haar(7, 51)
         layer = linear_layer_from_factors(left, np.ones(7), right, np.zeros(7), 1.5)
         params = BeliefParams(rng.standard_normal(7), rng.standard_normal(7), 0.8, 0.8)
         _, alpha_plus = linear_pair(params, layer.factors, 1.5, True)
@@ -224,7 +223,7 @@ class TestGaussianChain:
         spec, sig = self._setup()
         cfg = EngineConfig(max_iters=20, convergence_tol=0.0)
         _, trace_a, _ = run(spec, sig.y, cfg, truth=sig)
-        rot = sample_haar_orthogonal(7, 999)
+        rot = haar(7, 999)
         final = spec.layers[-1]
         rotated = LinearLayerSpec(
             weight=rot @ final.weight, bias=rot @ final.bias, noise_precision=final.noise_precision
@@ -289,7 +288,7 @@ class TestFixedPointReport:
         # Build a state satisfying the stationarity identities by
         # construction and check the report sees residuals at round-off.
         spec = make_gaussian_chain((5, 4, 3), (1.0, 1.0), seed=20)
-        state = initialize(spec, np.zeros(3), EngineConfig())
+        state = initialize(spec, EngineConfig())
         rng = np.random.default_rng(21)
         for ell, d in enumerate(spec.dims[:-1]):
             gp, gm = 2.0, 3.0

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from mlvamp.harness import (
     calibrate_recipe,
     compare_rows,
     config_from_json,
-    config_to_json,
     max_abs_gap,
     read_result_csv,
     recipe_law,
@@ -195,6 +195,21 @@ class TestCsv:
             compare_rows(emp, pred[:-3])
 
 
+def config_to_json(config):
+    """The config as JSON; of ``se`` only what ``predictor_config`` keeps."""
+    return {
+        "recipe": asdict(config.recipe),
+        "engine": asdict(config.engine),
+        "se": {
+            "stop_tol": config.se.stop_tol,
+            "expectation": asdict(config.se.expectation),
+        },
+        "trials": config.trials,
+        "master_seed": config.master_seed,
+        "experiment_id": config.experiment_id,
+    }
+
+
 class TestConfigJson:
     def test_round_trip(self):
         cfg = ExperimentConfig(
@@ -282,6 +297,29 @@ class TestCli:
         summary = json.loads(printed[printed.index("{"):])
         assert set(summary) == {"10", "14"}
         assert read_result_csv(out)
+
+    def test_sweep_with_a_predictor_that_stops_early(self, tmp_path, capsys):
+        # the predictor stops within 30 iterations; its curve is shorter than the trials'
+        doc = {**self.CONFIG, "engine": {"max_iters": 30, "convergence_tol": 0.0},
+               "se": {"stop_tol": 1e-3}}
+        path, out = tmp_path / "cfg.json", str(tmp_path / "sweep.csv")
+        path.write_text(json.dumps(doc))
+        argv = ["sweep", "--config", str(path), "--measurements", "10,14", "--out", out]
+        assert cli_main(argv) == 0
+        printed = capsys.readouterr().out
+        summary = json.loads(printed[printed.index("{"):])
+        for m, entry in summary.items():
+            rows = [r for r in read_result_csv(out) if r["experiment_id"] == f"cli-m{m}"]
+            first = [r for r in rows if r["trial_seed"] == rows[0]["trial_seed"] and r["layer"] == 0]
+            predicted = [r["nmse_db_se"] for r in first if not math.isnan(r["nmse_db_se"])]
+            assert len(predicted) < len(first)
+            assert entry["se_final_nmse_db"] == predicted[-1]
+
+    @pytest.mark.parametrize("given", ["--empirical", "--predicted"])
+    def test_compare_with_one_input_file_exits_2(self, tmp_path, given):
+        # one file alone must not fall back to fresh trials
+        cfg = self._config_file(tmp_path)
+        assert cli_main(["compare", "--config", cfg, given, str(tmp_path / "nope.csv")]) == 2
 
     def test_config_error_exit_code(self, tmp_path):
         missing = str(tmp_path / "nope.json")
@@ -379,6 +417,9 @@ class TestCli:
             ["fixedpoint", "--out", "x"],
             ["fixedpoint", "--se-method", "mc"],
             ["fixedpoint", "--se-samples", "10"],
+            ["run", "--trials", "2", "--network", "n.json", "--signals", "s.json"],
+            ["run", "--se-method", "mc", "--network", "n.json", "--signals", "s.json"],
+            ["run", "--se-samples", "10", "--network", "n.json", "--signals", "s.json"],
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )

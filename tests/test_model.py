@@ -21,27 +21,27 @@ from mlvamp.model import (
     linear_layer_from_factors,
     network_from_json,
     network_to_json,
-    sample_haar_orthogonal,
     svd_factorize,
 )
+from conftest import haar, network_from_layers
 
 
 class TestHaarSampling:
     def test_one_by_one_is_sign(self):
         for seed in range(20):
-            q = sample_haar_orthogonal(1, seed)
+            q = haar(1, seed)
             assert q.shape == (1, 1)
             assert abs(abs(q[0, 0]) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("n", [2, 4, 50])
     def test_orthogonality(self, n):
-        q = sample_haar_orthogonal(n, 123)
+        q = haar(n, 123)
         err = np.max(np.abs(q.T @ q - np.eye(n)))
         assert err <= 1e-10
 
     def test_zero_size_rejected(self):
         with pytest.raises(InvalidModelError):
-            sample_haar_orthogonal(0, 1)
+            haar(0, 1)
 
     def test_first_and_second_moments(self):
         # Monte-Carlo check of the uniform law: entries have mean 0 and
@@ -49,7 +49,7 @@ class TestHaarSampling:
         n, draws = 50, 10_000
         vals = np.empty(draws)
         for i in range(draws):
-            vals[i] = sample_haar_orthogonal(n, 10_000 + i)[0, 0]
+            vals[i] = haar(n, 10_000 + i)[0, 0]
         sigma = math.sqrt(1.0 / n / draws)
         assert abs(np.mean(vals)) < 4 * sigma
         assert abs(np.var(vals) - 1.0 / n) < 0.1 / n
@@ -57,13 +57,13 @@ class TestHaarSampling:
     def test_rotation_invariance(self):
         # Statistics of R @ Q match those of Q for a fixed rotation R.
         n, draws = 8, 2000
-        rot = sample_haar_orthogonal(n, 777)
+        rot = haar(n, 777)
         plain = np.empty(draws)
         rotated = np.empty(draws)
         for i in range(draws):
-            q = sample_haar_orthogonal(n, 20_000 + i)
+            q = haar(n, 20_000 + i)
             plain[i] = q[0, 0]
-            rotated[i] = (rot @ sample_haar_orthogonal(n, 50_000 + i))[0, 0]
+            rotated[i] = (rot @ haar(n, 50_000 + i))[0, 0]
         sigma = math.sqrt(1.0 / n / draws)
         assert abs(np.mean(plain) - np.mean(rotated)) < 4 * math.sqrt(2) * sigma
         assert abs(np.var(plain) - np.var(rotated)) < 8 * math.sqrt(2.0 / n) / math.sqrt(draws)
@@ -128,8 +128,8 @@ class TestSvdFactorization:
         assert err <= 1e-8 * np.max(np.abs(w))
 
     def test_synthetic_layers_bypass_the_decomposition(self):
-        u = sample_haar_orthogonal(4, 1)
-        v = sample_haar_orthogonal(6, 2)
+        u = haar(4, 1)
+        v = haar(6, 2)
         s = geometric_singular_values(4, 6, 2.0)
         layer = linear_layer_from_factors(u, s, v, np.zeros(4), 1.0)
         assert layer.factors is not None
@@ -163,7 +163,7 @@ class TestNetworkValidation:
     def test_consecutive_separable_rejected(self):
         lin = LinearLayerSpec(weight=np.eye(3), bias=np.zeros(3), noise_precision=1.0)
         with pytest.raises(InvalidModelError):
-            NetworkSpec.from_layers(
+            network_from_layers(
                 (lin, NonlinearLayerSpec("relu"), NonlinearLayerSpec("relu"))
             )
 
@@ -171,7 +171,7 @@ class TestNetworkValidation:
 class TestForwardGenerate:
     def test_identity_chain_copies_the_input(self):
         lin = LinearLayerSpec(weight=np.eye(5), bias=np.zeros(5), noise_precision=NOISELESS)
-        spec = NetworkSpec.from_layers((lin, NonlinearLayerSpec("identity"), lin))
+        spec = network_from_layers((lin, NonlinearLayerSpec("identity"), lin))
         sig = forward_generate(spec, 3)
         for z in sig.signals[1:]:
             np.testing.assert_array_equal(z, sig.signals[0])
@@ -180,7 +180,7 @@ class TestForwardGenerate:
         lin = LinearLayerSpec(
             weight=np.eye(1) * -2.5, bias=np.zeros(1), noise_precision=NOISELESS
         )
-        spec = NetworkSpec.from_layers((lin, NonlinearLayerSpec("relu")))
+        spec = network_from_layers((lin, NonlinearLayerSpec("relu")))
         sig = forward_generate(spec, 0)
         pre = sig.signals[1][0]
         assert sig.signals[2][0] == (pre if pre > 0 else 0.0)
@@ -190,7 +190,7 @@ class TestForwardGenerate:
         lin = LinearLayerSpec(
             weight=rng.standard_normal((4, 4)), bias=rng.standard_normal(4), noise_precision=2.0
         )
-        spec = NetworkSpec.from_layers((lin, NonlinearLayerSpec("relu"), lin))
+        spec = network_from_layers((lin, NonlinearLayerSpec("relu"), lin))
         a = forward_generate(spec, 99)
         b = forward_generate(spec, 99)
         for za, zb in zip(a.signals, b.signals):
@@ -201,11 +201,11 @@ class TestForwardGenerate:
         # mean-square singular value + noise variance.  Aggregated over
         # many seeds to reach ~2e5 effective components.
         n, nu = 500, 4.0
-        u = sample_haar_orthogonal(n, 1)
-        v = sample_haar_orthogonal(n, 2)
+        u = haar(n, 1)
+        v = haar(n, 2)
         s = geometric_singular_values(n, n, 3.0)
         layer = linear_layer_from_factors(u, s, v, np.zeros(n), nu)
-        spec = NetworkSpec.from_layers((layer,))
+        spec = network_from_layers((layer,))
         total = 0.0
         draws = 400
         for seed in range(draws):
@@ -219,7 +219,7 @@ class TestSnrCalibration:
         rng = np.random.default_rng(5)
         w1 = rng.standard_normal((30, 20)) / math.sqrt(20)
         w2 = rng.standard_normal((25, 30)) / math.sqrt(30)
-        return NetworkSpec.from_layers(
+        return network_from_layers(
             (
                 LinearLayerSpec(weight=w1, bias=np.zeros(30), noise_precision=NOISELESS),
                 NonlinearLayerSpec("relu"),
@@ -268,7 +268,7 @@ class TestSnrCalibration:
         assert abs(realized - 30.0) <= 0.5
 
     def test_degenerate_model_rejected(self):
-        spec = NetworkSpec.from_layers(
+        spec = network_from_layers(
             (LinearLayerSpec(weight=np.zeros((3, 3)), bias=np.zeros(3), noise_precision=1.0),)
         )
         with pytest.raises(DegenerateModelError):
@@ -278,7 +278,7 @@ class TestSnrCalibration:
 class TestJsonRoundTrip:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        spec = NetworkSpec.from_layers(
+        spec = network_from_layers(
             (
                 LinearLayerSpec(
                     weight=rng.standard_normal((4, 3)),
@@ -308,7 +308,7 @@ class TestJsonRoundTrip:
                 assert a.noise_precision == b.noise_precision
 
     def test_schema_fields(self):
-        spec = NetworkSpec.from_layers(
+        spec = network_from_layers(
             (
                 LinearLayerSpec(weight=np.eye(2), bias=np.zeros(2), noise_precision=NOISELESS),
                 NonlinearLayerSpec("relu"),

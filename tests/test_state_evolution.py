@@ -210,7 +210,7 @@ class TestGaussianChainFixedPoint:
         st = res.states[-1]
         sig = forward_generate(spec, 6)
         _, avg_vars = exact_gaussian_posterior(spec, sig.y)
-        got = 1.0 / (st.gamma_bar_plus + st.gamma_bar_minus)
+        got = 1.0 / (st.gamma_plus + st.gamma_minus)
         np.testing.assert_allclose(got, avg_vars, rtol=1e-9)
 
     def test_engine_parameters_match_exactly_on_affine_chains(self):
@@ -222,8 +222,8 @@ class TestGaussianChainFixedPoint:
         law = NetworkLaw.from_network(spec)
         res = run_se(law, SEConfig(iterations=300, stop_tol=1e-14))
         st = res.states[-1]
-        np.testing.assert_allclose(state.gamma_plus, st.gamma_bar_plus, rtol=1e-6)
-        np.testing.assert_allclose(state.gamma_minus, st.gamma_bar_minus, rtol=1e-6)
+        np.testing.assert_allclose(state.gamma_plus, st.gamma_plus, rtol=1e-6)
+        np.testing.assert_allclose(state.gamma_minus, st.gamma_minus, rtol=1e-6)
 
     def test_symmetric_chain_is_direction_symmetric(self):
         # Unit-spectrum square chain with equal noise everywhere: forward and
@@ -235,7 +235,7 @@ class TestGaussianChainFixedPoint:
         res = run_se(law, SEConfig(iterations=200, stop_tol=1e-14))
         st = res.states[-1]
         # interior signal: the chain looks the same from both ends
-        assert st.gamma_bar_plus[1] == pytest.approx(st.gamma_bar_minus[0], rel=1e-9)
+        assert st.gamma_plus[1] == pytest.approx(st.gamma_minus[0], rel=1e-9)
 
     def test_zero_iterations_returns_prior_errors(self):
         law = NetworkLaw.from_network(make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=2))
@@ -290,8 +290,8 @@ class TestMatchedRecursion:
         st = full.states[-1]
         mr = matched_mmse_recursion(law, SEConfig())
         assert mr.converged and mr.residual <= 1e-8
-        np.testing.assert_allclose(st.gamma_bar_plus, mr.gamma_bar_plus, rtol=1e-4)
-        np.testing.assert_allclose(st.gamma_bar_minus, mr.gamma_bar_minus, rtol=1e-4)
+        np.testing.assert_allclose(st.gamma_plus, mr.gamma_plus, rtol=1e-4)
+        np.testing.assert_allclose(st.gamma_minus, mr.gamma_minus, rtol=1e-4)
 
 
 class TestEngineAgreement:
@@ -313,7 +313,7 @@ class TestEngineAgreement:
             state, _, _ = run(spec, sig.y, EngineConfig(max_iters=5, convergence_tol=0.0))
             acc.append(np.concatenate([state.alpha_plus, state.alpha_minus]))
         mean = np.mean(acc, axis=0)
-        target = np.concatenate([st.alpha_bar_plus, st.alpha_bar_minus])
+        target = np.concatenate([st.alpha_plus, st.alpha_minus])
         np.testing.assert_allclose(mean, target, rtol=0.08)
 
     def test_cross_moment_tracks_the_engine_messages(self):
