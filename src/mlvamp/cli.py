@@ -40,6 +40,14 @@ _FLAGS = {
     "--se-samples": dict(type=int),
 }
 
+#: Per subcommand, the option whose files replace the synthetic problem and
+#: the common flags then left unread (nothing is drawn, run or predicted).
+_UNREAD_WITH_FILES = {
+    "run": ("network", ("--trials", "--se-method", "--se-samples")),
+    "fixedpoint": ("network", ("--seed",)),
+    "compare": ("empirical", ("--trials", "--seed", "--mode", "--max-iters", "--se-method", "--se-samples")),
+}
+
 
 def _add_common(p, skip=()):
     """The common flags the subcommand reads; a skipped one is an argparse error."""
@@ -236,11 +244,10 @@ def build_parser():
 def cli_main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run" and args.network:  # no trials and no predictor to set up
-        unread = [f for f in ("--trials", "--se-method", "--se-samples")
-                  if getattr(args, f[2:].replace("-", "_")) is not None]
-        if unread:
-            parser.error(f"unrecognized arguments: {' '.join(unread)} (run --network)")
+    source, skip = _UNREAD_WITH_FILES.get(args.command, (None, ()))
+    unread = [f for f in skip if getattr(args, f[2:].replace("-", "_")) is not None]
+    if unread and getattr(args, source):
+        parser.error(f"unrecognized arguments: {' '.join(unread)} ({args.command} --{source})")
     try:
         return args.func(args)
     except (DivergedIterationError, NumericFailureError) as exc:

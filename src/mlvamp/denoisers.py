@@ -18,6 +18,7 @@ for the affine solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,14 +75,13 @@ class QuadratureRule:
     order: int
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_hermite_rule(order):
-    """Gauss-Hermite rule rescaled to expectations under N(0, 1)."""
+    """Gauss-Hermite rule for expectations under N(0, 1); built once per order, read-only."""
     nodes, weights = np.polynomial.hermite.hermgauss(int(order))
-    return QuadratureRule(
-        nodes=nodes * math.sqrt(2.0),
-        weights=weights / math.sqrt(math.pi),
-        order=int(order),
-    )
+    nodes, weights = nodes * math.sqrt(2.0), weights / math.sqrt(math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights, order=int(order))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,8 @@ def _identity_stats(r_out, r_in, g_out, g_in):
 
 
 def _relu_stats(r_out, r_in, g_out, g_in):
-    r_out, r_in = np.broadcast_arrays(np.asarray(r_out, float), np.asarray(r_in, float))
+    # not broadcast up front: a factor of r_in alone is evaluated on r_in's points
+    r_out, r_in = np.asarray(r_out, float), np.asarray(r_in, float)
     sig_in = 1.0 / math.sqrt(g_in)
     gt = g_out + g_in
     m_pos = (g_out * r_out + g_in * r_in) / gt
@@ -153,7 +154,7 @@ def _relu_stats(r_out, r_in, g_out, g_in):
 
 
 def _sign_stats(r_out, r_in, g_out, g_in):
-    r_out, r_in = np.broadcast_arrays(np.asarray(r_out, float), np.asarray(r_in, float))
+    r_out, r_in = np.asarray(r_out, float), np.asarray(r_in, float)
     sig_in = 1.0 / math.sqrt(g_in)
     log_pos = -0.5 * g_out * (1.0 - r_out) ** 2 + log_ndtr(r_in * math.sqrt(g_in))
     log_neg = -0.5 * g_out * (1.0 + r_out) ** 2 + log_ndtr(-r_in * math.sqrt(g_in))
@@ -260,7 +261,7 @@ def _sigmoid_stats(r_out, r_in, g_out, g_in, order=DEFAULT_QUAD_ORDER):
     log_w -= np.max(log_w, axis=-1, keepdims=True)
     w = np.exp(log_w)
     if not np.all(np.isfinite(w)):
-        bad = int(np.argwhere(~np.all(np.isfinite(w), axis=-1)).ravel()[0])
+        bad = int(np.flatnonzero(~np.all(np.isfinite(w), axis=-1))[0])
         raise NumericFailureError(f"non-finite quadrature weights at component {bad}")
     w /= np.sum(w, axis=-1, keepdims=True)
     ex = np.sum(w * xs, axis=-1)

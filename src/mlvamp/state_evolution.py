@@ -37,6 +37,7 @@ default, seeded Monte-Carlo optionally).
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -303,12 +304,14 @@ def _affine_step(layer, forward, gains, K_prev, tau_m, clip):
 _AXIS_OFFSETS = np.array([0.5, 1.0, 2.0, 4.0, 8.5])
 
 
+@functools.lru_cache(maxsize=256)
 def _kinked_axis(kink_z, order):
     """Standard-normal quadrature with a panel edge at ``kink_z``.
 
     Composite Gauss-Legendre over [-8.5, 8.5] with geometrically refined
     edges; exact handling of integrands with one kink (relu / sign signal
-    laws), spectrally accurate elsewhere.
+    laws), spectrally accurate elsewhere.  Built once per (kink, order); the
+    arrays are read-only.
     """
     edges = np.concatenate([[0.0], _AXIS_OFFSETS, -_AXIS_OFFSETS])
     if np.isfinite(kink_z) and abs(kink_z) < 8.5:
@@ -324,7 +327,9 @@ def _kinked_axis(kink_z, order):
         ws.append(0.5 * (b - a) * weights * np.exp(-0.5 * t * t) / math.sqrt(2 * math.pi))
     t = np.concatenate(ts)
     w = np.concatenate(ws)
-    return t, w / w.sum()
+    w /= w.sum()
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _grid(K, mu, tau_m, xi_var, engine, tag, kink=None):
@@ -352,7 +357,9 @@ def _grid(K, mu, tau_m, xi_var, engine, tag, kink=None):
     output-side message is a downstream likelihood summary, i.e. the true
     output plus independent noise of variance ``tau_m`` (assembled by the
     caller from ``t_minus``).  When the layer's activation has a kink, the
-    truth axis gets a panel edge exactly at it.
+    truth axis gets a panel edge exactly at it.  Quadrature axes keep a
+    dimension each, so a factor is evaluated only on the axes it reads and
+    broadcasts to the tensor product ``w`` spans; Monte-Carlo is flat.
     """
     var_p0 = max(K[0, 0] - mu * mu, 0.0)
     sd_p0 = math.sqrt(var_p0)
@@ -368,11 +375,10 @@ def _grid(K, mu, tau_m, xi_var, engine, tag, kink=None):
         if tau_m <= 0:
             # a noiseless minus message: the integrand is constant along t_minus
             axes_nodes[2], axes_weights[2] = np.zeros(1), np.ones(1)
-        axes = np.meshgrid(*axes_nodes, indexing="ij")
-        t = [a.ravel() for a in axes]
-        w = np.ones_like(t[0])
-        for a in np.meshgrid(*axes_weights, indexing="ij"):
-            w = w * a.ravel()
+        t = np.meshgrid(*axes_nodes, indexing="ij", sparse=True)
+        w = 1.0
+        for a in np.meshgrid(*axes_weights, indexing="ij", sparse=True):
+            w = w * a
     else:
         rng = substream(engine.seed, *tag)
         t = [rng.standard_normal(engine.mc_samples) for _ in range(n_axes)]

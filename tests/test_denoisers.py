@@ -21,6 +21,7 @@ from mlvamp.denoisers import (
     scalar_pair_map,
     scalar_pair_mmse,
 )
+from mlvamp.errors import NumericFailureError
 from mlvamp.model import (
     NOISELESS,
     LinearLayerSpec,
@@ -89,6 +90,14 @@ class TestQuadratureRule:
         for p, want in ((2, 1.0), (4, 3.0), (6, 15.0), (8, 105.0)):
             assert rule.weights @ rule.nodes**p == pytest.approx(want, rel=1e-10)
         assert abs(rule.weights @ rule.nodes**3) < 1e-12
+
+    def test_rule_is_built_once_and_read_only(self):
+        rule = gauss_hermite_rule(20)
+        again = gauss_hermite_rule(20)
+        assert again.nodes is rule.nodes and again.weights is rule.weights
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestInputDenoiser:
@@ -327,6 +336,13 @@ class TestReluMmse:
             b = dn._sigmoid_stats(np.array([rm]), np.array([rp]), gm, gp, order=2 * order)
             worst = max(worst, max(abs(x[0] - y[0]) for x, y in zip(a, b)))
         assert worst <= 1e-8
+
+    def test_non_finite_weights_name_the_flat_component(self):
+        # the bad component is (1, 1) of a (2, 3) input: flat index 4
+        r_out = np.full((2, 3), 0.5)
+        r_out[1, 1] = np.nan
+        with pytest.raises(NumericFailureError, match=r"at component 4$"):
+            dn._sigmoid_stats(r_out, np.zeros((2, 3)), 2.0, 1.0)
 
 
 class TestReluMap:

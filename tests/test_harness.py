@@ -420,6 +420,10 @@ class TestCli:
             ["run", "--trials", "2", "--network", "n.json", "--signals", "s.json"],
             ["run", "--se-method", "mc", "--network", "n.json", "--signals", "s.json"],
             ["run", "--se-samples", "10", "--network", "n.json", "--signals", "s.json"],
+            ["fixedpoint", "--seed", "9", "--network", "n.json", "--signals", "s.json"],
+            *(["compare", flag, value, "--empirical", "e.csv", "--predicted", "p.csv"]
+              for flag, value in (("--trials", "9"), ("--seed", "4"), ("--mode", "map"),
+                                  ("--max-iters", "3"), ("--se-method", "mc"), ("--se-samples", "5"))),
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )

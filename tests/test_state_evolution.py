@@ -7,7 +7,7 @@ import pytest
 
 from mlvamp import state_evolution as se
 from mlvamp.engine import EngineConfig, run
-from mlvamp.model import NOISELESS, forward_generate
+from mlvamp.model import NOISELESS, forward_generate, geometric_singular_values as sv
 from mlvamp.state_evolution import (
     ExpectationEngine,
     LinearLaw,
@@ -196,6 +196,117 @@ class TestScalarUpdates:
         res = run_se(law, SEConfig(iterations=4, mode=mode))
         np.testing.assert_allclose(res.nmse_db.ravel(), self.FULL_GRID_CURVES[mode], rtol=1e-12)
         assert sizes == [self.FULL_GRID_POINTS // 20] * 4
+
+
+def _mixed_activation_law():
+    """Hidden sign, sigmoid and identity layers between affine ones."""
+    return NetworkLaw(
+        layers=(
+            LinearLaw(sv(40, 20, 3.0), 40, 20, 100.0, bbar_var=0.3**2 + 0.5, bias_mean=0.3),
+            SeparableLaw("sign", NOISELESS, 40),
+            LinearLaw(sv(40, 40, 2.0), 40, 40, 100.0, bbar_var=0.5),
+            SeparableLaw("sigmoid", NOISELESS, 40),
+            LinearLaw(sv(30, 40, 2.0), 30, 40, 100.0, bbar_var=0.5),
+            SeparableLaw("identity", NOISELESS, 30),
+            LinearLaw(sv(25, 30, 2.0), 25, 30, 100.0),
+        ),
+        dims=(20, 40, 40, 40, 40, 30, 30, 25),
+    )
+
+
+def _noisy_relu_law():
+    """A noisy hidden relu (the output-noise axis is integrated) and a noisy
+    relu measurement layer (observed exactly, gm = inf)."""
+    return NetworkLaw(
+        layers=(
+            LinearLaw(sv(40, 20, 3.0), 40, 20, 100.0, bbar_var=0.3**2 + 0.5, bias_mean=0.3),
+            SeparableLaw("relu", 50.0, 40),
+            LinearLaw(sv(30, 40, 2.0), 30, 40, 100.0, bbar_var=0.2**2 + 0.5, bias_mean=-0.2),
+            SeparableLaw("relu", 50.0, 30),
+        ),
+        dims=(20, 40, 40, 30, 30),
+    )
+
+
+class TestBroadcastGrid:
+    """The quadrature's axes broadcast against each other instead of being
+    meshed into one flat grid; the predictor's numbers must not move."""
+
+    LAWS = {"sign-sigmoid-identity": _mixed_activation_law, "noisy-relu": _noisy_relu_law}
+    #: run_se curves (4 iterations, order 8, flattened nmse_db) of the laws
+    #: above, from the quadrature that evaluated every factor on the flat grid
+    FLAT_GRID_CURVES = {
+        "noisy-relu": {
+            "mmse": [
+                -0.0008685021078054198, -3.33944186698076, -4.612413888583673, -6.702506958514735,
+                -1.9775620716386548, -4.628326971812033, -6.348594971993952, -9.492007845310082,
+                -1.9775620716386533, -5.974831302453616, -7.725008150706377, -10.703122750571993,
+                -2.506358624957711, -6.291263699665039, -8.090217857062381, -11.200549068698065,
+                -2.50635862495771, -6.638017628500891, -8.435464639272084, -11.483697734818401,
+                -2.649167332718581, -6.721496765067356, -8.527984620587755, -11.607199321181966,
+                -2.6491673327185783, -6.814482667064089, -8.618863176853782, -11.680909229085248,
+                -2.687531885510619, -6.836768632384445, -8.643254758900719, -11.713369291300765,
+            ],
+            "map": [
+                -0.0008685021078054198, -3.33944186698076, -4.323625369520871, -6.423326863834263,
+                -2.7390828103234934, -4.337526622064931, -5.969938525157049, -8.422609949452552,
+                -2.7390828103234934, -6.925091324289134, -7.84223522607284, -10.71467489081865,
+                -3.438555932523435, -6.734465177234586, -8.40856396889156, -11.012463119608821,
+                -3.438555932523433, -7.771557757596406, -8.83981318124716, -11.877876860250272,
+                -3.627561662693766, -7.332687627061327, -9.038886065313553, -11.663530799881752,
+                -3.627561662693766, -7.996437359045774, -9.105424306538232, -12.181551381122894,
+                -3.692391365803762, -7.4880661096419985, -9.20340043797669, -11.815675235856514,
+            ],
+        },
+        "sign-sigmoid-identity": {
+            "mmse": [
+                -0.0008685021078054198, -3.33944186698076, -1.9519799088656151, -3.674309345203825,
+                -10.843322851566802, -13.644414201403318, -13.644414201403317, -1.3630279635206803,
+                -4.171208829447809, -3.490583487281522, -5.310396899453434, -12.552691216667425,
+                -17.965531103511314, -17.965531103511314, -1.363027963520682, -5.183269430647178,
+                -4.667471501998206, -6.562017157771843, -13.887324701090034, -18.535569311578076,
+                -18.535569311578076, -1.62023286453514, -5.330770737254412, -4.820827774251465,
+                -6.715300300013919, -14.031560331515088, -18.79636316869831, -18.796363168698306,
+                -1.6202328645351392, -5.517426589655505, -5.087478639029046, -6.976375483437129,
+                -14.301928038178684, -18.888928361775207, -18.88892836177521, -1.6693274390456945,
+                -5.545162614421805, -5.112749807885005, -7.002771609213456, -14.3242904668191,
+                -18.925367942001103, -18.925367942001103, -1.669327439045695, -5.580734495017241,
+                -5.164005469255239, -7.050856008075299, -14.375091542798524, -18.94229212018057,
+                -18.94229212018057, -1.678599093819329, -5.585878122968175, -5.168312573823679,
+                -7.057094085008541, -14.379104224562889, -18.948784028889825, -18.948784028889825,
+            ],
+            "map": [
+                -0.0008685021078054198, -3.33944186698076, -0.30234119336521764, -2.045808181045758,
+                -9.18255000779547, -12.39307160190996, -12.393071601909957, -2.2478209807752316,
+                -3.3562486954001924, -0.3745002846782705, -2.1963463611632013, -10.656299526332301,
+                -16.841511756730814, -16.841511756730817, -2.2478209807752316, -6.315958587374403,
+                -2.916664030001942, -4.694596096761451, -11.806685891968387, -17.2879702669325,
+                -17.2879702669325, -2.3220027361705786, -5.201497551228557, -2.9166771542031578,
+                -4.718852325351679, -11.825581262639087, -17.636042665902558, -17.636042665902554,
+                -2.3220027361705777, -6.412059524396265, -3.3490659026449574, -5.140023673585886,
+                -12.246945748668256, -17.847900989169542, -17.847900989169545, -2.4271839371436323,
+                -5.361630884442759, -3.349075269397904, -5.142879932637015, -12.247002055570794,
+                -17.873835315191823, -17.873835315191823, -2.4271839371436306, -6.542738475941718,
+                -3.4300593812656817, -5.219998534432468, -12.32548456780382, -17.912228870776612,
+                -17.912228870776612, -2.419306895561487, -5.443806296526006, -3.4300684829726444,
+                -5.222203026779986, -12.325494583220078, -17.916823152030695, -17.916823152030695,
+            ],
+        },
+    }
+
+    @pytest.mark.parametrize("mode", ["mmse", "map"])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_curves_match_the_flat_grid(self, law, mode):
+        config = SEConfig(iterations=4, mode=mode, expectation=ExpectationEngine(quad_order=8))
+        res = run_se(self.LAWS[law](), config)
+        np.testing.assert_allclose(res.nmse_db.ravel(), self.FLAT_GRID_CURVES[law][mode], rtol=1e-12)
+
+    def test_kinked_axis_is_built_once_and_read_only(self):
+        first, again = se._kinked_axis(-0.4, 20), se._kinked_axis(-0.4, 20)
+        assert all(a is b for a, b in zip(first, again))
+        for arr in first:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestGaussianChainFixedPoint:
