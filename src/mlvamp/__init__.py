@@ -25,7 +25,6 @@ from .model import (
     svd_factorize,
 )
 from .state_evolution import (
-    ExpectationEngine,
     NetworkLaw,
     SEConfig,
     matched_mmse_recursion,
@@ -36,7 +35,6 @@ from .state_evolution import (
 __all__ = [
     "BeliefParams",
     "EngineConfig",
-    "ExpectationEngine",
     "FixedPointReport",
     "IterationTrace",
     "LinearLayerSpec",

@@ -36,16 +36,14 @@ _FLAGS = {
     "--mode": dict(choices=("map", "mmse")),
     "--max-iters": dict(type=int),
     "--out": dict(help="output path"),
-    "--se-method": dict(choices=("quadrature", "mc")),
-    "--se-samples": dict(type=int),
 }
 
 #: Per subcommand, the option whose files replace the synthetic problem and
 #: the common flags then left unread (nothing is drawn, run or predicted).
 _UNREAD_WITH_FILES = {
-    "run": ("network", ("--trials", "--se-method", "--se-samples")),
+    "run": ("network", ("--trials",)),
     "fixedpoint": ("network", ("--seed",)),
-    "compare": ("empirical", ("--trials", "--seed", "--mode", "--max-iters", "--se-method", "--se-samples")),
+    "compare": ("empirical", ("--trials", "--seed", "--mode", "--max-iters")),
 }
 
 
@@ -66,9 +64,7 @@ def _override(obj, **values):
 def _load_config(args):
     config = harness.load_config(args.config) if args.config else harness.ExperimentConfig()
     engine = _override(config.engine, mode=args.mode, max_iters=args.max_iters)
-    expectation = _override(config.se.expectation, method=args.se_method, mc_samples=args.se_samples)
-    se = replace(config.se, expectation=expectation)
-    return _override(config, master_seed=args.seed, trials=args.trials, engine=engine, se=se)
+    return _override(config, master_seed=args.seed, trials=args.trials, engine=engine)
 
 
 def _synthetic_problem(config):
@@ -209,7 +205,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic network and signals")
-    _add_common(p, skip=("--trials", "--mode", "--max-iters", "--se-method", "--se-samples"))
+    _add_common(p, skip=("--trials", "--mode", "--max-iters"))
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("run", help="run the engine; write a trace CSV")
@@ -234,7 +230,7 @@ def build_parser():
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("fixedpoint", help="print fixed-point diagnostics as JSON")
-    _add_common(p, skip=("--trials", "--out", "--se-method", "--se-samples"))
+    _add_common(p, skip=("--trials", "--out"))
     p.add_argument("--network", help="network JSON")
     p.add_argument("--signals", help="signals JSON accompanying --network")
     p.set_defaults(func=_cmd_fixedpoint)

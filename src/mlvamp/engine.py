@@ -347,10 +347,16 @@ def nmse_db(zhat, z0):
 
 
 def _consistency(state):
+    """Largest ``||zhat_plus - zhat_minus|| / ||zhat_plus||`` over the signals.
+
+    A zero plus estimate (as the prior's can be in the first iteration) is
+    measured against the minus estimate instead; two zero estimates agree.
+    """
     worst = 0.0
     for zp, zm in zip(state.zhat_plus, state.zhat_minus):
-        denom = max(float(np.linalg.norm(zp)), _TINY)
-        worst = max(worst, float(np.linalg.norm(zp - zm)) / denom)
+        gap = float(np.linalg.norm(zp - zm))
+        if gap > 0.0:
+            worst = max(worst, gap / (float(np.linalg.norm(zp)) or float(np.linalg.norm(zm))))
     return worst
 
 

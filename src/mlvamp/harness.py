@@ -36,7 +36,6 @@ from .model import (
 )
 from .seeding import substream
 from .state_evolution import (
-    ExpectationEngine,
     LinearLaw,
     NetworkLaw,
     SEConfig,
@@ -97,8 +96,6 @@ class SyntheticRecipe:
     snr_db: float = 30.0
     bias_std: float = 1.0
     activation: str = "relu"
-    calibration_samples: int = 10_000
-    snr_trials: int = 20
 
     def __post_init__(self):
         if len(self.hidden_dims) < 2 or len(self.hidden_dims) % 2 == 0:
@@ -146,6 +143,12 @@ def _reference_singular_values(recipe, seed):
     return tuple(out)
 
 
+#: Monte-Carlo sizes of a recipe's calibration: pre-activation draws per
+#: separable stage, and forward generations averaged for the signal power.
+CALIBRATION_SAMPLES = 10_000
+SNR_TRIALS = 20
+
+
 def calibrate_recipe(recipe, seed):
     """Fix the trial-independent parts of a recipe (pure given seed)."""
     svals = _reference_singular_values(recipe, seed)
@@ -162,12 +165,12 @@ def calibrate_recipe(recipe, seed):
         mu_b = sigma_pre * target
         bias_means.append(mu_b)
         # second moment after the separable stage, by scalar Monte-Carlo
-        x = mu_b + sigma_pre * rng.standard_normal(recipe.calibration_samples)
+        x = mu_b + sigma_pre * rng.standard_normal(CALIBRATION_SAMPLES)
         v = float(np.mean(apply_activation(recipe.activation, x) ** 2))
 
     probe = RecipeCalibration(svals, tuple(bias_means), measurement_noise_precision=1.0)
     nu = calibrate_noise_to_snr(
-        build_synthetic_network(recipe, seed, probe), recipe.snr_db, recipe.snr_trials, seed
+        build_synthetic_network(recipe, seed, probe), recipe.snr_db, SNR_TRIALS, seed
     )
     return replace(probe, measurement_noise_precision=nu)
 
@@ -254,6 +257,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidModelError("need at least one trial")
+        if self.master_seed < 0:
+            raise InvalidModelError(f"master_seed must be non-negative, not {self.master_seed}")
+        if self.engine.max_iters < 1:
+            raise InvalidModelError(f"max_iters must be at least 1, not {self.engine.max_iters}")
 
 
 @dataclass
@@ -456,13 +463,16 @@ def read_result_csv(path):
         raise InvalidModelError(f"unexpected CSV columns in {path}")
     for rec in reader:
         row = dict(rec)
-        for key in CSV_COLUMNS:
-            if key in ("experiment_id",):
-                continue
-            if key in ("trial_seed", "half_iter", "layer"):
-                row[key] = int(rec[key])
-            else:
-                row[key] = float(rec[key])
+        try:
+            for key in CSV_COLUMNS:
+                if key in ("experiment_id",):
+                    continue
+                if key in ("trial_seed", "half_iter", "layer"):
+                    row[key] = int(rec[key])
+                else:
+                    row[key] = float(rec[key])
+        except (TypeError, ValueError) as exc:
+            raise InvalidModelError(f"invalid data row {len(rows) + 1} in {path}: {exc}") from exc
         rows.append(row)
     return rows
 
@@ -533,15 +543,14 @@ def config_from_json(doc):
         if "hidden_dims" in recipe_doc:
             recipe_doc["hidden_dims"] = tuple(recipe_doc["hidden_dims"])
         se_doc = dict(doc.get("se", {}))
-        extra = sorted(set(se_doc) - {"stop_tol", "expectation"})
+        extra = sorted(set(se_doc) - {"stop_tol", "quad_order"})
         if extra:
             # the predictor runs as the engine runs: iterations, mode and so on come from it
-            raise InvalidModelError(f"se holds only stop_tol and expectation, not {extra}")
-        expectation = ExpectationEngine(**se_doc.pop("expectation", {}))
+            raise InvalidModelError(f"se holds only stop_tol and quad_order, not {extra}")
         return ExperimentConfig(
             recipe=SyntheticRecipe(**recipe_doc),
             engine=EngineConfig(**doc.get("engine", {})),
-            se=SEConfig(expectation=expectation, **se_doc),
+            se=SEConfig(**se_doc),
             trials=int(doc.get("trials", 50)),
             master_seed=int(doc.get("master_seed", 0)),
             experiment_id=doc.get("experiment_id", "synthetic"),

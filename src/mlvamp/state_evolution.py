@@ -30,8 +30,7 @@ Bookkeeping per hidden signal:
 
 Affine-layer expectations average per-component closed forms over the
 empirical singular-value / transformed-bias samples; separable-layer
-expectations integrate over a small grid (kink-aware tensor quadrature by
-default, seeded Monte-Carlo optionally).
+expectations integrate over a kink-aware tensor quadrature grid.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -48,7 +47,6 @@ from . import denoisers as dn
 from .engine import ALPHA_MIN, Bookkeeping, Precisions, clip_alpha, damp, sweep
 from .errors import InvalidModelError
 from .model import apply_activation, svd_factorize, zero_pad
-from .seeding import substream
 
 
 # ---------------------------------------------------------------------------
@@ -133,34 +131,22 @@ class NetworkLaw:
 
 
 @dataclass(frozen=True)
-class ExpectationEngine:
-    """How separable-layer expectations are evaluated."""
-
-    method: str = "quadrature"
-    quad_order: int = 20
-    mc_samples: int = 1_000_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("quadrature", "mc"):
-            raise InvalidModelError("expectation method must be 'quadrature' or 'mc'")
-
-
-@dataclass(frozen=True)
 class SEConfig:
     iterations: int = 50
     mode: str = "mmse"
     gamma_init: float = 1e-4
     damping: float = 1.0
     alpha_clip: float = ALPHA_MIN
-    expectation: ExpectationEngine = field(default_factory=ExpectationEngine)
     stop_tol: float = 0.0
+    quad_order: int = 20  # Gauss-Hermite nodes per axis of the separable-layer grid
 
     def __post_init__(self):
         if self.mode not in ("mmse", "map"):
             raise InvalidModelError("mode must be 'mmse' or 'map'")
         if not (0.0 < self.damping <= 1.0):
             raise InvalidModelError("damping must lie in (0, 1]")
+        if not isinstance(self.quad_order, int) or self.quad_order < 1:
+            raise InvalidModelError(f"quad_order must be a positive integer, not {self.quad_order!r}")
 
 
 @dataclass
@@ -332,7 +318,7 @@ def _kinked_axis(kink_z, order):
     return t, w
 
 
-def _grid(K, mu, tau_m, xi_var, engine, tag, kink=None):
+def _grid(K, mu, tau_m, xi_var, order, kink=None):
     """Joint nodes/weights for the separable-layer integration.
 
     Returns ``(p0, r_plus, t_minus, xi, w)``.  The two messages play the
@@ -356,33 +342,27 @@ def _grid(K, mu, tau_m, xi_var, engine, tag, kink=None):
     reproduces ``b = 1 - K11 / Var(p0)`` and ``s^2 = b K11``.  The
     output-side message is a downstream likelihood summary, i.e. the true
     output plus independent noise of variance ``tau_m`` (assembled by the
-    caller from ``t_minus``).  When the layer's activation has a kink, the
-    truth axis gets a panel edge exactly at it.  Quadrature axes keep a
-    dimension each, so a factor is evaluated only on the axes it reads and
-    broadcasts to the tensor product ``w`` spans; Monte-Carlo is flat.
+    caller from ``t_minus``).  ``order`` is the Gauss-Hermite node count
+    per axis; when the layer's activation has a kink, the truth axis gets a
+    panel edge exactly at it.  Each axis keeps a dimension, so a factor is
+    evaluated only on the axes it reads and broadcasts to the tensor
+    product ``w`` spans.
     """
     var_p0 = max(K[0, 0] - mu * mu, 0.0)
     sd_p0 = math.sqrt(var_p0)
+    rule = dn.gauss_hermite_rule(order)
     n_axes = 3 + (1 if xi_var > 0 else 0)
-    if engine.method == "quadrature":
-        rule = dn.gauss_hermite_rule(engine.quad_order)
-        axes_nodes = [rule.nodes] * n_axes
-        axes_weights = [rule.weights] * n_axes
-        if kink is not None and sd_p0 > 0:
-            t0, w0 = _kinked_axis((kink - mu) / sd_p0, engine.quad_order)
-            axes_nodes[0] = t0
-            axes_weights[0] = w0
-        if tau_m <= 0:
-            # a noiseless minus message: the integrand is constant along t_minus
-            axes_nodes[2], axes_weights[2] = np.zeros(1), np.ones(1)
-        t = np.meshgrid(*axes_nodes, indexing="ij", sparse=True)
-        w = 1.0
-        for a in np.meshgrid(*axes_weights, indexing="ij", sparse=True):
-            w = w * a
-    else:
-        rng = substream(engine.seed, *tag)
-        t = [rng.standard_normal(engine.mc_samples) for _ in range(n_axes)]
-        w = np.full(engine.mc_samples, 1.0 / engine.mc_samples)
+    axes_nodes = [rule.nodes] * n_axes
+    axes_weights = [rule.weights] * n_axes
+    if kink is not None and sd_p0 > 0:
+        axes_nodes[0], axes_weights[0] = _kinked_axis((kink - mu) / sd_p0, order)
+    if tau_m <= 0:
+        # a noiseless minus message: the integrand is constant along t_minus
+        axes_nodes[2], axes_weights[2] = np.zeros(1), np.ones(1)
+    t = np.meshgrid(*axes_nodes, indexing="ij", sparse=True)
+    w = 1.0
+    for a in np.meshgrid(*axes_weights, indexing="ij", sparse=True):
+        w = w * a
     p0 = mu + sd_p0 * t[0]
     k01, k11 = K[0, 1], max(K[1, 1], 0.0)
     if var_p0 > 0:
@@ -403,7 +383,7 @@ def _activation_kink(activation):
     return 0.0 if activation in ("relu", "sign") else None
 
 
-def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip=clip_alpha):
+def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip=clip_alpha):
     """Update at a separable layer: returns what the affine step returns.
 
     Forward, the estimate is of the output ``q0 = phi(p0) + xi`` from its
@@ -412,7 +392,7 @@ def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, e
     replaces the minus message.
     """
     xi_var = 0.0 if math.isinf(layer.noise_precision) else 1.0 / layer.noise_precision
-    p0, r_plus, t_minus, xi, w = _grid(K_prev, mu_prev, tau_m, xi_var, engine, tag,
+    p0, r_plus, t_minus, xi, w = _grid(K_prev, mu_prev, tau_m, xi_var, order,
                                        kink=_activation_kink(layer.activation))
     q0 = apply_activation(layer.activation, p0) + xi
     if math.isinf(gm):
@@ -460,17 +440,17 @@ def _input_step(gm, tau_m, clip=clip_alpha):
 # ---------------------------------------------------------------------------
 
 
-def se_forward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag=(), clip=clip_alpha):
+def se_forward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip=clip_alpha):
     """One forward update at layer ``ell`` (1-based): ``(alpha, K_new, mse_plus)``."""
     layer = law.layers[ell - 1]
     if layer.kind == "linear":
         s = zero_pad(layer.singular_values, layer.n_out)
         gains = dn.linear_gains_plus(s, layer.noise_precision, gm, gp_prev)
         return _affine_step(layer, True, gains, K_prev, tau_m, clip)
-    return _separable_step(layer, True, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip)
+    return _separable_step(layer, True, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip)
 
 
-def se_backward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag=(), clip=clip_alpha):
+def se_backward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip=clip_alpha):
     """One backward update at layer ``ell`` (1-based): ``(alpha, tau_new, mse_minus)``.
 
     The measurement layer is observed exactly: it takes ``gm = inf`` and
@@ -478,7 +458,7 @@ def se_backward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engin
     """
     layer = law.layers[ell - 1]
     if layer.kind == "nonlinear":
-        return _separable_step(layer, False, K_prev, mu_prev, tau_m, gm, gp_prev, mode, engine, tag, clip)
+        return _separable_step(layer, False, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip)
     s = zero_pad(layer.singular_values, layer.n_in)
     if math.isinf(gm):
         g_r, g_obs = dn.observed_linear_gains(s, layer.noise_precision, gp_prev)
@@ -496,7 +476,6 @@ def run_se(law, config):
     messages are the plus-side moments ``K_plus`` and the minus-side error
     second moments ``tau_minus``; ``states`` keeps a copy after each iteration.
     """
-    engine = config.expectation
     n = law.num_layers  # hidden signals 0 .. n-1
     tau0, mu = se_initial_pass(law)
     state = SEState(
@@ -526,7 +505,7 @@ def run_se(law, config):
         def forward(ell):
             alpha, K[ell], mse[0, ell] = se_forward_layer(
                 law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], state.gamma_minus[ell],
-                state.gamma_plus[ell - 1], config.mode, engine, tag=(k, 0, ell), clip=book.clip,
+                state.gamma_plus[ell - 1], config.mode, config.quad_order, clip=book.clip,
             )
             return alpha
 
@@ -535,7 +514,7 @@ def run_se(law, config):
             alpha, tau_m[ell - 1], mse[1, ell - 1] = se_backward_layer(
                 law, ell, K[ell - 1], mu[ell - 1],
                 0.0 if observed else tau_m[ell], math.inf if observed else state.gamma_minus[ell],
-                state.gamma_plus[ell - 1], config.mode, engine, tag=(k, 1, ell), clip=book.clip,
+                state.gamma_plus[ell - 1], config.mode, config.quad_order, clip=book.clip,
             )
             return alpha
 
@@ -578,7 +557,7 @@ def _matched_K(tau0, gp_prev):
     return np.array([[tau0, -k11], [-k11, k11]])
 
 
-def _matched_mse(law, ell, forward, tau0, mu, gm, gp_prev, engine):
+def _matched_mse(law, ell, forward, tau0, mu, gm, gp_prev, order):
     """Posterior variance of the output (forward) or input (backward) of layer
     ``ell`` under matched channels; ``gm = inf`` at the observed output."""
     layer = law.layers[ell - 1]
@@ -594,8 +573,7 @@ def _matched_mse(law, ell, forward, tau0, mu, gm, gp_prev, engine):
             return float(np.mean(np.where(s > 0, 0.0, 1.0 / gp_prev)))
         return float(np.mean(1.0 / (gp_prev + nu * s * s)))
     K = _matched_K(tau0[ell - 1], gp_prev)
-    tag = (0xE, 0 if forward else 1, ell)
-    return _separable_step(layer, forward, K, mu[ell - 1], 1.0 / gm, gm, gp_prev, "mmse", engine, tag)[2]
+    return _separable_step(layer, forward, K, mu[ell - 1], 1.0 / gm, gm, gp_prev, "mmse", order)[2]
 
 
 def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
@@ -607,7 +585,7 @@ def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
     """
     if config.mode != "mmse":
         raise InvalidModelError("the matched recursion is defined for mmse mode")
-    engine = config.expectation
+    order = config.quad_order
     n = law.num_layers
     tau0, mu = se_initial_pass(law)
     gm = np.full(n, float(config.gamma_init))
@@ -617,12 +595,12 @@ def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
         """Set each precision, in sweep order, to ``update(old, matched target)``."""
         gp[0] = update(gp[0], (1.0 + gm[0]) - gm[0])
         for ell in range(1, n):
-            mse = _matched_mse(law, ell, True, tau0, mu, gm[ell], gp[ell - 1], engine)
+            mse = _matched_mse(law, ell, True, tau0, mu, gm[ell], gp[ell - 1], order)
             gp[ell] = update(gp[ell], 1.0 / mse - gm[ell])
-        mse = _matched_mse(law, n, False, tau0, mu, math.inf, gp[n - 1], engine)
+        mse = _matched_mse(law, n, False, tau0, mu, math.inf, gp[n - 1], order)
         gm[n - 1] = update(gm[n - 1], 1.0 / mse - gp[n - 1])
         for ell in range(n - 1, 0, -1):
-            mse = _matched_mse(law, ell, False, tau0, mu, gm[ell], gp[ell - 1], engine)
+            mse = _matched_mse(law, ell, False, tau0, mu, gm[ell], gp[ell - 1], order)
             gm[ell - 1] = update(gm[ell - 1], 1.0 / mse - gp[ell - 1])
 
     converged = False

@@ -251,6 +251,19 @@ class TestRunControl:
         assert [row.half_iter for row in trace.rows] == [1, 2, 3, 4, 5, 6]
         assert [row.direction for row in trace.rows] == ["forward", "backward"] * 3
 
+    def test_a_zero_plus_estimate_is_measured_against_the_minus_one(self):
+        # after the first iteration the input prior's plus estimate is still
+        # exactly zero: its gap |zhat_minus| / |zhat_minus| is 1, not a
+        # division by a floor; two zero estimates agree
+        spec = make_gaussian_chain((6, 5, 4), (1.0, 1.0), seed=13)
+        sig = forward_generate(spec, 14)
+        state, trace, _ = run(spec, sig.y, EngineConfig(max_iters=1, convergence_tol=0.0))
+        assert not np.any(state.zhat_plus[0]) and np.any(state.zhat_minus[0])
+        assert trace.rows[1].consistency < 10.0
+        state.zhat_minus[1] = state.zhat_plus[1]
+        assert engine._consistency(state) == 1.0
+        assert engine._consistency(initialize(spec, EngineConfig())) == 0.0
+
     def test_divergence_error_carries_context(self):
         spec = make_gaussian_chain((6, 5, 4), (1.0, 1.0), seed=13)
         y = np.full(4, np.nan)

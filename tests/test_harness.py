@@ -200,10 +200,7 @@ def config_to_json(config):
     return {
         "recipe": asdict(config.recipe),
         "engine": asdict(config.engine),
-        "se": {
-            "stop_tol": config.se.stop_tol,
-            "expectation": asdict(config.se.expectation),
-        },
+        "se": {"stop_tol": config.se.stop_tol, "quad_order": config.se.quad_order},
         "trials": config.trials,
         "master_seed": config.master_seed,
         "experiment_id": config.experiment_id,
@@ -227,7 +224,7 @@ class TestConfigJson:
     def test_se_block_holds_only_what_the_predictor_keeps(self):
         # iterations, mode, gamma_init, damping and alpha_clip come from the engine
         doc = config_to_json(ExperimentConfig())
-        assert set(doc["se"]) == {"stop_tol", "expectation"}
+        assert set(doc["se"]) == {"stop_tol", "quad_order"}
 
 
 class TestPredictorConfig:
@@ -354,8 +351,13 @@ class TestCli:
             {"engine": {"bogus": 1}},
             [1, 2],
             {"se": {"damping": 0.5, "iterations": 3, "mode": "map"}},
+            {"se": {"expectation": {"method": "mc"}}},
+            {"se": {"quad_order": 0}},
+            {"se": {"quad_order": 2.5}},
+            {"master_seed": -1},
         ],
-        ids=["unknown-key", "not-an-object", "se-keys-of-the-engine"],
+        ids=["unknown-key", "not-an-object", "se-keys-of-the-engine", "se-expectation",
+             "zero-quad-order", "fractional-quad-order", "negative-seed"],
     )
     def test_malformed_config_exit_code(self, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -398,6 +400,27 @@ class TestCli:
             argv += ["--signals", str(sig)]
         assert cli_main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--seed", "-1"],
+            ["generate", "--seed", "-1"],
+            *([command, "--max-iters", "0"] for command in ("run", "se", "compare")),
+            ["sweep", "--max-iters", "0", "--measurements", "10"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_bad_flag_value_exit_code(self, tmp_path, argv):
+        assert cli_main([*argv, "--config", self._config_file(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "row", ["cli,1,1,0,abc,nan,1.0,1.0,0.5,0.5,nan,nan", "cli,1,1"], ids=["not-a-number", "short-row"]
+    )
+    def test_malformed_result_csv_exit_code(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n")
+        assert cli_main(["compare", "--empirical", str(path), "--predicted", str(path)]) == 2
+
     def test_generate_strips_only_a_trailing_json(self, tmp_path):
         cfg = self._config_file(tmp_path)
         (tmp_path / "a.json").mkdir()
@@ -413,6 +436,8 @@ class TestCli:
             ["generate", "--se-method", "mc"],
             ["generate", "--se-samples", "10"],
             ["se", "--trials", "2"],
+            ["se", "--se-method", "mc"],
+            ["sweep", "--se-samples", "10", "--measurements", "10"],
             ["fixedpoint", "--trials", "2"],
             ["fixedpoint", "--out", "x"],
             ["fixedpoint", "--se-method", "mc"],
