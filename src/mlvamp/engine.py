@@ -34,6 +34,12 @@ ALPHA_MIN = 1e-6
 _TINY = 1e-300
 
 
+def check_count(name, value, least):
+    """Raise ``InvalidModelError`` unless ``value`` is an integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidModelError(f"{name} must be an integer of at least {least}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Run-time knobs for the message-passing iteration."""
@@ -50,7 +56,8 @@ class EngineConfig:
             raise InvalidModelError("mode must be 'mmse' or 'map'")
         if not (0.0 < self.damping <= 1.0):
             raise InvalidModelError("damping must lie in (0, 1]")
-        if self.max_iters < 0 or self.gamma_init <= 0 or self.alpha_clip <= 0:
+        check_count("max_iters", self.max_iters, 0)
+        if self.gamma_init <= 0 or self.alpha_clip <= 0:
             raise InvalidModelError("bounds must be positive")
 
 

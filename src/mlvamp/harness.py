@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 from scipy.special import ndtri
 
-from .engine import EngineConfig, nmse_db, run
+from .engine import EngineConfig, check_count, nmse_db, run
 from .errors import DivergedIterationError, InvalidModelError, NumericFailureError
 from .model import (
     NOISELESS,
@@ -255,12 +255,9 @@ class ExperimentConfig:
     experiment_id: str = "synthetic"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidModelError("need at least one trial")
-        if self.master_seed < 0:
-            raise InvalidModelError(f"master_seed must be non-negative, not {self.master_seed}")
-        if self.engine.max_iters < 1:
-            raise InvalidModelError(f"max_iters must be at least 1, not {self.engine.max_iters}")
+        check_count("trials", self.trials, 1)
+        check_count("master_seed", self.master_seed, 0)
+        check_count("max_iters", self.engine.max_iters, 1)
 
 
 @dataclass
@@ -551,8 +548,8 @@ def config_from_json(doc):
             recipe=SyntheticRecipe(**recipe_doc),
             engine=EngineConfig(**doc.get("engine", {})),
             se=SEConfig(**se_doc),
-            trials=int(doc.get("trials", 50)),
-            master_seed=int(doc.get("master_seed", 0)),
+            trials=doc.get("trials", 50),
+            master_seed=doc.get("master_seed", 0),
             experiment_id=doc.get("experiment_id", "synthetic"),
         )
     except (TypeError, ValueError) as exc:

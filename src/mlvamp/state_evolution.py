@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import denoisers as dn
-from .engine import ALPHA_MIN, Bookkeeping, Precisions, clip_alpha, damp, sweep
+from .engine import ALPHA_MIN, Bookkeeping, Precisions, check_count, clip_alpha, damp, sweep
 from .errors import InvalidModelError
 from .model import apply_activation, svd_factorize, zero_pad
 
@@ -138,15 +138,16 @@ class SEConfig:
     damping: float = 1.0
     alpha_clip: float = ALPHA_MIN
     stop_tol: float = 0.0
-    quad_order: int = 20  # Gauss-Hermite nodes per axis of the separable-layer grid
+    #: Gauss-Hermite nodes per message axis (a kinked truth axis keeps max(order // 2, 12)
+    #: Legendre nodes per panel); 12 keeps paper-law mmse curves within 2e-5 dB of order 20.
+    quad_order: int = 12
 
     def __post_init__(self):
         if self.mode not in ("mmse", "map"):
             raise InvalidModelError("mode must be 'mmse' or 'map'")
         if not (0.0 < self.damping <= 1.0):
             raise InvalidModelError("damping must lie in (0, 1]")
-        if not isinstance(self.quad_order, int) or self.quad_order < 1:
-            raise InvalidModelError(f"quad_order must be a positive integer, not {self.quad_order!r}")
+        check_count("quad_order", self.quad_order, 1)
 
 
 @dataclass
@@ -342,11 +343,10 @@ def _grid(K, mu, tau_m, xi_var, order, kink=None):
     reproduces ``b = 1 - K11 / Var(p0)`` and ``s^2 = b K11``.  The
     output-side message is a downstream likelihood summary, i.e. the true
     output plus independent noise of variance ``tau_m`` (assembled by the
-    caller from ``t_minus``).  ``order`` is the Gauss-Hermite node count
-    per axis; when the layer's activation has a kink, the truth axis gets a
-    panel edge exactly at it.  Each axis keeps a dimension, so a factor is
-    evaluated only on the axes it reads and broadcasts to the tensor
-    product ``w`` spans.
+    caller from ``t_minus``).  ``order`` is ``SEConfig.quad_order``; a
+    kinked activation puts a panel edge of the truth axis exactly at the
+    kink.  Each axis keeps a dimension, so a factor is evaluated only on
+    the axes it reads and broadcasts to the tensor product ``w`` spans.
     """
     var_p0 = max(K[0, 0] - mu * mu, 0.0)
     sd_p0 = math.sqrt(var_p0)
@@ -379,10 +379,6 @@ def _grid(K, mu, tau_m, xi_var, order, kink=None):
     return p0, r_plus, t[2], xi, w
 
 
-def _activation_kink(activation):
-    return 0.0 if activation in ("relu", "sign") else None
-
-
 def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip=clip_alpha):
     """Update at a separable layer: returns what the affine step returns.
 
@@ -392,8 +388,8 @@ def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, o
     replaces the minus message.
     """
     xi_var = 0.0 if math.isinf(layer.noise_precision) else 1.0 / layer.noise_precision
-    p0, r_plus, t_minus, xi, w = _grid(K_prev, mu_prev, tau_m, xi_var, order,
-                                       kink=_activation_kink(layer.activation))
+    kink = 0.0 if layer.activation in ("relu", "sign") else None
+    p0, r_plus, t_minus, xi, w = _grid(K_prev, mu_prev, tau_m, xi_var, order, kink=kink)
     q0 = apply_activation(layer.activation, p0) + xi
     if math.isinf(gm):
         zm, dm = dn.separable_output_fields(

@@ -355,9 +355,15 @@ class TestCli:
             {"se": {"quad_order": 0}},
             {"se": {"quad_order": 2.5}},
             {"master_seed": -1},
+            {"se": {"quad_order": True}},
+            {"engine": {"max_iters": 2.5}},
+            {"trials": 1.7},
+            {"trials": True, "engine": {"max_iters": True}},
+            {"master_seed": 0.5},
         ],
         ids=["unknown-key", "not-an-object", "se-keys-of-the-engine", "se-expectation",
-             "zero-quad-order", "fractional-quad-order", "negative-seed"],
+             "zero-quad-order", "fractional-quad-order", "negative-seed", "bool-quad-order",
+             "fractional-max-iters", "fractional-trials", "bool-counts", "fractional-seed"],
     )
     def test_malformed_config_exit_code(self, tmp_path, doc):
         path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mlvamp import harness
 from mlvamp import state_evolution as se
 from mlvamp.engine import EngineConfig, run
 from mlvamp.model import NOISELESS, forward_generate, geometric_singular_values as sv
@@ -171,7 +172,7 @@ class TestScalarUpdates:
             return fields(r_plus, *args)
 
         monkeypatch.setattr(dn, "separable_output_fields", counted)
-        res = run_se(law, SEConfig(iterations=4, mode=mode))
+        res = run_se(law, SEConfig(iterations=4, mode=mode, quad_order=20))
         np.testing.assert_allclose(res.nmse_db.ravel(), self.FULL_GRID_CURVES[mode], rtol=1e-12)
         assert sizes == [self.FULL_GRID_POINTS // 20] * 4
 
@@ -285,6 +286,17 @@ class TestBroadcastGrid:
         for arr in first:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+class TestDefaultQuadOrder:
+    def test_default_order_is_within_2e_5_db_of_order_20(self):
+        # the paper law at M = 300, where the default is farthest from order 20
+        # (1.3e-5 dB at damping 0.7 with calibration seed 0)
+        recipe = harness.SyntheticRecipe(measurements=300)
+        law = harness.recipe_law(recipe, harness.calibrate_recipe(recipe, 0))
+        default = run_se(law, SEConfig(damping=0.7))
+        order20 = run_se(law, SEConfig(damping=0.7, quad_order=20))
+        assert np.max(np.abs(default.nmse_db - order20.nmse_db)) <= 2e-5
 
 
 class TestGaussianChainFixedPoint:
