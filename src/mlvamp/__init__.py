@@ -1,5 +1,33 @@
 """Multi-layer vector approximate message passing and its deterministic predictor."""
 
+import ctypes
+import glob
+import os
+
+import numpy as np
+
+
+def _compute_on_one_blas_thread():
+    """Set the OpenBLAS bundled with numpy to one thread.
+
+    A blocked factorization (the Haar draws' QR) sums in an order that
+    depends on the thread count, so results would depend on the host's
+    cores.  Parallelism comes from the trial pool instead; forked workers
+    inherit the setting.  A numpy without a bundled OpenBLAS is left as it is.
+    """
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for path in glob.glob(os.path.join(site, "numpy.libs", "*openblas*.so*")):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
+_compute_on_one_blas_thread()
+
 from .denoisers import (
     BeliefParams,
     QuadratureRule,

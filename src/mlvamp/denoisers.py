@@ -43,7 +43,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def clip_gamma(gamma):
-    return float(np.clip(gamma, GAMMA_MIN, GAMMA_MAX))
+    """A precision clamped to ``[GAMMA_MIN, GAMMA_MAX]``; NaN stays NaN."""
+    return float(min(max(gamma, GAMMA_MIN), GAMMA_MAX))
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,16 @@ def _norm_logpdf(x):
     return -0.5 * x * x - _LOG_SQRT_2PI
 
 
-def _trunc_lower_moments(mu, sigma, cut=0.0):
-    """Mean and variance of N(mu, sigma^2) conditioned on exceeding ``cut``."""
+def _trunc_lower_moments(mu, sigma, cut=0.0, log_mass=None):
+    """Mean and variance of N(mu, sigma^2) conditioned on exceeding ``cut``.
+
+    ``log_mass`` is the log-probability of the condition,
+    ``log_ndtr((mu - cut) / sigma)``, when the caller has it.
+    """
     alpha = (cut - mu) / sigma
-    lam = np.exp(_norm_logpdf(alpha) - log_ndtr(-alpha))
+    if log_mass is None:
+        log_mass = log_ndtr(-alpha)
+    lam = np.exp(_norm_logpdf(alpha) - log_mass)
     mean = mu + sigma * lam
     var = sigma * sigma * np.clip(1.0 - lam * (lam - alpha), 0.0, 1.0)
     return mean, var
@@ -134,16 +141,15 @@ def _relu_stats(r_out, r_in, g_out, g_in):
     r_out, r_in = np.asarray(r_out, float), np.asarray(r_in, float)
     sig_in = 1.0 / math.sqrt(g_in)
     gt = g_out + g_in
+    sig_pos = 1.0 / math.sqrt(gt)
     m_pos = (g_out * r_out + g_in * r_in) / gt
+    # log P(x > 0) on the positive branch: its weight and its moments share it
+    log_mass = log_ndtr(m_pos / sig_pos)
     log_neg = -0.5 * g_out * r_out**2 + log_ndtr(-r_in * math.sqrt(g_in)) - 0.5 * math.log(g_in)
-    log_pos = (
-        -0.5 * (g_out * g_in / gt) * (r_out - r_in) ** 2
-        + log_ndtr(m_pos * math.sqrt(gt))
-        - 0.5 * math.log(gt)
-    )
+    log_pos = -0.5 * (g_out * g_in / gt) * (r_out - r_in) ** 2 + log_mass - 0.5 * math.log(gt)
     w_pos, w_neg = _branch_weights(log_pos, log_neg)
     e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0)
-    e_pos, v_pos = _trunc_lower_moments(m_pos, 1.0 / math.sqrt(gt), 0.0)
+    e_pos, v_pos = _trunc_lower_moments(m_pos, sig_pos, 0.0, log_mass)
     ex = w_neg * e_neg + w_pos * e_pos
     ex2 = w_neg * (v_neg + e_neg**2) + w_pos * (v_pos + e_pos**2)
     vx = np.clip(ex2 - ex**2, 0.0, None)
@@ -448,17 +454,26 @@ def observed_linear_gains(s, nu, gamma_plus):
     return gamma_plus / den, nu * s / den
 
 
-def linear_pair(params, factors, noise_precision, forward):
+def rotate_message(factors, side, message):
+    """``message`` in the SVD basis: ``left.T @ message`` (side ``"left"``) or
+    ``right @ message`` (side ``"right"``)."""
+    if side == "left":
+        return factors.left_orthogonal.T @ message
+    return factors.right_orthogonal @ message
+
+
+def linear_pair(params, factors, noise_precision, forward, rotate=rotate_message):
     """One side's estimate of an affine layer and its divergence.
 
-    Rotates the pseudo-observations into the SVD basis, solves the
-    per-component 2x2 system (with zero-padded singular values where one
-    side has no partner) for the output (``forward``) or the input, and
-    rotates that side back.  Identical for mmse and map.
+    Rotates the pseudo-observations into the SVD basis with ``rotate`` (a
+    caller may serve products it already has), solves the per-component
+    2x2 system (with zero-padded singular values where one side has no
+    partner) for the output (``forward``) or the input, and rotates that
+    side back.  Identical for mmse and map.
     """
     gm, gp = params.gamma_minus, params.gamma_plus
-    u_out = factors.left_orthogonal.T @ params.r_minus
-    u_in = factors.right_orthogonal @ params.r_plus
+    u_out = rotate(factors, "left", params.r_minus)
+    u_in = rotate(factors, "right", params.r_plus)
     n = factors.out_dim if forward else factors.in_dim
     s = zero_pad(factors.singular_values, n)
     if forward:
@@ -488,11 +503,11 @@ def input_denoiser(r_minus, gamma_minus):
     return g * np.asarray(r_minus, float) / (g + 1.0), g / (g + 1.0)
 
 
-def output_linear(r_plus, gamma_plus, y, factors, noise_precision):
+def output_linear(r_plus, gamma_plus, y, factors, noise_precision, rotate=rotate_message):
     """Estimate of the last hidden signal under an affine measurement of it."""
     n_in = factors.in_dim
-    u_in = factors.right_orthogonal @ np.asarray(r_plus, float)
-    u_obs = factors.left_orthogonal.T @ np.asarray(y, float)
+    u_in = rotate(factors, "right", np.asarray(r_plus, float))
+    u_obs = rotate(factors, "left", np.asarray(y, float))
     s_p = zero_pad(factors.singular_values, n_in)
     g_r, g_obs = observed_linear_gains(s_p, noise_precision, gamma_plus)
     resid = zero_pad(u_obs - factors.transformed_bias, n_in)

@@ -128,8 +128,8 @@ class FixedPointReport:
 
 
 def clip_alpha(alpha, bound=ALPHA_MIN):
-    """A divergence clamped to ``[bound, 1 - bound]``."""
-    return float(np.clip(alpha, bound, 1.0 - bound))
+    """A divergence clamped to ``[bound, 1 - bound]``; NaN stays NaN."""
+    return float(min(max(alpha, bound), 1.0 - bound))
 
 
 def damp(old, new, damping):
@@ -209,13 +209,40 @@ def sweep(prec, forward, endpoint, pair, book):
 # ---------------------------------------------------------------------------
 
 
+class Rotations:
+    """The messages of one engine run rotated into their layers' SVD bases.
+
+    Called as ``dn.rotate_message``.  The engine replaces a message and never
+    changes one in place, so the last product of each (layer, side) is served
+    again while its message object is current.  That object is held here, so
+    its identity cannot pass to a new array.  Each affine message is then
+    rotated once per sweep: the backward sweep reuses the forward sweep's
+    ``right @ r_plus``, the next forward sweep the backward sweep's
+    ``left.T @ r_minus``, and the observation is rotated once per run.
+    """
+
+    def __init__(self):
+        self._last = {}
+
+    def __call__(self, factors, side, message):
+        key = (id(factors), side)
+        last = self._last.get(key)
+        if last is not None and last[0] is message:
+            return last[1]
+        rotated = dn.rotate_message(factors, side, message)
+        self._last[key] = (message, rotated)
+        return rotated
+
+
 @dataclass(frozen=True)
 class DenoiserBank:
-    """The network with every affine layer's SVD factors attached, plus y and the mode."""
+    """The network with every affine layer's SVD factors attached, plus y, the
+    mode and the run's rotation cache."""
 
     spec: NetworkSpec
     y: np.ndarray
     mode: str
+    rotate: Rotations = field(default_factory=Rotations)
 
 
 def build_denoiser_bank(spec, y, mode):
@@ -271,7 +298,9 @@ def _pair_estimate(state, bank, ell, forward, iteration):
     )
     try:
         if layer.kind == "linear":
-            return dn.linear_pair(params, layer.factors, layer.noise_precision, forward)
+            return dn.linear_pair(
+                params, layer.factors, layer.noise_precision, forward, rotate=bank.rotate
+            )
         if bank.mode == "mmse":
             return dn.mmse_pair_nonlinear(params, layer, forward)
         return dn.map_pair_nonlinear(params, layer, forward)
@@ -286,7 +315,9 @@ def _output_estimate(state, bank, iteration):
     r_plus, gamma_plus = state.r_plus[last], state.gamma_plus[last]
     try:
         if layer.kind == "linear":
-            return dn.output_linear(r_plus, gamma_plus, bank.y, layer.factors, layer.noise_precision)
+            return dn.output_linear(
+                r_plus, gamma_plus, bank.y, layer.factors, layer.noise_precision, rotate=bank.rotate
+            )
         return dn.output_separable(r_plus, gamma_plus, bank.y, layer, bank.mode)
     except NumericFailureError as exc:
         raise DivergedIterationError(str(exc), layer=last, iteration=iteration) from exc

@@ -98,6 +98,9 @@ class SyntheticRecipe:
     activation: str = "relu"
 
     def __post_init__(self):
+        for width in self.hidden_dims:
+            check_count("a hidden_dims width", width, 1)
+        check_count("measurements", self.measurements, 1)
         if len(self.hidden_dims) < 2 or len(self.hidden_dims) % 2 == 0:
             raise InvalidModelError(
                 "hidden_dims must hold an odd count of widths (affine/separable pairs)"
@@ -110,7 +113,7 @@ class SyntheticRecipe:
 
     @property
     def dims(self):
-        return tuple(self.hidden_dims) + (int(self.measurements),)
+        return tuple(self.hidden_dims) + (self.measurements,)
 
     @property
     def num_generative_pairs(self):
@@ -347,6 +350,9 @@ def predictor_config(config):
 def run_trials(config, calibration=None, law=None, workers=None):
     """Run the predictor once and ``config.trials`` independent instances.
 
+    With more than one worker the predictor is a pool job beside the trials;
+    if it fails, its error is raised once it finishes and the queued trials
+    are cancelled.
     Trial seeds derive from the master seed; aggregation is keyed by trial
     index so the result is independent of completion order.
     """
@@ -356,17 +362,24 @@ def run_trials(config, calibration=None, law=None, workers=None):
         calibration = calibrate_recipe(recipe, config.master_seed)
     if law is None:
         law = recipe_law(recipe, calibration)
-    se_result = run_se(law, predictor_config(config))
 
     seeds = [
         int(substream(config.master_seed, 0x7A1A, t).integers(2**62))
         for t in range(config.trials)
     ]
     args = (repeat(recipe), repeat(calibration), repeat(config.engine), seeds)
-    if n_workers > 1 and config.trials > 1:
+    se_config = predictor_config(config)
+    if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_single_trial, *args))
+            predictor = pool.submit(run_se, law, se_config)
+            jobs = [pool.submit(run_single_trial, *a) for a in zip(*args)]
+            if predictor.exception() is not None:
+                # a failed predictor ends the run before the queued trials start
+                pool.shutdown(cancel_futures=True)
+            se_result = predictor.result()
+            results = [job.result() for job in jobs]
     else:
+        se_result = run_se(law, se_config)
         results = list(map(run_single_trial, *args))
     failed = [t for t in results if t.error is not None]
     if len(failed) == len(results):

@@ -63,7 +63,9 @@ class SvdFactors:
 
     ``right`` is applied untransposed; singular values are sorted descending
     and are zero-padded (``zero_pad``) to either endpoint dimension at use sites.
-    ``transformed_bias`` is ``left.T @ bias``.
+    ``transformed_bias`` is ``left.T @ bias``.  Orthogonality is checked in
+    O(n^2) on a fixed probe ``p``: ``max|q.T @ (q @ p) - p|`` must stay within
+    ``ORTHOGONALITY_TOL``.
     """
 
     left_orthogonal: np.ndarray
@@ -85,10 +87,10 @@ class SvdFactors:
         if np.any(np.diff(self.singular_values) > 0):
             raise InvalidModelError("singular values must be sorted descending")
         for q in (self.left_orthogonal, self.right_orthogonal):
-            gram = q.T @ q
-            err = np.max(np.abs(gram - np.eye(q.shape[0])))
+            probe = np.random.default_rng(0).standard_normal(q.shape[0])
+            err = np.max(np.abs(q.T @ (q @ probe) - probe))
             if err > ORTHOGONALITY_TOL:
-                raise InvalidModelError(f"factor not orthogonal (|QtQ - I| = {err:.3e})")
+                raise InvalidModelError(f"factor not orthogonal (|QtQp - p| = {err:.3e})")
         if self.transformed_bias.shape != (n_out,):
             raise InvalidModelError("transformed bias has wrong length")
 
@@ -101,11 +103,12 @@ class SvdFactors:
         return self.right_orthogonal.shape[0]
 
     def to_weight(self):
-        """Reassemble the dense weight matrix."""
-        smat = np.zeros((self.out_dim, self.in_dim))
+        """Reassemble the dense weight matrix: ``left`` with its columns scaled by
+        the singular values (zero past them), times ``right``."""
+        scaled = np.zeros((self.out_dim, self.in_dim))
         k = self.singular_values.size
-        smat[:k, :k] = np.diag(self.singular_values)
-        return self.left_orthogonal @ smat @ self.right_orthogonal
+        np.multiply(self.left_orthogonal[:, :k], self.singular_values, out=scaled[:, :k])
+        return scaled @ self.right_orthogonal
 
 
 @dataclass(frozen=True)

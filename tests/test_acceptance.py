@@ -50,7 +50,7 @@ def paper_experiment():
         experiment_id="acceptance-m100",
     )
     start = time.perf_counter()
-    result = harness.run_trials(cfg, workers=1)
+    result = harness.run_trials(cfg)
     result.wall_s = time.perf_counter() - start
     return result
 
@@ -59,7 +59,7 @@ def paper_experiment():
 def sweep_results(paper_experiment):
     cfg = paper_experiment.config
     out = {100: paper_experiment}
-    out.update(harness.measurement_sweep(cfg, [10, 50, 200, 300], workers=1))
+    out.update(harness.measurement_sweep(cfg, [10, 50, 200, 300]))
     return out
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 from mlvamp import denoisers as dn
 from mlvamp.denoisers import (
@@ -343,6 +344,80 @@ class TestReluMmse:
         r_out[1, 1] = np.nan
         with pytest.raises(NumericFailureError, match=r"at component 4$"):
             dn._sigmoid_stats(r_out, np.zeros((2, 3)), 2.0, 1.0)
+
+
+def two_pass_relu_stats(r_out, r_in, g_out, g_in):
+    """The relu rule with two positive-branch ``log_ndtr`` passes: one for the
+    branch weight at ``m_pos sqrt(gt)``, one inside the truncated moments.
+
+    Returns the four statistics and, for each, the size of the terms it
+    sums: a sum of opposite signs (``E[x]``) or a variance taken as a
+    difference of moments magnifies a rounding-level change in the terms.
+    """
+    r_out, r_in = np.asarray(r_out, float), np.asarray(r_in, float)
+    sig_in = 1.0 / math.sqrt(g_in)
+    gt = g_out + g_in
+    m_pos = (g_out * r_out + g_in * r_in) / gt
+    log_neg = -0.5 * g_out * r_out**2 + log_ndtr(-r_in * math.sqrt(g_in)) - 0.5 * math.log(g_in)
+    log_pos = (
+        -0.5 * (g_out * g_in / gt) * (r_out - r_in) ** 2
+        + log_ndtr(m_pos * math.sqrt(gt))
+        - 0.5 * math.log(gt)
+    )
+    w_pos, w_neg = dn._branch_weights(log_pos, log_neg)
+    e_neg, v_neg = dn._trunc_upper_moments(r_in, sig_in, 0.0)
+    e_pos, v_pos = dn._trunc_lower_moments(m_pos, 1.0 / math.sqrt(gt), 0.0)
+    ex = w_neg * e_neg + w_pos * e_pos
+    ex2 = w_neg * (v_neg + e_neg**2) + w_pos * (v_pos + e_pos**2)
+    vx = np.clip(ex2 - ex**2, 0.0, None)
+    ephi = w_pos * e_pos
+    ephi2 = w_pos * (v_pos + e_pos**2)
+    vphi = np.clip(ephi2 - ephi**2, 0.0, None)
+    scales = (w_neg * np.abs(e_neg) + w_pos * np.abs(e_pos), ex2, np.abs(ephi), ephi2)
+    return (ex, vx, ephi, vphi), scales
+
+
+class TestSharedReluLogMass:
+    """``_relu_stats`` evaluates the positive branch's log-mass once, for its
+    weight and its truncated moments; the two-pass rule is the reference."""
+
+    #: (g_out, g_in) pairs at which the argument reaches +-37 with O(1) messages
+    PRECISIONS = [(1.0, 1.0), (3.0, 0.7), (40.0, 0.02), (150.0, 2.5), (400.0, 300.0), (2500.0, 0.3)]
+
+    @staticmethod
+    def assert_matches_two_passes(r_out, r_in, g_out, g_in):
+        t = (g_out * r_out + g_in * r_in) / (g_out + g_in) * math.sqrt(g_out + g_in)
+        assert t.min() <= -36.0 and t.max() >= 36.0
+        wants, scales = two_pass_relu_stats(r_out, r_in, g_out, g_in)
+        for got, want, scale in zip(dn._relu_stats(r_out, r_in, g_out, g_in), wants, scales):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("g_out, g_in", PRECISIONS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_engine_vectors(self, g_out, g_in, seed):
+        # a 784-vector whose positive-branch argument m_pos sqrt(gt) spans -37 .. 37
+        gt = g_out + g_in
+        r_in = np.random.default_rng(seed).standard_normal(784)
+        r_out = (np.linspace(-37.0, 37.0, 784) * math.sqrt(gt) - g_in * r_in) / g_out
+        self.assert_matches_two_passes(r_out, r_in, g_out, g_in)
+
+    @pytest.mark.parametrize("g_out, g_in", PRECISIONS)
+    def test_broadcast_predictor_grid(self, g_out, g_in):
+        # the predictor's layout: truth on axis 0, r_plus's and r_minus's
+        # nodes on axes 1 and 2, broadcast against each other
+        nodes = gauss_hermite_rule(12).nodes
+        truth = np.linspace(-37.0, 37.0, 132)[:, None, None] / math.sqrt(g_out + g_in)
+        r_in = truth + 0.1 * nodes[None, :, None]
+        r_out = truth + 0.1 * nodes[None, None, :]
+        self.assert_matches_two_passes(r_out, r_in, g_out, g_in)
+
+    def test_the_positive_moments_keep_their_bits(self):
+        # the shared log-mass is the one the moments computed for themselves
+        m, sig = np.linspace(-40.0, 40.0, 801), 1.0 / math.sqrt(7.3)
+        for got, want in zip(dn._trunc_lower_moments(m, sig, 0.0, log_ndtr(m / sig)),
+                             dn._trunc_lower_moments(m, sig, 0.0)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestReluMap:

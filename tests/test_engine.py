@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlvamp import denoisers as dn
 from mlvamp import engine
-from mlvamp.denoisers import GAMMA_MIN
+from mlvamp.denoisers import GAMMA_MAX, GAMMA_MIN
 from mlvamp.engine import (
     EngineConfig,
     build_denoiser_bank,
@@ -152,6 +153,86 @@ class TestUpdateArithmetic:
         _, alpha_plus = linear_pair(params, layer.factors, 1.5, True)
         _, alpha_minus = linear_pair(params, layer.factors, 1.5, False)
         assert alpha_plus == pytest.approx(alpha_minus, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [-math.inf, -1.0, 0.0, 1e-12, 0.3, 1.0, 2e11, math.inf])
+    def test_clips_agree_with_numpy(self, value):
+        assert engine.clip_alpha(value, 1e-6) == float(np.clip(value, 1e-6, 1.0 - 1e-6))
+        assert dn.clip_gamma(value) == float(np.clip(value, GAMMA_MIN, GAMMA_MAX))
+
+    def test_clips_keep_nan(self):
+        assert math.isnan(engine.clip_alpha(math.nan)) and math.isnan(dn.clip_gamma(math.nan))
+        assert math.isnan(engine.clip_alpha(np.float64(math.nan)))
+
+
+class TestRotationCache:
+    """An engine run rotates each affine message once per sweep and serves
+    that product to the other sweep; it must change no bit."""
+
+    @staticmethod
+    def paper_like_run(truth=True):
+        spec = make_relu_network(
+            (20, 60, 60, 80, 80, 40), rho=0.4, nu_lin=math.inf, nu_act=math.inf, nu_meas=500.0, seed=2
+        )
+        sig = forward_generate(spec, 5)
+        cfg = EngineConfig(max_iters=8, convergence_tol=0.0, damping=0.7)
+        return run(spec, sig.y, cfg, truth=sig if truth else None)
+
+    def test_cached_run_equals_one_that_rotates_every_message(self, monkeypatch):
+        cached = self.paper_like_run()
+        monkeypatch.setattr(
+            engine.Rotations, "__call__", lambda self, f, side, m: dn.rotate_message(f, side, m)
+        )
+        every = self.paper_like_run()
+        (state_a, trace_a, report_a), (state_b, trace_b, report_b) = cached, every
+        assert len(trace_a.rows) == len(trace_b.rows) == 16
+        for row_a, row_b in zip(trace_a.rows, trace_b.rows):
+            for name in ("nmse_db", "gamma_plus", "gamma_minus", "alpha_plus", "alpha_minus",
+                         "consistency", "max_delta", "clip_events"):
+                np.testing.assert_array_equal(getattr(row_a, name), getattr(row_b, name))
+        for name in ("r_minus", "r_plus", "zhat_plus", "zhat_minus"):
+            for a, b in zip(getattr(state_a, name), getattr(state_b, name)):
+                np.testing.assert_array_equal(a, b)
+        assert report_a == report_b
+
+    def test_two_rotations_per_affine_layer_and_iteration(self, monkeypatch):
+        # the other two products of an affine layer's iteration rotate its
+        # estimates back; the observation is rotated once per run
+        calls, rotate = [], dn.rotate_message
+
+        def counted(factors, side, message):
+            calls.append(side)
+            return rotate(factors, side, message)
+
+        monkeypatch.setattr(dn, "rotate_message", counted)
+        self.paper_like_run(truth=False)
+        iters, pair_layers = 8, 2
+        # each pair layer: one fresh product per sweep, plus its first
+        # forward sweep's zero minus message; the output layer: r_plus once
+        # per iteration, plus y once
+        assert len(calls) == pair_layers * (2 * iters + 1) + (iters + 1)
+
+    def test_a_replaced_message_is_rotated_afresh(self):
+        rng = np.random.default_rng(9)
+        factors = linear_layer_from_factors(
+            haar(6, 1), np.ones(5), haar(5, 2), np.zeros(6), 1.0
+        ).factors
+        rotate = engine.Rotations()
+        message = rng.standard_normal(5)
+        first = rotate(factors, "right", message)
+        assert rotate(factors, "right", message) is first
+        # an equal copy is another message: computed, never served
+        copy = message.copy()
+        again = rotate(factors, "right", copy)
+        assert again is not first
+        np.testing.assert_array_equal(again, first)
+        # a message dropped right after its rotation: the next array may take
+        # its storage, and with it its identity, unless the cache holds it
+        for _ in range(20):
+            rotate(factors, "right", rng.standard_normal(5))
+            message = rng.standard_normal(5)
+            np.testing.assert_array_equal(
+                rotate(factors, "right", message), factors.right_orthogonal @ message
+            )
 
 
 class TestScalarChainIsExactInOneSweep:

@@ -5,8 +5,11 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
+import time
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import pytest
 from mlvamp import harness
 from mlvamp.cli import cli_main
 from mlvamp.engine import EngineConfig, run
-from mlvamp.errors import InvalidModelError
+from mlvamp.errors import InvalidModelError, NumericFailureError
 from mlvamp.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -43,6 +46,16 @@ SMALL_RECIPE = SyntheticRecipe(
 )
 
 FAST_ENGINE = EngineConfig(max_iters=6, convergence_tol=0.0)
+
+
+def _failing_predictor(law, config):
+    raise NumericFailureError("predictor failed")
+
+
+def _recorded_trial(directory, recipe, calibration, engine_cfg, trial_seed):
+    (directory / str(trial_seed)).touch()
+    time.sleep(0.05)
+    return harness.TrialResult(seed=trial_seed, wall_ms=0.0, error=None)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +137,17 @@ class TestTrials:
         res2 = run_trials(cfg, workers=2)
         np.testing.assert_array_equal(small_result.nmse_stack(), res2.nmse_stack())
 
+    def test_a_failing_predictor_cancels_the_queued_trials(self, monkeypatch, tmp_path):
+        # pool workers are forked after the patch, so they run the stand-ins
+        monkeypatch.setattr(harness, "run_se", _failing_predictor)
+        monkeypatch.setattr(harness, "run_single_trial", partial(_recorded_trial, tmp_path))
+        cfg = ExperimentConfig(
+            recipe=SMALL_RECIPE, engine=FAST_ENGINE, trials=40, master_seed=7, experiment_id="t"
+        )
+        with pytest.raises(NumericFailureError, match="predictor failed"):
+            run_trials(cfg, workers=2)
+        assert len(list(tmp_path.iterdir())) < 20
+
     def test_worker_count_env_override(self, monkeypatch):
         monkeypatch.setenv("MLVAMP_THREADS", "3")
         assert harness.worker_count() == 3
@@ -133,6 +157,61 @@ class TestTrials:
             monkeypatch.setenv("MLVAMP_THREADS", bad)
             with pytest.raises(InvalidModelError):
                 harness.worker_count()
+
+
+class TestOneBlasThread:
+    """Results do not depend on the host's cores: the package computes on one
+    BLAS thread, and takes its parallelism from the trial pool."""
+
+    @staticmethod
+    def env(**variables):
+        """This environment, without BLAS thread variables unless given, with
+        the package importable."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(harness.__file__))
+        return {**env, **variables}
+
+    def test_openblas_reports_one_thread_after_import(self, tmp_path):
+        # a fresh interpreter with no thread variable set, so OpenBLAS starts
+        # at its own default; the package's import sets one thread, and a
+        # forked pool worker inherits it
+        script = tmp_path / "threads.py"
+        script.write_text(
+            "import ctypes, glob, os\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "import numpy as np\n"
+            "import mlvamp\n"
+            "site = os.path.dirname(os.path.dirname(np.__file__))\n"
+            "def threads(_=None):\n"
+            "    for path in glob.glob(os.path.join(site, 'numpy.libs', '*openblas*.so*')):\n"
+            "        get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_\n"
+            "        get.argtypes, get.restype = [], ctypes.c_int\n"
+            "        return get()\n"
+            "if __name__ == '__main__':\n"
+            "    with ProcessPoolExecutor(1) as pool:\n"
+            "        print(threads(), pool.submit(threads).result())\n"
+        )
+        out = subprocess.run([sys.executable, str(script)], env=self.env(), capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["1", "1"]
+
+    def test_bytes_do_not_depend_on_workers_or_blas_threads(self, tmp_path):
+        # the paper recipe draws 784 x 784 Haar factors, whose blocked QR sums
+        # in a thread-dependent order: without one BLAS thread its
+        # calibrated noise precision (2516.0432508158797 on one thread)
+        # reads 2516.043250815877 on two
+        outputs = []
+        for workers, blas_threads in (("1", "1"), ("1", "2"), ("2", "2")):
+            out = tmp_path / f"w{workers}-b{blas_threads}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "mlvamp", "run", "--trials", "2", "--max-iters", "3",
+                 "--out", str(out)],
+                env=self.env(MLVAMP_THREADS=workers, OPENBLAS_NUM_THREADS=blas_threads),
+                check=True, capture_output=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCsv:
@@ -360,10 +439,16 @@ class TestCli:
             {"trials": 1.7},
             {"trials": True, "engine": {"max_iters": True}},
             {"master_seed": 0.5},
+            {"recipe": {"measurements": 2.5}},
+            {"recipe": {"measurements": 0}},
+            {"recipe": {"measurements": True}},
+            {"recipe": {"hidden_dims": [8, 24.5, 24.5]}},
         ],
         ids=["unknown-key", "not-an-object", "se-keys-of-the-engine", "se-expectation",
              "zero-quad-order", "fractional-quad-order", "negative-seed", "bool-quad-order",
-             "fractional-max-iters", "fractional-trials", "bool-counts", "fractional-seed"],
+             "fractional-max-iters", "fractional-trials", "bool-counts", "fractional-seed",
+             "fractional-measurements", "zero-measurements", "bool-measurements",
+             "fractional-width"],
     )
     def test_malformed_config_exit_code(self, tmp_path, doc):
         path = tmp_path / "bad.json"

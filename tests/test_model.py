@@ -153,6 +153,27 @@ class TestSvdFactorization:
             scale = np.max(np.abs(rhs))
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("n", [4, 784])
+    def test_a_factor_bent_off_orthogonal_is_rejected(self, n):
+        u, v = haar(n, 1), haar(6, 2)
+        s = geometric_singular_values(n, 6, 2.0)
+        linear_layer_from_factors(u, s, v, np.ones(n), 1.0)
+        bent = u.copy()
+        bent[n // 2, n // 3] += 1e-6
+        with pytest.raises(InvalidModelError, match="not orthogonal"):
+            linear_layer_from_factors(bent, s, v, np.ones(n), 1.0)
+
+    @pytest.mark.parametrize("shape", [(100, 20), (20, 100), (64, 64), (100, 784), (784, 500)])
+    def test_weight_keeps_the_bits_of_the_dense_diagonal_product(self, shape):
+        # to_weight scales left's columns; multiplying by the dense diagonal
+        # matrix, as it once did, sums the same products and exact zeros
+        n_out, n_in = shape
+        s = geometric_singular_values(n_out, n_in, 10.0)
+        f = linear_layer_from_factors(haar(n_out, 3), s, haar(n_in, 4), np.zeros(n_out), 1.0).factors
+        smat = np.zeros(shape)
+        smat[: s.size, : s.size] = np.diag(s)
+        np.testing.assert_array_equal(f.to_weight(), f.left_orthogonal @ smat @ f.right_orthogonal)
+
 
 class TestNetworkValidation:
     def test_dims_mismatch_rejected(self):
