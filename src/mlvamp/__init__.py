@@ -8,22 +8,29 @@ import numpy as np
 
 
 def _compute_on_one_blas_thread():
-    """Set the OpenBLAS bundled with numpy to one thread.
+    """Set the OpenBLAS libraries bundled with numpy and with scipy to one thread.
 
     A blocked factorization (the Haar draws' QR) sums in an order that
     depends on the thread count, so results would depend on the host's
     cores.  Parallelism comes from the trial pool instead; forked workers
-    inherit the setting.  A numpy without a bundled OpenBLAS is left as it is.
+    inherit the setting.  numpy's library (``numpy.libs``) has 64-bit
+    integers and a ``64_`` suffix on its symbols, scipy's (``scipy.libs``,
+    which ``scipy.linalg`` and ``scipy.special`` use) has neither.  A
+    library that is not bundled is left as it is.
     """
     site = os.path.dirname(os.path.dirname(np.__file__))
-    for path in glob.glob(os.path.join(site, "numpy.libs", "*openblas*.so*")):
-        try:
-            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
+    for libs, setter_name in (
+        ("numpy.libs", "scipy_openblas_set_num_threads64_"),
+        ("scipy.libs", "scipy_openblas_set_num_threads"),
+    ):
+        for path in glob.glob(os.path.join(site, libs, "*openblas*.so*")):
+            try:
+                setter = getattr(ctypes.CDLL(path), setter_name)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
 
 
 _compute_on_one_blas_thread()

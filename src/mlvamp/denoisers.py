@@ -10,7 +10,8 @@ input-output derivative needed by the message update.
 
 Separable layers use scalar posterior-mean (``mmse``) or joint-maximizer
 (``map``) rules applied componentwise; affine layers reduce to a
-per-component 2x2 solve in the SVD basis, identical for both modes.
+per-component 2x2 solve in the SVD basis, identical for both modes, whose
+null components share one gain and are solved at once by projection.
 Divergences are analytic everywhere: posterior-variance identities for
 the mmse rules, branch slopes for the map rules, and closed-form gains
 for the affine solve.
@@ -26,7 +27,6 @@ import numpy as np
 from scipy.special import expit, log_ndtr
 
 from .errors import InvalidModelError, NumericFailureError
-from .model import zero_pad
 
 #: Clipping bounds for message precisions.  Chosen to keep the 2x2 affine
 #: systems well-conditioned in double precision while permitting
@@ -34,9 +34,10 @@ from .model import zero_pad
 GAMMA_MIN = 1e-11
 GAMMA_MAX = 1e11
 
-#: Default Gauss-Hermite order for scalar posterior integrals.  Chosen so
-#: that doubling the order moves posterior means by less than 1e-8 across
-#: the operating range.
+#: Default Legendre budget of the sigmoid rule (``_sigmoid_stats``): each
+#: panel gets ``max(order // 6, 10)`` nodes, 10 at this default.  Chosen so
+#: that doubling it moves posterior statistics by less than 1e-8 across the
+#: operating range.
 DEFAULT_QUAD_ORDER = 60
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -109,9 +110,12 @@ def _trunc_lower_moments(mu, sigma, cut=0.0, log_mass=None):
     return mean, var
 
 
-def _trunc_upper_moments(mu, sigma, cut=0.0):
-    """Mean and variance of N(mu, sigma^2) conditioned on staying below ``cut``."""
-    mean, var = _trunc_lower_moments(-np.asarray(mu, dtype=float), sigma, -cut)
+def _trunc_upper_moments(mu, sigma, cut=0.0, log_mass=None):
+    """Mean and variance of N(mu, sigma^2) conditioned on staying below ``cut``.
+
+    ``log_mass`` is ``log_ndtr((cut - mu) / sigma)``, when the caller has it.
+    """
+    mean, var = _trunc_lower_moments(-np.asarray(mu, dtype=float), sigma, -cut, log_mass)
     return -mean, var
 
 
@@ -143,12 +147,14 @@ def _relu_stats(r_out, r_in, g_out, g_in):
     gt = g_out + g_in
     sig_pos = 1.0 / math.sqrt(gt)
     m_pos = (g_out * r_out + g_in * r_in) / gt
-    # log P(x > 0) on the positive branch: its weight and its moments share it
+    # each branch's log-mass, P(x > 0) under N(m_pos, sig_pos^2) and P(x < 0)
+    # under N(r_in, sig_in^2), is shared by its weight and its moments
     log_mass = log_ndtr(m_pos / sig_pos)
-    log_neg = -0.5 * g_out * r_out**2 + log_ndtr(-r_in * math.sqrt(g_in)) - 0.5 * math.log(g_in)
+    log_neg_mass = log_ndtr(-(r_in / sig_in))
+    log_neg = -0.5 * g_out * r_out**2 + log_neg_mass - 0.5 * math.log(g_in)
     log_pos = -0.5 * (g_out * g_in / gt) * (r_out - r_in) ** 2 + log_mass - 0.5 * math.log(gt)
     w_pos, w_neg = _branch_weights(log_pos, log_neg)
-    e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0)
+    e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0, log_neg_mass)
     e_pos, v_pos = _trunc_lower_moments(m_pos, sig_pos, 0.0, log_mass)
     ex = w_neg * e_neg + w_pos * e_pos
     ex2 = w_neg * (v_neg + e_neg**2) + w_pos * (v_pos + e_pos**2)
@@ -162,11 +168,14 @@ def _relu_stats(r_out, r_in, g_out, g_in):
 def _sign_stats(r_out, r_in, g_out, g_in):
     r_out, r_in = np.asarray(r_out, float), np.asarray(r_in, float)
     sig_in = 1.0 / math.sqrt(g_in)
-    log_pos = -0.5 * g_out * (1.0 - r_out) ** 2 + log_ndtr(r_in * math.sqrt(g_in))
-    log_neg = -0.5 * g_out * (1.0 + r_out) ** 2 + log_ndtr(-r_in * math.sqrt(g_in))
+    # log P(x > 0) and log P(x < 0) under N(r_in, sig_in^2): weights and moments share them
+    z = r_in / sig_in
+    log_pos_mass, log_neg_mass = log_ndtr(z), log_ndtr(-z)
+    log_pos = -0.5 * g_out * (1.0 - r_out) ** 2 + log_pos_mass
+    log_neg = -0.5 * g_out * (1.0 + r_out) ** 2 + log_neg_mass
     w_pos, w_neg = _branch_weights(log_pos, log_neg)
-    e_pos, v_pos = _trunc_lower_moments(r_in, sig_in, 0.0)
-    e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0)
+    e_pos, v_pos = _trunc_lower_moments(r_in, sig_in, 0.0, log_pos_mass)
+    e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0, log_neg_mass)
     ex = w_neg * e_neg + w_pos * e_pos
     ex2 = w_neg * (v_neg + e_neg**2) + w_pos * (v_pos + e_pos**2)
     vx = np.clip(ex2 - ex**2, 0.0, None)
@@ -455,37 +464,56 @@ def observed_linear_gains(s, nu, gamma_plus):
 
 
 def rotate_message(factors, side, message):
-    """``message`` in the SVD basis: ``left.T @ message`` (side ``"left"``) or
-    ``right @ message`` (side ``"right"``)."""
+    """The ``k`` range coordinates of ``message``: ``left.T @ message`` (side
+    ``"left"``) or ``right @ message`` (side ``"right"``)."""
     if side == "left":
         return factors.left_orthogonal.T @ message
     return factors.right_orthogonal @ message
 
 
+def _rotate_back(back, est, gains, n, null_gain, null_part, null_coords):
+    """An estimate in the signal basis and its divergence.
+
+    ``est`` and ``gains`` hold the ``k`` range components; ``back`` (``n x k``)
+    maps them back.  The other ``n - k`` components share the gain
+    ``null_gain``, and their estimate is the null-space part of ``null_part``,
+    whose range coordinates are ``null_coords``.
+    """
+    k = est.size
+    alpha = (float(np.sum(gains)) + (n - k) * float(null_gain)) / n
+    if n == k:
+        return back @ est, alpha
+    return back @ (est - null_coords) + null_part, alpha
+
+
 def linear_pair(params, factors, noise_precision, forward, rotate=rotate_message):
     """One side's estimate of an affine layer and its divergence.
 
-    Rotates the pseudo-observations into the SVD basis with ``rotate`` (a
-    caller may serve products it already has), solves the per-component
-    2x2 system (with zero-padded singular values where one side has no
-    partner) for the output (``forward``) or the input, and rotates that
-    side back.  Identical for mmse and map.
+    Rotates the pseudo-observations into the range coordinates with
+    ``rotate`` (a caller may serve products it already has), solves the
+    per-component 2x2 system for the output (``forward``) or the input, and
+    rotates that side back.  The side's null-space components (singular value
+    0) are solved at once by projection.  Identical for mmse and map.
     """
     gm, gp = params.gamma_minus, params.gamma_plus
     u_out = rotate(factors, "left", params.r_minus)
     u_in = rotate(factors, "right", params.r_plus)
-    n = factors.out_dim if forward else factors.in_dim
-    s = zero_pad(factors.singular_values, n)
-    if forward:
-        g_q, g_p, g_b = linear_gains_plus(s, noise_precision, gm, gp)
-        est = g_q * u_out + g_p * zero_pad(u_in, n) + g_b * factors.transformed_bias
-        back, alpha = factors.left_orthogonal, np.mean(g_q)
-    else:
-        g_q, g_p, g_b = linear_gains_minus(s, noise_precision, gm, gp)
-        est = g_q * zero_pad(u_out, n) + g_p * u_in + g_b * zero_pad(factors.transformed_bias, n)
-        back, alpha = factors.right_orthogonal.T, np.mean(g_p)
+    b = factors.transformed_bias
+    gains = linear_gains_plus if forward else linear_gains_minus
+    g_q, g_p, g_b = gains(factors.singular_values, noise_precision, gm, gp)
+    est = g_q * u_out + g_p * u_in + g_b * b
     _check_finite(est)
-    return back @ est, float(alpha)
+    c_q, c_p, c_b = gains(0.0, noise_precision, gm, gp)
+    if forward:  # an output null component weighs its message and its bias
+        return _rotate_back(
+            factors.left_orthogonal, est, g_q, factors.out_dim, c_q,
+            c_q * params.r_minus + c_b * factors.bias, c_q * u_out + c_b * b,
+        )
+    # an input null component weighs its message alone
+    return _rotate_back(
+        factors.right_orthogonal.T, est, g_p, factors.in_dim, c_p,
+        c_p * params.r_plus, c_p * u_in,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +533,15 @@ def input_denoiser(r_minus, gamma_minus):
 
 def output_linear(r_plus, gamma_plus, y, factors, noise_precision, rotate=rotate_message):
     """Estimate of the last hidden signal under an affine measurement of it."""
-    n_in = factors.in_dim
-    u_in = rotate(factors, "right", np.asarray(r_plus, float))
+    r_plus = np.asarray(r_plus, float)
+    u_in = rotate(factors, "right", r_plus)
     u_obs = rotate(factors, "left", np.asarray(y, float))
-    s_p = zero_pad(factors.singular_values, n_in)
-    g_r, g_obs = observed_linear_gains(s_p, noise_precision, gamma_plus)
-    resid = zero_pad(u_obs - factors.transformed_bias, n_in)
-    phat = g_r * u_in + g_obs * resid
-    return factors.right_orthogonal.T @ phat, float(np.mean(g_r))
+    g_r, g_obs = observed_linear_gains(factors.singular_values, noise_precision, gamma_plus)
+    phat = g_r * u_in + g_obs * (u_obs - factors.transformed_bias)
+    c_r = observed_linear_gains(np.zeros(1), noise_precision, gamma_plus)[0][0]
+    return _rotate_back(
+        factors.right_orthogonal.T, phat, g_r, factors.in_dim, c_r, c_r * r_plus, c_r * u_in
+    )
 
 
 def separable_output_fields(r_plus, gamma_plus, y, activation, noise_precision, mode):

@@ -210,7 +210,7 @@ def sweep(prec, forward, endpoint, pair, book):
 
 
 class Rotations:
-    """The messages of one engine run rotated into their layers' SVD bases.
+    """The messages of one engine run in their layers' range coordinates.
 
     Called as ``dn.rotate_message``.  The engine replaces a message and never
     changes one in place, so the last product of each (layer, side) is served

@@ -179,12 +179,17 @@ def calibrate_recipe(recipe, seed):
 
 
 def build_synthetic_network(recipe, seed, calibration):
-    """One instance of the recipe: fresh orthogonal factors and biases."""
+    """One instance of the recipe: fresh Haar factors and biases.
+
+    A left factor is drawn only over its range (its first ``min(n_out, n_in)``
+    columns).  A wider right factor is drawn square and cut by
+    ``linear_layer_from_factors``: its rows need the full factorization.
+    """
     dims = recipe.dims
     layers = []
     for pair in range(recipe.num_generative_pairs):
         n_in, n_out = dims[2 * pair], dims[2 * pair + 1]
-        left = sample_haar_orthogonal(n_out, substream(seed, 0x1E, pair, 0))
+        left = sample_haar_orthogonal(n_out, substream(seed, 0x1E, pair, 0), min(n_out, n_in))
         right = sample_haar_orthogonal(n_in, substream(seed, 0x1E, pair, 1))
         bias = calibration.bias_means[pair] + recipe.bias_std * substream(
             seed, 0x1E, pair, 2
@@ -196,7 +201,7 @@ def build_synthetic_network(recipe, seed, calibration):
         )
         layers.append(NonlinearLayerSpec(activation=recipe.activation))
     m, n_last = dims[-1], dims[-2]
-    left = sample_haar_orthogonal(m, substream(seed, 0x2E, 0))
+    left = sample_haar_orthogonal(m, substream(seed, 0x2E, 0), min(m, n_last))
     right = sample_haar_orthogonal(n_last, substream(seed, 0x2E, 1))
     s = geometric_singular_values(m, n_last, recipe.condition_number)
     layers.append(

@@ -57,42 +57,54 @@ def activation_slope(name, x):
     raise InvalidModelError(f"unknown activation {name!r}")
 
 
+def _check_orthonormal(q):
+    """Raise unless ``q``'s columns are orthonormal, probed in O(nk) on a fixed
+    ``p``: ``max|q.T @ (q @ p) - p|`` must stay within ``ORTHOGONALITY_TOL``."""
+    probe = np.random.default_rng(0).standard_normal(q.shape[1])
+    err = np.max(np.abs(q.T @ (q @ probe) - probe))
+    if err > ORTHOGONALITY_TOL:
+        raise InvalidModelError(f"factor not orthogonal (|QtQp - p| = {err:.3e})")
+
+
 @dataclass(frozen=True)
 class SvdFactors:
-    """Orthogonal factorization ``W = left @ diag(s) @ right`` of an affine layer.
+    """Compact SVD ``W = left @ diag(s) @ right`` of an affine layer.
 
-    ``right`` is applied untransposed; singular values are sorted descending
-    and are zero-padded (``zero_pad``) to either endpoint dimension at use sites.
-    ``transformed_bias`` is ``left.T @ bias``.  Orthogonality is checked in
-    O(n^2) on a fixed probe ``p``: ``max|q.T @ (q @ p) - p|`` must stay within
-    ``ORTHOGONALITY_TOL``.
+    With ``k = min(n_out, n_in)``, ``left`` is ``n_out x k`` with orthonormal
+    columns, ``s`` holds the ``k`` singular values sorted descending, and
+    ``right`` is ``k x n_in`` with orthonormal rows (applied untransposed).
+    The null space past these ``k`` directions is never formed: its
+    components all have singular value 0 and share every gain, so it enters
+    only by projection (``x - left @ (left.T @ x)``).  ``bias`` is the layer's
+    raw bias and ``transformed_bias`` its range coordinates ``left.T @ bias``.
+    Orthonormality is probe-checked on ``left`` and ``right.T``.
     """
 
     left_orthogonal: np.ndarray
     singular_values: np.ndarray
     right_orthogonal: np.ndarray
-    transformed_bias: np.ndarray
+    bias: np.ndarray
+    transformed_bias: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_out = self.left_orthogonal.shape[0]
-        n_in = self.right_orthogonal.shape[0]
-        if self.left_orthogonal.shape != (n_out, n_out):
-            raise InvalidModelError("left factor must be square")
-        if self.right_orthogonal.shape != (n_in, n_in):
-            raise InvalidModelError("right factor must be square")
-        if self.singular_values.shape != (min(n_out, n_in),):
+        n_in = self.right_orthogonal.shape[1]
+        k = min(n_out, n_in)
+        if self.singular_values.shape != (k,):
             raise InvalidModelError("need min(n_out, n_in) singular values")
+        if self.left_orthogonal.shape != (n_out, k):
+            raise InvalidModelError("left factor must be n_out x min(n_out, n_in)")
+        if self.right_orthogonal.shape != (k, n_in):
+            raise InvalidModelError("right factor must be min(n_out, n_in) x n_in")
         if np.any(self.singular_values < 0):
             raise InvalidModelError("singular values must be nonnegative")
         if np.any(np.diff(self.singular_values) > 0):
             raise InvalidModelError("singular values must be sorted descending")
-        for q in (self.left_orthogonal, self.right_orthogonal):
-            probe = np.random.default_rng(0).standard_normal(q.shape[0])
-            err = np.max(np.abs(q.T @ (q @ probe) - probe))
-            if err > ORTHOGONALITY_TOL:
-                raise InvalidModelError(f"factor not orthogonal (|QtQp - p| = {err:.3e})")
-        if self.transformed_bias.shape != (n_out,):
-            raise InvalidModelError("transformed bias has wrong length")
+        _check_orthonormal(self.left_orthogonal)
+        _check_orthonormal(self.right_orthogonal.T)
+        if self.bias.shape != (n_out,):
+            raise InvalidModelError("bias has wrong length")
+        object.__setattr__(self, "transformed_bias", self.left_orthogonal.T @ self.bias)
 
     @property
     def out_dim(self):
@@ -100,15 +112,12 @@ class SvdFactors:
 
     @property
     def in_dim(self):
-        return self.right_orthogonal.shape[0]
+        return self.right_orthogonal.shape[1]
 
     def to_weight(self):
         """Reassemble the dense weight matrix: ``left`` with its columns scaled by
-        the singular values (zero past them), times ``right``."""
-        scaled = np.zeros((self.out_dim, self.in_dim))
-        k = self.singular_values.size
-        np.multiply(self.left_orthogonal[:, :k], self.singular_values, out=scaled[:, :k])
-        return scaled @ self.right_orthogonal
+        the singular values, times ``right``."""
+        return (self.left_orthogonal * self.singular_values) @ self.right_orthogonal
 
 
 @dataclass(frozen=True)
@@ -226,17 +235,23 @@ def zero_pad(vec, n):
     return out
 
 
-def sample_haar_orthogonal(n, rng):
-    """Draw an ``n x n`` orthogonal matrix from the uniform (Haar) law with ``rng``.
+def sample_haar_orthogonal(n, rng, columns=None):
+    """Draw an ``n x n`` orthogonal matrix from the uniform (Haar) law with
+    ``rng``, or only its first ``columns`` columns.
 
     Orthonormalizes an i.i.d. standard-normal matrix and absorbs the sign
     of the triangular factor's diagonal, which makes the law exactly Haar.
+    The first ``k`` Householder reflectors depend only on the first ``k``
+    columns, so a thin QR of those gives the first ``k`` columns of the full
+    draw (to rounding) without forming the rest.  The full Gaussian matrix is
+    drawn either way, so both read the same numbers from ``rng``.
     """
     n = int(n)
-    if n < 1:
-        raise InvalidModelError("matrix size must be at least 1")
+    k = n if columns is None else int(columns)
+    if n < 1 or not 1 <= k <= n:
+        raise InvalidModelError("matrix size must be at least 1, and columns at most n")
     g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(g[:, :k])
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0
     return q * d
@@ -266,21 +281,16 @@ def svd_factorize(layer):
     """Return the orthogonal factorization of an affine layer.
 
     Layers built synthetically from factors carry them already and the
-    decomposition is bypassed; otherwise a full SVD is computed once and
+    decomposition is bypassed; otherwise a compact SVD is computed once and
     validated against the stored weight.
     """
     if layer.factors is not None:
         return layer.factors
     try:
-        u, s, vt = np.linalg.svd(layer.weight, full_matrices=True)
+        u, s, vt = np.linalg.svd(layer.weight, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"SVD failed for a {layer.weight.shape} layer") from exc
-    factors = SvdFactors(
-        left_orthogonal=u,
-        singular_values=s,
-        right_orthogonal=vt,
-        transformed_bias=u.T @ layer.bias,
-    )
+    factors = SvdFactors(left_orthogonal=u, singular_values=s, right_orthogonal=vt, bias=layer.bias)
     scale = max(np.max(np.abs(layer.weight)), 1e-300)
     err = np.max(np.abs(factors.to_weight() - layer.weight))
     if err > RECONSTRUCTION_TOL * scale:
@@ -289,18 +299,23 @@ def svd_factorize(layer):
 
 
 def linear_layer_from_factors(left, singular_values, right, bias, noise_precision):
-    """Build an affine layer directly from prescribed orthogonal factors."""
-    factors = SvdFactors(
-        left_orthogonal=np.asarray(left, dtype=float),
-        singular_values=np.asarray(singular_values, dtype=float),
-        right_orthogonal=np.asarray(right, dtype=float),
-        transformed_bias=np.asarray(left, dtype=float).T @ np.asarray(bias, dtype=float),
-    )
+    """Build an affine layer directly from prescribed orthogonal factors.
+
+    The factors may be compact (see ``SvdFactors``) or square; a square factor
+    wider than the range is checked whole, then cut to the range.
+    """
+    left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    s = np.asarray(singular_values, dtype=float)
+    if left.ndim == 2 and left.shape[0] == left.shape[1] > s.size:
+        _check_orthonormal(left)
+        left = left[:, : s.size].copy()
+    if right.ndim == 2 and right.shape[0] == right.shape[1] > s.size:
+        _check_orthonormal(right)
+        right = right[: s.size].copy()
+    bias = np.asarray(bias, dtype=float)
+    factors = SvdFactors(left_orthogonal=left, singular_values=s, right_orthogonal=right, bias=bias)
     return LinearLayerSpec(
-        weight=factors.to_weight(),
-        bias=np.asarray(bias, dtype=float),
-        noise_precision=noise_precision,
-        factors=factors,
+        weight=factors.to_weight(), bias=bias, noise_precision=noise_precision, factors=factors
     )
 
 

@@ -115,7 +115,7 @@ class NetworkLaw:
                         n_out=layer.out_dim,
                         n_in=layer.in_dim,
                         noise_precision=layer.noise_precision,
-                        bbar_atoms=f.transformed_bias.copy(),
+                        bbar_atoms=_bias_atoms(f),
                         bias_mean=float(np.mean(layer.bias)),
                     )
                 )
@@ -128,6 +128,21 @@ class NetworkLaw:
                     )
                 )
         return cls(layers=tuple(laws), dims=tuple(spec.dims))
+
+
+def _bias_atoms(factors):
+    """Transformed-bias atoms of an affine layer's ``n_out`` output components.
+
+    The range components are ``left.T @ bias``.  The null components share
+    every coefficient (singular value 0), so only their total bias energy
+    ``|bias - left (left.T bias)|^2`` enters a moment; it is spread evenly
+    over them, which is the transformed bias in a null basis of its own.
+    """
+    b, null = factors.transformed_bias, factors.out_dim - factors.transformed_bias.size
+    if null == 0:
+        return b.copy()
+    resid = factors.bias - factors.left_orthogonal @ b
+    return np.concatenate([b, np.full(null, math.sqrt(float(resid @ resid) / null))])
 
 
 @dataclass(frozen=True)

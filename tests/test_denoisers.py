@@ -28,6 +28,7 @@ from mlvamp.model import (
     LinearLayerSpec,
     NonlinearLayerSpec,
     svd_factorize,
+    zero_pad,
 )
 from conftest import divergence_finite_difference, haar, scalar_belief_cost
 
@@ -148,7 +149,7 @@ class TestLinearPair:
             left_orthogonal=f.left_orthogonal,
             singular_values=f.singular_values,
             right_orthogonal=f.right_orthogonal,
-            transformed_bias=np.zeros(6),
+            bias=np.zeros(6),
         )
         params = BeliefParams(np.zeros(6), np.zeros(4), 1.3, 0.7)
         for forward in (True, False):
@@ -244,13 +245,72 @@ class TestLinearPair:
                 left_orthogonal=rot_out @ f.left_orthogonal,
                 singular_values=f.singular_values,
                 right_orthogonal=f.right_orthogonal @ rot_in.T,
-                transformed_bias=f.transformed_bias,
+                bias=rot_out @ f.bias,
             )
             params = BeliefParams(rot_out @ r_minus, rot_in @ r_plus, 1.1, 0.9)
             for rot, fw, (zhat, alpha) in zip((rot_out, rot_in), (True, False), base):
                 res_z, res_alpha = linear_pair(params, f2, 2.0, fw)
                 np.testing.assert_allclose(res_z, rot @ zhat, atol=1e-8)
                 assert res_alpha == pytest.approx(alpha, rel=1e-10)
+
+
+def square_basis_pair(params, u, s, v, bias, nu, forward):
+    """``linear_pair`` in the square SVD basis: every null component is formed
+    and solved with its zero-padded singular value."""
+    gm, gp = params.gamma_minus, params.gamma_plus
+    u_out, u_in, bbar = u.T @ params.r_minus, v @ params.r_plus, u.T @ bias
+    n = u.shape[0] if forward else v.shape[0]
+    s = zero_pad(s, n)
+    if forward:
+        g_q, g_p, g_b = dn.linear_gains_plus(s, nu, gm, gp)
+        return u @ (g_q * u_out + g_p * zero_pad(u_in, n) + g_b * bbar), float(np.mean(g_q))
+    g_q, g_p, g_b = dn.linear_gains_minus(s, nu, gm, gp)
+    est = g_q * zero_pad(u_out, n) + g_p * u_in + g_b * zero_pad(bbar, n)
+    return v.T @ est, float(np.mean(g_p))
+
+
+def square_basis_output(r_plus, gamma_plus, y, u, s, v, bias, nu):
+    """``output_linear`` in the square SVD basis."""
+    n = v.shape[0]
+    g_r, g_obs = dn.observed_linear_gains(zero_pad(s, n), nu, gamma_plus)
+    phat = g_r * (v @ r_plus) + g_obs * zero_pad(u.T @ y - u.T @ bias, n)
+    return v.T @ phat, float(np.mean(g_r))
+
+
+class TestCompactFactors:
+    """The compact factors solve every null component at once by projection;
+    the square basis forms and solves each one."""
+
+    @staticmethod
+    def close(compact, square):
+        (z, alpha), (z_ref, alpha_ref) = compact, square
+        assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
+        assert abs(alpha - alpha_ref) <= 1e-12 * abs(alpha_ref)
+
+    @pytest.mark.parametrize("shape", [(50, 20), (20, 50), (784, 100), (100, 784)])
+    @pytest.mark.parametrize("nu", [NOISELESS, 2.0])
+    def test_pair_and_output_match_the_square_basis(self, shape, nu):
+        from mlvamp.model import geometric_singular_values, linear_layer_from_factors
+
+        n_out, n_in = shape
+        rng = np.random.default_rng(n_out + n_in)
+        u, v = haar(n_out, 30), haar(n_in, 31)
+        s = geometric_singular_values(n_out, n_in, 5.0)
+        bias = rng.normal(0.4, 0.3, n_out)
+        f = linear_layer_from_factors(u, s, v, bias, nu).factors
+        assert f.left_orthogonal.shape == (n_out, s.size)
+        assert f.right_orthogonal.shape == (s.size, n_in)
+        params = BeliefParams(rng.standard_normal(n_out), rng.standard_normal(n_in), 1.3, 0.6)
+        for forward in (True, False):
+            self.close(
+                linear_pair(params, f, nu, forward),
+                square_basis_pair(params, u, s, v, bias, nu, forward),
+            )
+        y = rng.standard_normal(n_out)
+        self.close(
+            output_linear(params.r_plus, 0.6, y, f, nu),
+            square_basis_output(params.r_plus, 0.6, y, u, s, v, bias, nu),
+        )
 
 
 class TestReluMmse:

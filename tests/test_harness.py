@@ -174,8 +174,8 @@ class TestOneBlasThread:
 
     def test_openblas_reports_one_thread_after_import(self, tmp_path):
         # a fresh interpreter with no thread variable set, so OpenBLAS starts
-        # at its own default; the package's import sets one thread, and a
-        # forked pool worker inherits it
+        # at its own default; the package's import sets one thread in numpy's
+        # and in scipy's bundled library, and a forked pool worker inherits it
         script = tmp_path / "threads.py"
         script.write_text(
             "import ctypes, glob, os\n"
@@ -183,18 +183,21 @@ class TestOneBlasThread:
             "import numpy as np\n"
             "import mlvamp\n"
             "site = os.path.dirname(os.path.dirname(np.__file__))\n"
-            "def threads(_=None):\n"
-            "    for path in glob.glob(os.path.join(site, 'numpy.libs', '*openblas*.so*')):\n"
-            "        get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_\n"
+            "def threads(libs, getter):\n"
+            "    for path in glob.glob(os.path.join(site, libs, '*openblas*.so*')):\n"
+            "        get = getattr(ctypes.CDLL(path), getter)\n"
             "        get.argtypes, get.restype = [], ctypes.c_int\n"
             "        return get()\n"
+            "def both(_=None):\n"
+            "    return (threads('numpy.libs', 'scipy_openblas_get_num_threads64_'),\n"
+            "            threads('scipy.libs', 'scipy_openblas_get_num_threads'))\n"
             "if __name__ == '__main__':\n"
             "    with ProcessPoolExecutor(1) as pool:\n"
-            "        print(threads(), pool.submit(threads).result())\n"
+            "        print(*both(), *pool.submit(both).result())\n"
         )
         out = subprocess.run([sys.executable, str(script)], env=self.env(), capture_output=True,
                              text=True, check=True)
-        assert out.stdout.split() == ["1", "1"]
+        assert out.stdout.split() == ["1", "1", "1", "1"]
 
     def test_bytes_do_not_depend_on_workers_or_blas_threads(self, tmp_path):
         # the paper recipe draws 784 x 784 Haar factors, whose blocked QR sums

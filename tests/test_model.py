@@ -21,8 +21,10 @@ from mlvamp.model import (
     linear_layer_from_factors,
     network_from_json,
     network_to_json,
+    sample_haar_orthogonal,
     svd_factorize,
 )
+from mlvamp.seeding import substream
 from conftest import haar, network_from_layers
 
 
@@ -42,6 +44,27 @@ class TestHaarSampling:
     def test_zero_size_rejected(self):
         with pytest.raises(InvalidModelError):
             haar(0, 1)
+
+    @pytest.mark.parametrize("n, k", [(7, 3), (100, 20), (500, 100), (784, 500)])
+    def test_thin_columns_are_the_square_draws(self, n, k):
+        # the same Gaussian from the same substream: the thin QR's columns,
+        # sign fix included, are the square draw's first k to rounding
+        for seed in (1, 2):
+            square = sample_haar_orthogonal(n, substream(seed, 0x7C))
+            thin = sample_haar_orthogonal(n, substream(seed, 0x7C), columns=k)
+            assert thin.shape == (n, k)
+            assert np.max(np.abs(thin - square[:, :k])) <= 1e-15
+
+    def test_all_columns_are_the_square_draw(self):
+        np.testing.assert_array_equal(
+            sample_haar_orthogonal(50, substream(3, 0x7C), columns=50),
+            sample_haar_orthogonal(50, substream(3, 0x7C)),
+        )
+
+    @pytest.mark.parametrize("columns", [0, 6])
+    def test_columns_outside_the_matrix_rejected(self, columns):
+        with pytest.raises(InvalidModelError):
+            sample_haar_orthogonal(5, substream(1, 0x7C), columns=columns)
 
     def test_first_and_second_moments(self):
         # Monte-Carlo check of the uniform law: entries have mean 0 and
@@ -137,21 +160,21 @@ class TestSvdFactorization:
 
     @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)])
     def test_zero_padding_reproduces_the_affine_map(self, shape):
-        # diag-extend(s) @ (right @ z) + bbar must equal left.T @ (W z + b).
+        # s * (right @ z) + bbar must equal left.T @ (W z + b) on the range,
+        # and the null components (singular value 0) carry the bias alone
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         w = rng.standard_normal(shape)
         b = rng.standard_normal(shape[0])
         f = svd_factorize(LinearLayerSpec(weight=w, bias=b, noise_precision=1.0))
         for _ in range(5):
             z = rng.standard_normal(shape[1])
-            u_in = f.right_orthogonal @ z
-            k = f.singular_values.size
-            lhs = np.zeros(shape[0])
-            lhs[:k] = f.singular_values * u_in[:k]
-            lhs += f.transformed_bias
-            rhs = f.left_orthogonal.T @ (w @ z + b)
+            out = w @ z + b
+            lhs = f.singular_values * (f.right_orthogonal @ z) + f.transformed_bias
+            rhs = f.left_orthogonal.T @ out
             scale = np.max(np.abs(rhs))
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
+            null = out - f.left_orthogonal @ rhs
+            assert np.max(np.abs(null - (b - f.left_orthogonal @ f.transformed_bias))) <= 1e-8 * scale
 
     @pytest.mark.parametrize("n", [4, 784])
     def test_a_factor_bent_off_orthogonal_is_rejected(self, n):
@@ -163,16 +186,37 @@ class TestSvdFactorization:
         with pytest.raises(InvalidModelError, match="not orthogonal"):
             linear_layer_from_factors(bent, s, v, np.ones(n), 1.0)
 
+    @pytest.mark.parametrize("n", [4, 784])
+    def test_a_bent_compact_factor_is_rejected(self, n):
+        # an n x 3 left factor with orthonormal columns, and its transpose as
+        # a 3 x n right factor, each bent by 1e-6 in one entry
+        thin, small = sample_haar_orthogonal(n, substream(5, 0x7C), columns=3), haar(3, 6)
+        s = geometric_singular_values(n, 3, 2.0)
+        linear_layer_from_factors(thin, s, small, np.ones(n), 1.0)
+        linear_layer_from_factors(small, s, thin.T, np.ones(3), 1.0)
+        bent = thin.copy()
+        bent[n // 2, 1] += 1e-6
+        with pytest.raises(InvalidModelError, match="not orthogonal"):
+            linear_layer_from_factors(bent, s, small, np.ones(n), 1.0)
+        with pytest.raises(InvalidModelError, match="not orthogonal"):
+            linear_layer_from_factors(small, s, bent.T, np.ones(3), 1.0)
+
+    def test_compact_factors_of_the_wrong_shape_are_rejected(self):
+        thin, small = sample_haar_orthogonal(6, substream(5, 0x7C), columns=4), haar(3, 6)
+        with pytest.raises(InvalidModelError, match="left factor"):
+            linear_layer_from_factors(thin, np.ones(3), small, np.ones(6), 1.0)
+
     @pytest.mark.parametrize("shape", [(100, 20), (20, 100), (64, 64), (100, 784), (784, 500)])
     def test_weight_keeps_the_bits_of_the_dense_diagonal_product(self, shape):
         # to_weight scales left's columns; multiplying by the dense diagonal
         # matrix, as it once did, sums the same products and exact zeros
         n_out, n_in = shape
         s = geometric_singular_values(n_out, n_in, 10.0)
-        f = linear_layer_from_factors(haar(n_out, 3), s, haar(n_in, 4), np.zeros(n_out), 1.0).factors
+        u, v = haar(n_out, 3), haar(n_in, 4)
+        f = linear_layer_from_factors(u, s, v, np.zeros(n_out), 1.0).factors
         smat = np.zeros(shape)
         smat[: s.size, : s.size] = np.diag(s)
-        np.testing.assert_array_equal(f.to_weight(), f.left_orthogonal @ smat @ f.right_orthogonal)
+        np.testing.assert_array_equal(f.to_weight(), u @ smat @ v)
 
 
 class TestNetworkValidation:

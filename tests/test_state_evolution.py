@@ -1,6 +1,7 @@
 """Deterministic scalar recursion against closed forms and the engine."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,26 @@ class TestInitialPass:
 
         expected = (1 + mu_b**2) * norm.cdf(mu_b) + mu_b * norm.pdf(mu_b)
         assert tau[2] == pytest.approx(expected, rel=1e-8)
+
+
+class TestNullSpaceBias:
+    def test_the_null_bias_energy_gives_the_square_basis_moments(self):
+        # compact factors keep only the null-space bias energy of an expanding
+        # layer; a square SVD's per-component null atoms give the same moments
+        spec = make_relu_network((10, 30, 30, 60, 60, 20), 0.6, NOISELESS, NOISELESS, 50.0, seed=3)
+        law = NetworkLaw.from_network(spec)
+        square = []
+        for layer, layer_law in zip(spec.layers, law.layers):
+            if layer.kind == "linear":
+                u = np.linalg.svd(layer.weight, full_matrices=True)[0]
+                layer_law = replace(layer_law, bbar_atoms=u.T @ layer.bias)
+            square.append(layer_law)
+        reference = replace(law, layers=tuple(square))
+        np.testing.assert_allclose(se_initial_pass(law)[0], se_initial_pass(reference)[0], rtol=1e-12)
+        cfg = SEConfig(iterations=10, damping=0.7)
+        np.testing.assert_allclose(
+            run_se(law, cfg).nmse_db, run_se(reference, cfg).nmse_db, rtol=0, atol=1e-9
+        )
 
 
 class TestScalarUpdates:
