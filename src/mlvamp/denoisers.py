@@ -106,7 +106,7 @@ def _trunc_lower_moments(mu, sigma, cut=0.0, log_mass=None):
         log_mass = log_ndtr(-alpha)
     lam = np.exp(_norm_logpdf(alpha) - log_mass)
     mean = mu + sigma * lam
-    var = sigma * sigma * np.clip(1.0 - lam * (lam - alpha), 0.0, 1.0)
+    var = sigma * sigma * np.minimum(np.maximum(1.0 - lam * (lam - alpha), 0.0), 1.0)
     return mean, var
 
 
@@ -128,19 +128,19 @@ def _branch_weights(log_a, log_b):
 # ---------------------------------------------------------------------------
 # Scalar posterior statistics per activation (deterministic channel)
 #
-# Each returns (E[x], Var[x], E[phi(x)], Var[phi(x)]) under the density
-# w(x) propto exp(-g_out/2 (phi(x) - r_out)^2 - g_in/2 (x - r_in)^2).
+# Under the density w(x) propto exp(-g_out/2 (phi(x) - r_out)^2 - g_in/2 (x - r_in)^2)
+# each returns the mean and variance of phi(x) (``forward``) or of x: the one
+# side the caller's sweep reads.
 # ---------------------------------------------------------------------------
 
 
-def _identity_stats(r_out, r_in, g_out, g_in):
+def _identity_stats(r_out, r_in, g_out, g_in, forward):
     gt = g_out + g_in
     m = (g_out * r_out + g_in * r_in) / gt
-    v = np.broadcast_to(np.asarray(1.0 / gt), np.shape(m)).copy()
-    return m, v, m, v
+    return m, np.broadcast_to(np.asarray(1.0 / gt), np.shape(m)).copy()
 
 
-def _relu_stats(r_out, r_in, g_out, g_in):
+def _relu_stats(r_out, r_in, g_out, g_in, forward):
     # not broadcast up front: a factor of r_in alone is evaluated on r_in's points
     r_out, r_in = np.asarray(r_out, float), np.asarray(r_in, float)
     sig_in = 1.0 / math.sqrt(g_in)
@@ -154,18 +154,17 @@ def _relu_stats(r_out, r_in, g_out, g_in):
     log_neg = -0.5 * g_out * r_out**2 + log_neg_mass - 0.5 * math.log(g_in)
     log_pos = -0.5 * (g_out * g_in / gt) * (r_out - r_in) ** 2 + log_mass - 0.5 * math.log(gt)
     w_pos, w_neg = _branch_weights(log_pos, log_neg)
-    e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0, log_neg_mass)
     e_pos, v_pos = _trunc_lower_moments(m_pos, sig_pos, 0.0, log_mass)
+    if forward:  # phi(x) is 0 on the negative branch
+        ephi = w_pos * e_pos
+        return ephi, np.maximum(w_pos * (v_pos + e_pos**2) - ephi**2, 0.0)
+    e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0, log_neg_mass)
     ex = w_neg * e_neg + w_pos * e_pos
     ex2 = w_neg * (v_neg + e_neg**2) + w_pos * (v_pos + e_pos**2)
-    vx = np.clip(ex2 - ex**2, 0.0, None)
-    ephi = w_pos * e_pos
-    ephi2 = w_pos * (v_pos + e_pos**2)
-    vphi = np.clip(ephi2 - ephi**2, 0.0, None)
-    return ex, vx, ephi, vphi
+    return ex, np.maximum(ex2 - ex**2, 0.0)
 
 
-def _sign_stats(r_out, r_in, g_out, g_in):
+def _sign_stats(r_out, r_in, g_out, g_in, forward):
     r_out, r_in = np.asarray(r_out, float), np.asarray(r_in, float)
     sig_in = 1.0 / math.sqrt(g_in)
     # log P(x > 0) and log P(x < 0) under N(r_in, sig_in^2): weights and moments share them
@@ -174,14 +173,14 @@ def _sign_stats(r_out, r_in, g_out, g_in):
     log_pos = -0.5 * g_out * (1.0 - r_out) ** 2 + log_pos_mass
     log_neg = -0.5 * g_out * (1.0 + r_out) ** 2 + log_neg_mass
     w_pos, w_neg = _branch_weights(log_pos, log_neg)
+    if forward:  # phi(x) is +1 or -1
+        ephi = w_pos - w_neg
+        return ephi, np.minimum(np.maximum(1.0 - ephi**2, 0.0), 1.0)
     e_pos, v_pos = _trunc_lower_moments(r_in, sig_in, 0.0, log_pos_mass)
     e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0, log_neg_mass)
     ex = w_neg * e_neg + w_pos * e_pos
     ex2 = w_neg * (v_neg + e_neg**2) + w_pos * (v_pos + e_pos**2)
-    vx = np.clip(ex2 - ex**2, 0.0, None)
-    ephi = w_pos - w_neg
-    vphi = np.clip(1.0 - ephi**2, 0.0, 1.0)
-    return ex, vx, ephi, vphi
+    return ex, np.maximum(ex2 - ex**2, 0.0)
 
 
 def _sigmoid_cost_derivs(x, r_out, r_in, g_out, g_in):
@@ -236,7 +235,7 @@ def _sigmoid_basins(r_out, r_in, g_out, g_in):
 _PANEL_OFFSETS = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
 
 
-def _sigmoid_stats(r_out, r_in, g_out, g_in, order=DEFAULT_QUAD_ORDER):
+def _sigmoid_stats(r_out, r_in, g_out, g_in, forward, order=DEFAULT_QUAD_ORDER):
     """Posterior statistics for the sigmoid channel.
 
     The belief has at most two basins (prior pull versus the channel's
@@ -279,11 +278,9 @@ def _sigmoid_stats(r_out, r_in, g_out, g_in, order=DEFAULT_QUAD_ORDER):
         bad = int(np.flatnonzero(~np.all(np.isfinite(w), axis=-1))[0])
         raise NumericFailureError(f"non-finite quadrature weights at component {bad}")
     w /= np.sum(w, axis=-1, keepdims=True)
-    ex = np.sum(w * xs, axis=-1)
-    vx = np.clip(np.sum(w * xs * xs, axis=-1) - ex**2, 0.0, None)
-    ephi = np.sum(w * s, axis=-1)
-    vphi = np.clip(np.sum(w * s * s, axis=-1) - ephi**2, 0.0, None)
-    return ex, vx, ephi, vphi
+    v = s if forward else xs
+    mean = np.sum(w * v, axis=-1)
+    return mean, np.maximum(np.sum(w * v * v, axis=-1) - mean**2, 0.0)
 
 
 _STATS = {
@@ -301,26 +298,26 @@ def _effective_channel(gamma_minus, noise_precision):
     return noise_precision * gamma_minus / (noise_precision + gamma_minus)
 
 
-def scalar_pair_mmse(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus):
-    """Componentwise posterior means and derivative fields for one separable layer.
+def scalar_pair_mmse(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward):
+    """Componentwise posterior means and derivative field of one side of a separable layer.
 
-    Returns ``(zhat_plus, zhat_minus, d_plus, d_minus)`` where the ``d``
-    arrays are per-component derivatives d zhat_plus / d r_minus and
-    d zhat_minus / d r_plus obtained from the Gaussian-channel variance
-    identity rather than numerical differentiation.
+    Returns ``(zhat_plus, d_plus)`` for the output (``forward``) or
+    ``(zhat_minus, d_minus)`` for the input, the ``d`` array being the
+    per-component derivative d zhat_plus / d r_minus or d zhat_minus / d r_plus
+    obtained from the Gaussian-channel variance identity rather than
+    numerical differentiation.
     """
     g_eff = _effective_channel(gamma_minus, noise_precision)
-    ex, vx, ephi, vphi = _STATS[activation](r_minus, r_plus, g_eff, gamma_plus)
+    mean, var = _STATS[activation](r_minus, r_plus, g_eff, gamma_plus, forward)
+    if not forward:
+        return mean, gamma_plus * var
     if math.isinf(noise_precision):
-        ez, vz = ephi, vphi
-    else:
-        nu = noise_precision
-        shrink = nu / (nu + gamma_minus)
-        ez = shrink * ephi + (1.0 - shrink) * np.asarray(r_minus, float)
-        vz = 1.0 / (nu + gamma_minus) + shrink * shrink * vphi
-    d_plus = gamma_minus * vz
-    d_minus = gamma_plus * vx
-    return ez, ex, d_plus, d_minus
+        return mean, gamma_minus * var
+    nu = noise_precision
+    shrink = nu / (nu + gamma_minus)
+    ez = shrink * mean + (1.0 - shrink) * np.asarray(r_minus, float)
+    vz = 1.0 / (nu + gamma_minus) + shrink * shrink * var
+    return ez, gamma_minus * vz
 
 
 def _relu_map(r_out, r_in, g_out, g_in):
@@ -391,24 +388,24 @@ _MAP = {
 }
 
 
-def scalar_pair_map(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus):
-    """Componentwise joint maximizers and branch-slope derivative fields."""
+def scalar_pair_map(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward):
+    """Componentwise joint maximizers and branch-slope derivative field of one
+    side: the output (``forward``) or the input."""
     g_eff = _effective_channel(gamma_minus, noise_precision)
     xhat, phi, dxm, dxp, slope = _MAP[activation](r_minus, r_plus, g_eff, gamma_plus)
+    if not forward:
+        return xhat, dxp
     if math.isinf(noise_precision):
-        zp = phi
-        d_plus = slope * dxm
-    else:
-        nu = noise_precision
-        zp = (nu * phi + gamma_minus * np.asarray(r_minus, float)) / (nu + gamma_minus)
-        d_plus = (nu * slope * dxm + gamma_minus) / (nu + gamma_minus)
-    return zp, xhat, d_plus, dxp
+        return phi, slope * dxm
+    nu = noise_precision
+    zp = (nu * phi + gamma_minus * np.asarray(r_minus, float)) / (nu + gamma_minus)
+    return zp, (nu * slope * dxm + gamma_minus) / (nu + gamma_minus)
 
 
-def scalar_pair(mode, activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus):
+def scalar_pair(mode, activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward):
     """Dispatch to the mmse or map componentwise rule."""
     fn = scalar_pair_mmse if mode == "mmse" else scalar_pair_map
-    return fn(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus)
+    return fn(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward)
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +550,7 @@ def separable_output_fields(r_plus, gamma_plus, y, activation, noise_precision, 
     r_plus = np.asarray(r_plus, float)
     y = np.asarray(y, float)
     if math.isfinite(noise_precision):
-        _, zm, _, dm = scalar_pair(
-            mode, activation, math.inf, y, r_plus, noise_precision, gamma_plus
-        )
-        return zm, dm
+        return scalar_pair(mode, activation, math.inf, y, r_plus, noise_precision, gamma_plus, False)
 
     act = activation
     if act == "identity":
@@ -605,34 +599,30 @@ def output_separable(r_plus, gamma_plus, y, layer, mode):
 
 def mmse_pair_nonlinear(params, layer, forward):
     """Posterior-mean estimate of a separable layer's output (``forward``) or input."""
-    return _one_side(scalar_pair_mmse(
+    return _estimate(scalar_pair_mmse(
         layer.activation, layer.noise_precision,
-        params.r_minus, params.r_plus, params.gamma_minus, params.gamma_plus,
-    ), forward)
+        params.r_minus, params.r_plus, params.gamma_minus, params.gamma_plus, forward,
+    ))
 
 
 def map_pair_nonlinear(params, layer, forward):
     """Joint-maximizer estimate of a separable layer's output (``forward``) or input."""
-    return _one_side(scalar_pair_map(
+    return _estimate(scalar_pair_map(
         layer.activation, layer.noise_precision,
-        params.r_minus, params.r_plus, params.gamma_minus, params.gamma_plus,
-    ), forward)
+        params.r_minus, params.r_plus, params.gamma_minus, params.gamma_plus, forward,
+    ))
 
 
-def _one_side(fields, forward):
-    """``(estimate, divergence)`` of one side of a scalar pair rule's
-    ``(zhat_plus, zhat_minus, d_plus, d_minus)``.  Both sides come out of
-    one evaluation, and both are checked, so a failure is reported
-    whichever sweep meets it first."""
-    zp, zm, dp, dm = fields
-    _check_finite(zp, zm)
-    return (zp, float(np.mean(dp))) if forward else (zm, float(np.mean(dm)))
+def _estimate(fields):
+    """``(estimate, divergence)`` of a scalar pair rule's ``(estimate, derivative
+    field)``: the estimate checked finite, and the field's mean."""
+    z, d = fields
+    _check_finite(z)
+    return z, float(np.mean(d))
 
 
-def _check_finite(*estimates):
-    if all(np.all(np.isfinite(z)) for z in estimates):
+def _check_finite(z):
+    if np.all(np.isfinite(z)):
         return
-    flat = np.concatenate([np.ravel(z) for z in estimates])
-    bad = int(np.argwhere(~np.isfinite(flat)).ravel()[0])
+    bad = int(np.argwhere(~np.isfinite(np.ravel(z))).ravel()[0])
     raise NumericFailureError(f"denoiser produced non-finite value (component {bad})")
-

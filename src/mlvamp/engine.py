@@ -415,11 +415,11 @@ def run(spec, y, config, truth=None):
         book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)
         try:
             forward_pass(state, bank, book)
-            _check_blowup(state, power, k)
+            _check_blowup(state.zhat_plus, power, k)
             half += 1
             _record(trace, state, half, "forward", truth, book.events, math.nan)
             backward_pass(state, bank, book)
-            _check_blowup(state, power, k)
+            _check_blowup(state.zhat_minus, power, k)
         except DivergedIterationError as exc:
             exc.trace = trace
             raise
@@ -437,10 +437,13 @@ def run(spec, y, config, truth=None):
 BLOWUP_FACTOR = 1e3
 
 
-def _check_blowup(state, power, iteration):
-    for ell, (zp, zm) in enumerate(zip(state.zhat_plus, state.zhat_minus)):
-        bound = BLOWUP_FACTOR * zp.size * power[ell]
-        if not (float(zp @ zp) <= bound and float(zm @ zm) <= bound):
+def _check_blowup(estimates, power, iteration):
+    """Raise unless each of one side's estimates is within the energy bound.
+
+    A sweep replaces one side only; the other passed after the sweep before.
+    """
+    for ell, z in enumerate(estimates):
+        if not float(z @ z) <= BLOWUP_FACTOR * z.size * power[ell]:
             raise DivergedIterationError(
                 f"estimate energy exceeds {BLOWUP_FACTOR:.0e} x the prior signal "
                 f"energy at layer {ell}",

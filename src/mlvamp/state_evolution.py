@@ -407,17 +407,16 @@ def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, o
     p0, r_plus, t_minus, xi, w = _grid(K_prev, mu_prev, tau_m, xi_var, order, kink=kink)
     q0 = apply_activation(layer.activation, p0) + xi
     if math.isinf(gm):
-        zm, dm = dn.separable_output_fields(
+        est, d = dn.separable_output_fields(
             r_plus, gp_prev, q0, layer.activation, layer.noise_precision, mode
         )
-    else:
-        r_minus = q0 + math.sqrt(max(tau_m, 0.0)) * t_minus
-        zp, zm, dp, dm = dn.scalar_pair(
-            mode, layer.activation, layer.noise_precision, r_minus, r_plus, gm, gp_prev
-        )
-        if forward:
-            return _extrinsic_moments(w, q0, r_minus, zp, clip(np.sum(w * dp)), True)
-    return _extrinsic_moments(w, p0, r_plus, zm, clip(np.sum(w * dm)), False)
+        return _extrinsic_moments(w, p0, r_plus, est, clip(np.sum(w * d)), False)
+    r_minus = q0 + math.sqrt(max(tau_m, 0.0)) * t_minus
+    est, d = dn.scalar_pair(
+        mode, layer.activation, layer.noise_precision, r_minus, r_plus, gm, gp_prev, forward
+    )
+    truth, message = (q0, r_minus) if forward else (p0, r_plus)
+    return _extrinsic_moments(w, truth, message, est, clip(np.sum(w * d)), forward)
 
 
 def _extrinsic_moments(w, truth, message, est, alpha, forward):

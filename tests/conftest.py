@@ -23,6 +23,13 @@ def haar(n, seed):
     return sample_haar_orthogonal(n, substream(seed, 0x0A17))
 
 
+def both_sides(rule, *args):
+    """``(zhat_plus, zhat_minus, d_plus, d_minus)`` of a one-side scalar pair rule
+    (``scalar_pair_mmse`` or ``scalar_pair_map``), asked once for each side."""
+    (zp, dp), (zm, dm) = rule(*args, True), rule(*args, False)
+    return zp, zm, dp, dm
+
+
 def network_from_layers(layers):
     """A network whose ``dims`` follow from its layers; the first must be affine."""
     dims = [layers[0].in_dim]

@@ -17,6 +17,7 @@ from mlvamp import state_evolution as se
 from mlvamp.engine import EngineConfig, run
 from mlvamp.model import NOISELESS, forward_generate
 from conftest import (
+    both_sides,
     divergence_finite_difference,
     exact_gaussian_posterior,
     haar,
@@ -225,14 +226,14 @@ class TestCriterion6MatchedRecursionConsistency:
 
 class TestCriterion7DivergenceCorrectness:
     CASES = [
-        ("mmse-identity", lambda rm, rp, gm, gp: dn.scalar_pair_mmse("identity", NOISELESS, rm, rp, gm, gp)),
-        ("mmse-relu", lambda rm, rp, gm, gp: dn.scalar_pair_mmse("relu", NOISELESS, rm, rp, gm, gp)),
-        ("mmse-relu-noisy", lambda rm, rp, gm, gp: dn.scalar_pair_mmse("relu", 4.0, rm, rp, gm, gp)),
-        ("mmse-sign", lambda rm, rp, gm, gp: dn.scalar_pair_mmse("sign", NOISELESS, rm, rp, gm, gp)),
-        ("mmse-sigmoid", lambda rm, rp, gm, gp: dn.scalar_pair_mmse("sigmoid", NOISELESS, rm, rp, gm, gp)),
-        ("map-relu", lambda rm, rp, gm, gp: dn.scalar_pair_map("relu", NOISELESS, rm, rp, gm, gp)),
-        ("map-relu-noisy", lambda rm, rp, gm, gp: dn.scalar_pair_map("relu", 4.0, rm, rp, gm, gp)),
-        ("map-sigmoid", lambda rm, rp, gm, gp: dn.scalar_pair_map("sigmoid", NOISELESS, rm, rp, gm, gp)),
+        ("mmse-identity", lambda rm, rp, gm, gp: both_sides(dn.scalar_pair_mmse, "identity", NOISELESS, rm, rp, gm, gp)),
+        ("mmse-relu", lambda rm, rp, gm, gp: both_sides(dn.scalar_pair_mmse, "relu", NOISELESS, rm, rp, gm, gp)),
+        ("mmse-relu-noisy", lambda rm, rp, gm, gp: both_sides(dn.scalar_pair_mmse, "relu", 4.0, rm, rp, gm, gp)),
+        ("mmse-sign", lambda rm, rp, gm, gp: both_sides(dn.scalar_pair_mmse, "sign", NOISELESS, rm, rp, gm, gp)),
+        ("mmse-sigmoid", lambda rm, rp, gm, gp: both_sides(dn.scalar_pair_mmse, "sigmoid", NOISELESS, rm, rp, gm, gp)),
+        ("map-relu", lambda rm, rp, gm, gp: both_sides(dn.scalar_pair_map, "relu", NOISELESS, rm, rp, gm, gp)),
+        ("map-relu-noisy", lambda rm, rp, gm, gp: both_sides(dn.scalar_pair_map, "relu", 4.0, rm, rp, gm, gp)),
+        ("map-sigmoid", lambda rm, rp, gm, gp: both_sides(dn.scalar_pair_map, "sigmoid", NOISELESS, rm, rp, gm, gp)),
     ]
 
     def test_analytic_divergences_match_finite_differences(self):
@@ -296,8 +297,8 @@ class TestCriterion8QuadratureVsOracle:
             rp = rng.uniform(-3, 3)
             gm = rng.uniform(0.8, 8.0)
             gp = rng.uniform(0.8, 8.0)
-            zp, zm, _, _ = dn.scalar_pair_mmse(
-                "relu", NOISELESS, np.array([rm]), np.array([rp]), gm, gp
+            zp, zm, _, _ = both_sides(
+                dn.scalar_pair_mmse, "relu", NOISELESS, np.array([rm]), np.array([rp]), gm, gp
             )
             op, om, _, _ = trapezoid_mmse("relu", rm, rp, gm, gp)
             worst = max(worst, abs(zp[0] - op), abs(zm[0] - om))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import log_ndtr
+from scipy.special import expit, log_ndtr
 
 from mlvamp import denoisers as dn
 from mlvamp.denoisers import (
@@ -30,7 +30,8 @@ from mlvamp.model import (
     svd_factorize,
     zero_pad,
 )
-from conftest import divergence_finite_difference, haar, scalar_belief_cost
+import four_field_rules
+from conftest import both_sides, divergence_finite_difference, haar, scalar_belief_cost
 
 GAMMAS = st.floats(min_value=0.05, max_value=20.0)
 RS = st.floats(min_value=-4.0, max_value=4.0)
@@ -325,7 +326,7 @@ class TestReluMmse:
         # gamma_minus -> 0: the input estimate returns r_plus and the output
         # estimate becomes the prior mean of phi under N(r_plus, 1/gamma_plus).
         gm, gp, rp = 1e-11, 2.0, 0.4
-        zp, zm, _, _ = scalar_pair_mmse("relu", NOISELESS, np.array([0.0]), np.array([rp]), gm, gp)
+        zp, zm, _, _ = both_sides(scalar_pair_mmse, "relu", NOISELESS, np.array([0.0]), np.array([rp]), gm, gp)
         assert zm[0] == pytest.approx(rp, abs=1e-6)
         sigma = 1.0 / math.sqrt(gp)
         from scipy.stats import norm
@@ -336,7 +337,7 @@ class TestReluMmse:
     def test_frozen_oracle_case(self):
         # Trapezoid oracle ([-12, 12], step 1e-4) at gm=2, gp=1, rm=0.3,
         # rp=-0.2; values frozen from the oracle run.
-        zp, zm, _, _ = scalar_pair_mmse(
+        zp, zm, _, _ = both_sides(scalar_pair_mmse,
             "relu", NOISELESS, np.array([0.3]), np.array([-0.2]), 2.0, 1.0
         )
         assert zp[0] == pytest.approx(0.190880779347, abs=1e-9)
@@ -355,7 +356,7 @@ class TestReluMmse:
             rp = rng.uniform(-3, 3)
             gm = rng.uniform(0.1, 5.0)
             gp = rng.uniform(0.1, 5.0)
-            zp, zm, dp, dm = scalar_pair_mmse(
+            zp, zm, dp, dm = both_sides(scalar_pair_mmse,
                 activation, NOISELESS, np.array([rm]), np.array([rp]), gm, gp
             )
             op, om, odp, odm = trapezoid_mmse(activation, rm, rp, gm, gp)
@@ -368,7 +369,7 @@ class TestReluMmse:
         # Additive output noise folds into an effective precision; validate
         # against a 2-d trapezoid over (x, z).
         nu, gm, gp, rm, rp = 3.0, 1.5, 0.8, 0.7, -0.4
-        zp, zm, _, _ = scalar_pair_mmse("relu", nu, np.array([rm]), np.array([rp]), gm, gp)
+        zp, zm, _, _ = both_sides(scalar_pair_mmse, "relu", nu, np.array([rm]), np.array([rp]), gm, gp)
         xs = np.arange(-10, 10, 4e-3)
         zs = np.arange(-10, 10, 4e-3)
         X, Z = np.meshgrid(xs, zs, indexing="ij")
@@ -393,8 +394,11 @@ class TestReluMmse:
             rp = rng.uniform(-3, 3)
             gm = rng.uniform(0.1, 10)
             gp = rng.uniform(0.1, 10)
-            a = dn._sigmoid_stats(np.array([rm]), np.array([rp]), gm, gp, order=order)
-            b = dn._sigmoid_stats(np.array([rm]), np.array([rp]), gm, gp, order=2 * order)
+            a, b = (
+                [stat for fw in (False, True)
+                 for stat in dn._sigmoid_stats(np.array([rm]), np.array([rp]), gm, gp, fw, order=o)]
+                for o in (order, 2 * order)
+            )
             worst = max(worst, max(abs(x[0] - y[0]) for x, y in zip(a, b)))
         assert worst <= 1e-8
 
@@ -403,7 +407,7 @@ class TestReluMmse:
         r_out = np.full((2, 3), 0.5)
         r_out[1, 1] = np.nan
         with pytest.raises(NumericFailureError, match=r"at component 4$"):
-            dn._sigmoid_stats(r_out, np.zeros((2, 3)), 2.0, 1.0)
+            dn._sigmoid_stats(r_out, np.zeros((2, 3)), 2.0, 1.0, True)
 
 
 def two_pass_relu_stats(r_out, r_in, g_out, g_in):
@@ -449,7 +453,9 @@ class TestSharedReluLogMass:
         t = (g_out * r_out + g_in * r_in) / (g_out + g_in) * math.sqrt(g_out + g_in)
         assert t.min() <= -36.0 and t.max() >= 36.0
         wants, scales = two_pass_relu_stats(r_out, r_in, g_out, g_in)
-        for got, want, scale in zip(dn._relu_stats(r_out, r_in, g_out, g_in), wants, scales):
+        gots = [*dn._relu_stats(r_out, r_in, g_out, g_in, False),
+                *dn._relu_stats(r_out, r_in, g_out, g_in, True)]
+        for got, want, scale in zip(gots, wants, scales):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -480,14 +486,63 @@ class TestSharedReluLogMass:
             np.testing.assert_array_equal(got, want)
 
 
+class TestOneSideRules:
+    """Each separable rule returns, bit for bit, the side it is asked for of
+    the rule that computed both (``four_field_rules``), NaN and inf included."""
+
+    @staticmethod
+    def messages(activation, layout, finite):
+        rng = np.random.default_rng(stable_seed(activation, layout))
+        if layout == "engine":  # one 784-vector per message
+            r_out, r_in = rng.standard_normal((2, 784)) * 3.0
+        else:  # the predictor's broadcast grid: r_in on axis 1, r_out on axis 2
+            truth = np.linspace(-4.0, 4.0, 12)[:, None, None]
+            nodes = gauss_hermite_rule(12).nodes
+            r_in = truth + 0.7 * nodes[None, :, None]
+            r_out = truth + 0.7 * nodes[None, None, :]
+        if activation == "sigmoid":
+            r_out = expit(r_out)
+        if not finite:
+            r_out.flat[[3, 4]] = np.nan, np.inf
+            r_in.flat[[5, 6]] = -np.inf, np.nan
+        return r_out, r_in
+
+    @staticmethod
+    def outcome(rule, *args):
+        try:
+            return rule(*args)
+        except NumericFailureError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("finite", [True, False])
+    @pytest.mark.parametrize("layout", ["engine", "grid"])
+    @pytest.mark.parametrize("nu", [NOISELESS, 4.0])
+    @pytest.mark.parametrize("mode", ["mmse", "map"])
+    @pytest.mark.parametrize("activation", ["identity", "relu", "sign", "sigmoid"])
+    def test_the_side_asked_for_keeps_its_bits(self, activation, mode, nu, layout, finite):
+        r_out, r_in = self.messages(activation, layout, finite)
+        args = (activation, nu, r_out, r_in, 1.7, 0.6)
+        with np.errstate(all="ignore"):
+            want = self.outcome(getattr(four_field_rules, f"scalar_pair_{mode}"), *args)
+            got = [self.outcome(dn.scalar_pair, mode, *args, fw) for fw in (True, False)]
+        if isinstance(want, str):  # the sigmoid rule rejects non-finite weights
+            assert not finite and got == [want, want]
+            return
+        zp, zm, dp, dm = want
+        for (z, d), (z_want, d_want) in zip(got, ((zp, dp), (zm, dm))):
+            assert z.shape == z_want.shape and d.shape == d_want.shape
+            np.testing.assert_array_equal(z, z_want)
+            np.testing.assert_array_equal(d, d_want)
+
+
 class TestReluMap:
     def test_consistent_interior_point(self):
-        zp, zm, _, _ = scalar_pair_map("relu", NOISELESS, np.array([1.0]), np.array([1.0]), 1.3, 0.7)
+        zp, zm, _, _ = both_sides(scalar_pair_map, "relu", NOISELESS, np.array([1.0]), np.array([1.0]), 1.3, 0.7)
         assert zm[0] == pytest.approx(1.0)
         assert zp[0] == pytest.approx(1.0)
 
     def test_negative_branch(self):
-        zp, zm, _, _ = scalar_pair_map(
+        zp, zm, _, _ = both_sides(scalar_pair_map,
             "relu", NOISELESS, np.array([-1.0]), np.array([-1.0]), 1.3, 0.7
         )
         assert zm[0] == pytest.approx(-1.0)
@@ -495,14 +550,14 @@ class TestReluMap:
 
     def test_frozen_grid_oracle_case(self):
         # Grid search ([-10, 10], step 1e-5) at gm=gp=1, rm=2, rp=-0.5.
-        zp, zm, _, _ = scalar_pair_map("relu", NOISELESS, np.array([2.0]), np.array([-0.5]), 1.0, 1.0)
+        zp, zm, _, _ = both_sides(scalar_pair_map, "relu", NOISELESS, np.array([2.0]), np.array([-0.5]), 1.0, 1.0)
         assert zm[0] == pytest.approx(0.75, abs=1e-9)
         assert zp[0] == pytest.approx(0.75, abs=1e-9)
         assert grid_map("relu", NOISELESS, 2.0, -0.5, 1.0, 1.0) == pytest.approx(0.75, abs=2e-5)
 
     def test_tie_break_takes_the_nonnegative_branch(self):
         # Symmetric configuration where both branches cost the same.
-        zp, zm, _, _ = scalar_pair_map("relu", NOISELESS, np.array([0.0]), np.array([0.0]), 1.0, 1.0)
+        zp, zm, _, _ = both_sides(scalar_pair_map, "relu", NOISELESS, np.array([0.0]), np.array([0.0]), 1.0, 1.0)
         assert zm[0] == 0.0 and zp[0] == 0.0
 
     @pytest.mark.parametrize("activation,nu", [("relu", NOISELESS), ("relu", 5.0), ("sign", NOISELESS), ("sigmoid", NOISELESS)])
@@ -515,7 +570,7 @@ class TestReluMap:
             rp = rng.uniform(-2.5, 2.5)
             gm = rng.uniform(0.2, 4.0)
             gp = rng.uniform(0.2, 4.0)
-            zp, zm, _, _ = scalar_pair_map(activation, nu, np.array([rm]), np.array([rp]), gm, gp)
+            zp, zm, _, _ = both_sides(scalar_pair_map, activation, nu, np.array([rm]), np.array([rp]), gm, gp)
             ref = grid_map(activation, nu, rm, rp, gm, gp)
             cost_mine = _pair_cost(activation, nu, zp[0], zm[0], rm, rp, gm, gp)
             cost_ref = scalar_belief_cost(activation, nu, ref, rm, rp, gm, gp)
@@ -531,7 +586,7 @@ class TestReluMap:
                 rp = rng.uniform(-3, 3)
                 gm = rng.uniform(0.1, 5)
                 gp = rng.uniform(0.1, 5)
-                zp, zm, _, _ = scalar_pair_map(
+                zp, zm, _, _ = both_sides(scalar_pair_map,
                     activation, NOISELESS, np.array([rm]), np.array([rp]), gm, gp
                 )
                 at_opt = _pair_cost(activation, NOISELESS, zp[0], zm[0], rm, rp, gm, gp)
@@ -557,11 +612,11 @@ class TestDivergences:
             rm, rp, gm, gp = self._random_params(rng, activation)
 
             def fn(a, b):
-                zp, zm, _, _ = scalar_pair_mmse(activation, nu, a, b, gm, gp)
+                zp, zm, _, _ = both_sides(scalar_pair_mmse, activation, nu, a, b, gm, gp)
                 return zp, zm
 
             fd_p, fd_m = divergence_finite_difference(fn, rm, rp, epsilon=1e-5)
-            zp, zm, dp, dm = scalar_pair_mmse(activation, nu, rm, rp, gm, gp)
+            zp, zm, dp, dm = both_sides(scalar_pair_mmse, activation, nu, rm, rp, gm, gp)
             assert float(np.mean(dp)) == pytest.approx(fd_p, abs=1e-4)
             assert float(np.mean(dm)) == pytest.approx(fd_m, abs=1e-4)
 
@@ -572,11 +627,11 @@ class TestDivergences:
             rm, rp, gm, gp = self._random_params(rng, activation)
 
             def fn(a, b):
-                zp, zm, _, _ = scalar_pair_map(activation, NOISELESS, a, b, gm, gp)
+                zp, zm, _, _ = both_sides(scalar_pair_map, activation, NOISELESS, a, b, gm, gp)
                 return zp, zm
 
             fd_p, fd_m = divergence_finite_difference(fn, rm, rp, epsilon=1e-6)
-            _, _, dp, dm = scalar_pair_map(activation, NOISELESS, rm, rp, gm, gp)
+            _, _, dp, dm = both_sides(scalar_pair_map, activation, NOISELESS, rm, rp, gm, gp)
             assert float(np.mean(dp)) == pytest.approx(fd_p, abs=1e-4)
             assert float(np.mean(dm)) == pytest.approx(fd_m, abs=1e-4)
 
