@@ -298,7 +298,9 @@ def _effective_channel(gamma_minus, noise_precision):
     return noise_precision * gamma_minus / (noise_precision + gamma_minus)
 
 
-def scalar_pair_mmse(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward):
+def scalar_pair_mmse(
+    activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward
+):
     """Componentwise posterior means and derivative field of one side of a separable layer.
 
     Returns ``(zhat_plus, d_plus)`` for the output (``forward``) or
@@ -388,7 +390,9 @@ _MAP = {
 }
 
 
-def scalar_pair_map(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward):
+def scalar_pair_map(
+    activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward
+):
     """Componentwise joint maximizers and branch-slope derivative field of one
     side: the output (``forward``) or the input."""
     g_eff = _effective_channel(gamma_minus, noise_precision)
@@ -402,7 +406,9 @@ def scalar_pair_map(activation, noise_precision, r_minus, r_plus, gamma_minus, g
     return zp, (nu * slope * dxm + gamma_minus) / (nu + gamma_minus)
 
 
-def scalar_pair(mode, activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward):
+def scalar_pair(
+    mode, activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward
+):
     """Dispatch to the mmse or map componentwise rule."""
     fn = scalar_pair_mmse if mode == "mmse" else scalar_pair_map
     return fn(activation, noise_precision, r_minus, r_plus, gamma_minus, gamma_plus, forward)
@@ -550,7 +556,9 @@ def separable_output_fields(r_plus, gamma_plus, y, activation, noise_precision, 
     r_plus = np.asarray(r_plus, float)
     y = np.asarray(y, float)
     if math.isfinite(noise_precision):
-        return scalar_pair(mode, activation, math.inf, y, r_plus, noise_precision, gamma_plus, False)
+        return scalar_pair(
+            mode, activation, math.inf, y, r_plus, noise_precision, gamma_plus, False
+        )
 
     act = activation
     if act == "identity":

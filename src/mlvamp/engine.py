@@ -40,6 +40,16 @@ def check_count(name, value, least):
         raise InvalidModelError(f"{name} must be an integer of at least {least}, not {value!r}")
 
 
+def check_real(name, value, least=-math.inf, below=math.inf):
+    """Raise ``InvalidModelError`` unless ``value`` is a finite real number, not a
+    bool, with ``least <= value < below``."""
+    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if not (real and math.isfinite(value) and least <= value < below):
+        raise InvalidModelError(
+            f"{name} must be a finite number in [{least}, {below}), not {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Run-time knobs for the message-passing iteration."""
@@ -57,6 +67,9 @@ class EngineConfig:
         if not (0.0 < self.damping <= 1.0):
             raise InvalidModelError("damping must lie in (0, 1]")
         check_count("max_iters", self.max_iters, 0)
+        check_real("convergence_tol", self.convergence_tol, 0.0)
+        # clip_alpha clamps to [alpha_clip, 1 - alpha_clip]: empty from 0.5 on
+        check_real("alpha_clip", self.alpha_clip, 0.0, 0.5)
         if self.gamma_init <= 0 or self.alpha_clip <= 0:
             raise InvalidModelError("bounds must be positive")
 

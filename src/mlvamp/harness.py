@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 from scipy.special import ndtri
 
-from .engine import EngineConfig, check_count, nmse_db, run
+from .engine import EngineConfig, check_count, check_real, nmse_db, run
 from .errors import DivergedIterationError, InvalidModelError, NumericFailureError
 from .model import (
     NOISELESS,
@@ -110,6 +110,8 @@ class SyntheticRecipe:
                 raise InvalidModelError("separable layers must preserve width")
         if not (0.0 < self.positive_fraction < 1.0):
             raise InvalidModelError("positive_fraction must lie in (0, 1)")
+        check_real("snr_db", self.snr_db)
+        check_real("bias_std", self.bias_std, 0.0)
 
     @property
     def dims(self):
@@ -178,19 +180,28 @@ def calibrate_recipe(recipe, seed):
     return replace(probe, measurement_noise_precision=nu)
 
 
+def _haar_factors(n_out, n_in, seed, *key):
+    """An affine layer's compact Haar factors: the first ``min(n_out, n_in)``
+    columns of an ``n_out`` draw and rows of an ``n_in`` draw, each on its own
+    substream."""
+    k = min(n_out, n_in)
+    return (
+        sample_haar_orthogonal(n_out, substream(seed, *key, 0), columns=k),
+        sample_haar_orthogonal(n_in, substream(seed, *key, 1), rows=k),
+    )
+
+
 def build_synthetic_network(recipe, seed, calibration):
     """One instance of the recipe: fresh Haar factors and biases.
 
-    A left factor is drawn only over its range (its first ``min(n_out, n_in)``
-    columns).  A wider right factor is drawn square and cut by
-    ``linear_layer_from_factors``: its rows need the full factorization.
+    Each factor is drawn only over the layer's range, so no square factor
+    wider than it is formed.
     """
     dims = recipe.dims
     layers = []
     for pair in range(recipe.num_generative_pairs):
         n_in, n_out = dims[2 * pair], dims[2 * pair + 1]
-        left = sample_haar_orthogonal(n_out, substream(seed, 0x1E, pair, 0), min(n_out, n_in))
-        right = sample_haar_orthogonal(n_in, substream(seed, 0x1E, pair, 1))
+        left, right = _haar_factors(n_out, n_in, seed, 0x1E, pair)
         bias = calibration.bias_means[pair] + recipe.bias_std * substream(
             seed, 0x1E, pair, 2
         ).standard_normal(n_out)
@@ -201,8 +212,7 @@ def build_synthetic_network(recipe, seed, calibration):
         )
         layers.append(NonlinearLayerSpec(activation=recipe.activation))
     m, n_last = dims[-1], dims[-2]
-    left = sample_haar_orthogonal(m, substream(seed, 0x2E, 0), min(m, n_last))
-    right = sample_haar_orthogonal(n_last, substream(seed, 0x2E, 1))
+    left, right = _haar_factors(m, n_last, seed, 0x2E)
     s = geometric_singular_values(m, n_last, recipe.condition_number)
     layers.append(
         linear_layer_from_factors(
@@ -270,7 +280,8 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
-    """One trial; a failed one keeps only its seed, wall time and error."""
+    """One trial.  A failed one keeps its seed, wall time and error and, if it
+    diverged inside the iteration, the NMSE of each half-iteration it completed."""
 
     seed: int
     wall_ms: float
@@ -318,18 +329,19 @@ def run_single_trial(recipe, calibration, engine_cfg, trial_seed):
         truth = forward_generate(spec, trial_seed)
         _, trace, _ = run(spec, truth.y, engine_cfg, truth=truth)
     except (DivergedIterationError, NumericFailureError) as exc:
+        partial = getattr(exc, "trace", None)
         return TrialResult(
             seed=trial_seed,
             wall_ms=1e3 * (time.perf_counter() - start),
+            nmse_db=None if partial is None else _nmse_rows(partial, recipe),
             error=str(exc),
             error_layer=getattr(exc, "layer", None),
             error_iteration=getattr(exc, "iteration", None),
         )
-    nmse = np.array([row.nmse_db for row in trace.rows])
     back = [row for row in trace.rows if row.direction == "backward"]
     return TrialResult(
         seed=trial_seed,
-        nmse_db=nmse,
+        nmse_db=_nmse_rows(trace, recipe),
         gamma_plus=np.array([r.gamma_plus for r in back]),
         gamma_minus=np.array([r.gamma_minus for r in back]),
         alpha_plus=np.array([r.alpha_plus for r in back]),
@@ -338,6 +350,11 @@ def run_single_trial(recipe, calibration, engine_cfg, trial_seed):
         wall_ms=1e3 * (time.perf_counter() - start),
         error=None,
     )
+
+
+def _nmse_rows(trace, recipe):
+    """The trace's per-half-iteration NMSE, one column per hidden signal."""
+    return np.array([row.nmse_db for row in trace.rows], float).reshape(-1, len(recipe.hidden_dims))
 
 
 def predictor_config(config):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.special import expit
 
 from .errors import DegenerateModelError, InvalidModelError, MlvampError, NumericFailureError
@@ -235,23 +236,30 @@ def zero_pad(vec, n):
     return out
 
 
-def sample_haar_orthogonal(n, rng, columns=None):
+def sample_haar_orthogonal(n, rng, columns=None, rows=None):
     """Draw an ``n x n`` orthogonal matrix from the uniform (Haar) law with
-    ``rng``, or only its first ``columns`` columns.
+    ``rng``, or only its first ``columns`` columns or its first ``rows`` rows.
 
     Orthonormalizes an i.i.d. standard-normal matrix and absorbs the sign
-    of the triangular factor's diagonal, which makes the law exactly Haar.
-    The first ``k`` Householder reflectors depend only on the first ``k``
-    columns, so a thin QR of those gives the first ``k`` columns of the full
-    draw (to rounding) without forming the rest.  The full Gaussian matrix is
-    drawn either way, so both read the same numbers from ``rng``.
+    of the triangular factor's diagonal, which makes the law exactly Haar
+    (Mezzadri, Notices AMS 2007).  The first ``k`` Householder reflectors
+    depend only on the first ``k`` columns, so a thin QR of those gives the
+    first ``k`` columns of the full draw (to rounding) without forming the
+    rest.  Rows need every reflector but not the formed ``Q``: the reflectors
+    are applied to the first ``k`` unit vectors.  The full Gaussian matrix is
+    drawn either way, so all read the same numbers from ``rng``.
     """
     n = int(n)
-    k = n if columns is None else int(columns)
+    if columns is not None and rows is not None:
+        raise InvalidModelError("draw columns or rows, not both")
+    k = n if columns is None and rows is None else int(rows if columns is None else columns)
     if n < 1 or not 1 <= k <= n:
-        raise InvalidModelError("matrix size must be at least 1, and columns at most n")
+        raise InvalidModelError("matrix size must be at least 1, and columns or rows at most n")
     g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g[:, :k])
+    if rows is not None and k < n:
+        q, r = scipy.linalg.qr_multiply(g, np.eye(k, n), mode="right", overwrite_a=True)
+    else:
+        q, r = np.linalg.qr(g[:, :k])
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0
     return q * d

@@ -44,7 +44,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import denoisers as dn
-from .engine import ALPHA_MIN, Bookkeeping, Precisions, check_count, clip_alpha, damp, sweep
+from .engine import (
+    ALPHA_MIN, Bookkeeping, Precisions, check_count, check_real, clip_alpha, damp, sweep,
+)
 from .errors import InvalidModelError
 from .model import apply_activation, svd_factorize, zero_pad
 
@@ -163,6 +165,7 @@ class SEConfig:
         if not (0.0 < self.damping <= 1.0):
             raise InvalidModelError("damping must lie in (0, 1]")
         check_count("quad_order", self.quad_order, 1)
+        check_real("stop_tol", self.stop_tol, 0.0)
 
 
 @dataclass

@@ -14,10 +14,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mlvamp import harness
+from mlvamp import engine, harness
 from mlvamp.cli import cli_main
 from mlvamp.engine import EngineConfig, run
-from mlvamp.errors import InvalidModelError, NumericFailureError
+from mlvamp.errors import DivergedIterationError, InvalidModelError, NumericFailureError
 from mlvamp.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -46,6 +46,25 @@ SMALL_RECIPE = SyntheticRecipe(
 )
 
 FAST_ENGINE = EngineConfig(max_iters=6, convergence_tol=0.0)
+
+
+#: A 4/8/8 recipe that runs in moments, and numeric config values each of its
+#: config objects must reject: (block, key, value).
+TINY_CONFIG = {"recipe": {"hidden_dims": [4, 8, 8], "measurements": 6}, "trials": 2}
+BAD_VALUES = [
+    ("se", "stop_tol", "x"),
+    ("se", "stop_tol", None),
+    ("engine", "convergence_tol", "x"),
+    ("se", "stop_tol", -1e-3),
+    ("engine", "convergence_tol", math.nan),
+    ("recipe", "snr_db", "x"),
+    ("recipe", "snr_db", math.nan),
+    ("recipe", "snr_db", math.inf),
+    ("recipe", "bias_std", "x"),
+    ("recipe", "bias_std", -1),
+    ("engine", "alpha_clip", 0.9),
+    ("engine", "alpha_clip", 0.5),
+]
 
 
 def _failing_predictor(law, config):
@@ -147,6 +166,22 @@ class TestTrials:
         with pytest.raises(NumericFailureError, match="predictor failed"):
             run_trials(cfg, workers=2)
         assert len(list(tmp_path.iterdir())) < 20
+
+    def test_a_diverged_trial_keeps_its_partial_trace(self, monkeypatch):
+        calibration = calibrate_recipe(SMALL_RECIPE, 7)
+        full = harness.run_single_trial(SMALL_RECIPE, calibration, FAST_ENGINE, 11)
+        forward_pass = engine.forward_pass
+
+        def diverging(state, bank, book):
+            if book.iteration == 2:
+                raise DivergedIterationError("runaway", layer=1, iteration=2)
+            return forward_pass(state, bank, book)
+
+        monkeypatch.setattr(engine, "forward_pass", diverging)
+        failed = harness.run_single_trial(SMALL_RECIPE, calibration, FAST_ENGINE, 11)
+        assert (failed.error, failed.error_layer, failed.error_iteration) == ("runaway", 1, 2)
+        # the four half-iterations of iterations 0 and 1, bit for bit
+        np.testing.assert_array_equal(failed.nmse_db, full.nmse_db[:4])
 
     def test_worker_count_env_override(self, monkeypatch):
         monkeypatch.setenv("MLVAMP_THREADS", "3")
@@ -446,17 +481,27 @@ class TestCli:
             {"recipe": {"measurements": 0}},
             {"recipe": {"measurements": True}},
             {"recipe": {"hidden_dims": [8, 24.5, 24.5]}},
+            *({**TINY_CONFIG, block: {**TINY_CONFIG.get(block, {}), key: value}}
+              for block, key, value in BAD_VALUES),
         ],
         ids=["unknown-key", "not-an-object", "se-keys-of-the-engine", "se-expectation",
              "zero-quad-order", "fractional-quad-order", "negative-seed", "bool-quad-order",
              "fractional-max-iters", "fractional-trials", "bool-counts", "fractional-seed",
              "fractional-measurements", "zero-measurements", "bool-measurements",
-             "fractional-width"],
+             "fractional-width",
+             *(f"{key}={value!r}" for _, key, value in BAD_VALUES)],
     )
     def test_malformed_config_exit_code(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("block, key, value", BAD_VALUES[:3],
+                             ids=[f"{key}={value!r}" for _, key, value in BAD_VALUES[:3]])
+    def test_malformed_config_exit_code_through_se(self, tmp_path, block, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY_CONFIG, block: {**TINY_CONFIG.get(block, {}), key: value}}))
+        assert cli_main(["se", "--config", str(path), "--out", str(tmp_path / "se.csv")]) == 2
 
     @pytest.mark.parametrize(
         "command, network, signals",

@@ -55,9 +55,26 @@ class TestHaarSampling:
             assert thin.shape == (n, k)
             assert np.max(np.abs(thin - square[:, :k])) <= 1e-15
 
+    @pytest.mark.parametrize("n, k", [(7, 3), (100, 20), (784, 100)])
+    def test_rows_are_the_square_draws(self, n, k):
+        # every reflector applied to the first k unit vectors, sign fix
+        # included, gives the square draw's first k rows to rounding
+        for seed in (1, 2):
+            square = sample_haar_orthogonal(n, substream(seed, 0x7C))
+            rows = sample_haar_orthogonal(n, substream(seed, 0x7C), rows=k)
+            assert rows.shape == (k, n)
+            assert np.max(np.abs(rows - square[:k])) <= 1e-15
+            np.testing.assert_array_equal(np.sign(rows), np.sign(square[:k]))
+
     def test_all_columns_are_the_square_draw(self):
         np.testing.assert_array_equal(
             sample_haar_orthogonal(50, substream(3, 0x7C), columns=50),
+            sample_haar_orthogonal(50, substream(3, 0x7C)),
+        )
+
+    def test_all_rows_are_the_square_draw(self):
+        np.testing.assert_array_equal(
+            sample_haar_orthogonal(50, substream(3, 0x7C), rows=50),
             sample_haar_orthogonal(50, substream(3, 0x7C)),
         )
 
@@ -65,6 +82,15 @@ class TestHaarSampling:
     def test_columns_outside_the_matrix_rejected(self, columns):
         with pytest.raises(InvalidModelError):
             sample_haar_orthogonal(5, substream(1, 0x7C), columns=columns)
+
+    @pytest.mark.parametrize("rows", [0, 6])
+    def test_rows_outside_the_matrix_rejected(self, rows):
+        with pytest.raises(InvalidModelError):
+            sample_haar_orthogonal(5, substream(1, 0x7C), rows=rows)
+
+    def test_columns_and_rows_together_rejected(self):
+        with pytest.raises(InvalidModelError, match="not both"):
+            sample_haar_orthogonal(5, substream(1, 0x7C), columns=2, rows=2)
 
     def test_first_and_second_moments(self):
         # Monte-Carlo check of the uniform law: entries have mean 0 and
