@@ -68,7 +68,7 @@ class EngineConfig:
             raise InvalidModelError("damping must lie in (0, 1]")
         check_count("max_iters", self.max_iters, 0)
         check_real("convergence_tol", self.convergence_tol, 0.0)
-        # clip_alpha clamps to [alpha_clip, 1 - alpha_clip]: empty from 0.5 on
+        # clip_alpha clamps to [alpha_clip, 1 - alpha_clip], a point or empty from 0.5 on
         check_real("alpha_clip", self.alpha_clip, 0.0, 0.5)
         if self.gamma_init <= 0 or self.alpha_clip <= 0:
             raise InvalidModelError("bounds must be positive")

@@ -326,7 +326,9 @@ class TestReluMmse:
         # gamma_minus -> 0: the input estimate returns r_plus and the output
         # estimate becomes the prior mean of phi under N(r_plus, 1/gamma_plus).
         gm, gp, rp = 1e-11, 2.0, 0.4
-        zp, zm, _, _ = both_sides(scalar_pair_mmse, "relu", NOISELESS, np.array([0.0]), np.array([rp]), gm, gp)
+        zp, zm, _, _ = both_sides(
+            scalar_pair_mmse, "relu", NOISELESS, np.array([0.0]), np.array([rp]), gm, gp
+        )
         assert zm[0] == pytest.approx(rp, abs=1e-6)
         sigma = 1.0 / math.sqrt(gp)
         from scipy.stats import norm
@@ -337,8 +339,8 @@ class TestReluMmse:
     def test_frozen_oracle_case(self):
         # Trapezoid oracle ([-12, 12], step 1e-4) at gm=2, gp=1, rm=0.3,
         # rp=-0.2; values frozen from the oracle run.
-        zp, zm, _, _ = both_sides(scalar_pair_mmse,
-            "relu", NOISELESS, np.array([0.3]), np.array([-0.2]), 2.0, 1.0
+        zp, zm, _, _ = both_sides(
+            scalar_pair_mmse, "relu", NOISELESS, np.array([0.3]), np.array([-0.2]), 2.0, 1.0
         )
         assert zp[0] == pytest.approx(0.190880779347, abs=1e-9)
         assert zm[0] == pytest.approx(-0.358335544059, abs=1e-9)
@@ -356,8 +358,8 @@ class TestReluMmse:
             rp = rng.uniform(-3, 3)
             gm = rng.uniform(0.1, 5.0)
             gp = rng.uniform(0.1, 5.0)
-            zp, zm, dp, dm = both_sides(scalar_pair_mmse,
-                activation, NOISELESS, np.array([rm]), np.array([rp]), gm, gp
+            zp, zm, dp, dm = both_sides(
+                scalar_pair_mmse, activation, NOISELESS, np.array([rm]), np.array([rp]), gm, gp
             )
             op, om, odp, odm = trapezoid_mmse(activation, rm, rp, gm, gp)
             assert zp[0] == pytest.approx(op, abs=1e-6)
@@ -369,7 +371,9 @@ class TestReluMmse:
         # Additive output noise folds into an effective precision; validate
         # against a 2-d trapezoid over (x, z).
         nu, gm, gp, rm, rp = 3.0, 1.5, 0.8, 0.7, -0.4
-        zp, zm, _, _ = both_sides(scalar_pair_mmse, "relu", nu, np.array([rm]), np.array([rp]), gm, gp)
+        zp, zm, _, _ = both_sides(
+            scalar_pair_mmse, "relu", nu, np.array([rm]), np.array([rp]), gm, gp
+        )
         xs = np.arange(-10, 10, 4e-3)
         zs = np.arange(-10, 10, 4e-3)
         X, Z = np.meshgrid(xs, zs, indexing="ij")
@@ -537,27 +541,33 @@ class TestOneSideRules:
 
 class TestReluMap:
     def test_consistent_interior_point(self):
-        zp, zm, _, _ = both_sides(scalar_pair_map, "relu", NOISELESS, np.array([1.0]), np.array([1.0]), 1.3, 0.7)
+        zp, zm, _, _ = both_sides(
+            scalar_pair_map, "relu", NOISELESS, np.array([1.0]), np.array([1.0]), 1.3, 0.7
+        )
         assert zm[0] == pytest.approx(1.0)
         assert zp[0] == pytest.approx(1.0)
 
     def test_negative_branch(self):
-        zp, zm, _, _ = both_sides(scalar_pair_map,
-            "relu", NOISELESS, np.array([-1.0]), np.array([-1.0]), 1.3, 0.7
+        zp, zm, _, _ = both_sides(
+            scalar_pair_map, "relu", NOISELESS, np.array([-1.0]), np.array([-1.0]), 1.3, 0.7
         )
         assert zm[0] == pytest.approx(-1.0)
         assert zp[0] == pytest.approx(0.0)
 
     def test_frozen_grid_oracle_case(self):
         # Grid search ([-10, 10], step 1e-5) at gm=gp=1, rm=2, rp=-0.5.
-        zp, zm, _, _ = both_sides(scalar_pair_map, "relu", NOISELESS, np.array([2.0]), np.array([-0.5]), 1.0, 1.0)
+        zp, zm, _, _ = both_sides(
+            scalar_pair_map, "relu", NOISELESS, np.array([2.0]), np.array([-0.5]), 1.0, 1.0
+        )
         assert zm[0] == pytest.approx(0.75, abs=1e-9)
         assert zp[0] == pytest.approx(0.75, abs=1e-9)
         assert grid_map("relu", NOISELESS, 2.0, -0.5, 1.0, 1.0) == pytest.approx(0.75, abs=2e-5)
 
     def test_tie_break_takes_the_nonnegative_branch(self):
         # Symmetric configuration where both branches cost the same.
-        zp, zm, _, _ = both_sides(scalar_pair_map, "relu", NOISELESS, np.array([0.0]), np.array([0.0]), 1.0, 1.0)
+        zp, zm, _, _ = both_sides(
+            scalar_pair_map, "relu", NOISELESS, np.array([0.0]), np.array([0.0]), 1.0, 1.0
+        )
         assert zm[0] == 0.0 and zp[0] == 0.0
 
     @pytest.mark.parametrize("activation,nu", [("relu", NOISELESS), ("relu", 5.0), ("sign", NOISELESS), ("sigmoid", NOISELESS)])
@@ -570,7 +580,9 @@ class TestReluMap:
             rp = rng.uniform(-2.5, 2.5)
             gm = rng.uniform(0.2, 4.0)
             gp = rng.uniform(0.2, 4.0)
-            zp, zm, _, _ = both_sides(scalar_pair_map, activation, nu, np.array([rm]), np.array([rp]), gm, gp)
+            zp, zm, _, _ = both_sides(
+                scalar_pair_map, activation, nu, np.array([rm]), np.array([rp]), gm, gp
+            )
             ref = grid_map(activation, nu, rm, rp, gm, gp)
             cost_mine = _pair_cost(activation, nu, zp[0], zm[0], rm, rp, gm, gp)
             cost_ref = scalar_belief_cost(activation, nu, ref, rm, rp, gm, gp)
@@ -586,8 +598,8 @@ class TestReluMap:
                 rp = rng.uniform(-3, 3)
                 gm = rng.uniform(0.1, 5)
                 gp = rng.uniform(0.1, 5)
-                zp, zm, _, _ = both_sides(scalar_pair_map,
-                    activation, NOISELESS, np.array([rm]), np.array([rp]), gm, gp
+                zp, zm, _, _ = both_sides(
+                    scalar_pair_map, activation, NOISELESS, np.array([rm]), np.array([rp]), gm, gp
                 )
                 at_opt = _pair_cost(activation, NOISELESS, zp[0], zm[0], rm, rp, gm, gp)
                 at_input = scalar_belief_cost(activation, NOISELESS, rp, rm, rp, gm, gp)

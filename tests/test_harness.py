@@ -65,6 +65,11 @@ BAD_VALUES = [
     ("engine", "alpha_clip", 0.9),
     ("engine", "alpha_clip", 0.5),
 ]
+BAD_VALUE_IDS = [f"{key}={value!r}" for _, key, value in BAD_VALUES]
+
+
+def _tiny_config_with(block, key, value):
+    return {**TINY_CONFIG, block: {**TINY_CONFIG.get(block, {}), key: value}}
 
 
 def _failing_predictor(law, config):
@@ -481,26 +486,23 @@ class TestCli:
             {"recipe": {"measurements": 0}},
             {"recipe": {"measurements": True}},
             {"recipe": {"hidden_dims": [8, 24.5, 24.5]}},
-            *({**TINY_CONFIG, block: {**TINY_CONFIG.get(block, {}), key: value}}
-              for block, key, value in BAD_VALUES),
+            *(_tiny_config_with(*bad) for bad in BAD_VALUES),
         ],
         ids=["unknown-key", "not-an-object", "se-keys-of-the-engine", "se-expectation",
              "zero-quad-order", "fractional-quad-order", "negative-seed", "bool-quad-order",
              "fractional-max-iters", "fractional-trials", "bool-counts", "fractional-seed",
              "fractional-measurements", "zero-measurements", "bool-measurements",
-             "fractional-width",
-             *(f"{key}={value!r}" for _, key, value in BAD_VALUES)],
+             "fractional-width", *BAD_VALUE_IDS],
     )
     def test_malformed_config_exit_code(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("block, key, value", BAD_VALUES[:3],
-                             ids=[f"{key}={value!r}" for _, key, value in BAD_VALUES[:3]])
-    def test_malformed_config_exit_code_through_se(self, tmp_path, block, key, value):
+    @pytest.mark.parametrize("bad", BAD_VALUES[:3], ids=BAD_VALUE_IDS[:3])
+    def test_malformed_config_exit_code_through_se(self, tmp_path, bad):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**TINY_CONFIG, block: {**TINY_CONFIG.get(block, {}), key: value}}))
+        path.write_text(json.dumps(_tiny_config_with(*bad)))
         assert cli_main(["se", "--config", str(path), "--out", str(tmp_path / "se.csv")]) == 2
 
     @pytest.mark.parametrize(
