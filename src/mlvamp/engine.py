@@ -68,10 +68,11 @@ class EngineConfig:
             raise InvalidModelError("damping must lie in (0, 1]")
         check_count("max_iters", self.max_iters, 0)
         check_real("convergence_tol", self.convergence_tol, 0.0)
+        check_real("gamma_init", self.gamma_init, dn.GAMMA_MIN, dn.GAMMA_MAX)
         # clip_alpha clamps to [alpha_clip, 1 - alpha_clip], a point or empty from 0.5 on
         check_real("alpha_clip", self.alpha_clip, 0.0, 0.5)
-        if self.gamma_init <= 0 or self.alpha_clip <= 0:
-            raise InvalidModelError("bounds must be positive")
+        if self.alpha_clip <= 0:
+            raise InvalidModelError("alpha_clip must be positive")
 
 
 @dataclass

@@ -27,8 +27,6 @@ from .model import (
     NOISELESS,
     NetworkSpec,
     NonlinearLayerSpec,
-    apply_activation,
-    calibrate_noise_to_snr,
     forward_generate,
     geometric_singular_values,
     linear_layer_from_factors,
@@ -40,6 +38,7 @@ from .state_evolution import (
     NetworkLaw,
     SEConfig,
     SeparableLaw,
+    activation_second_moment,
     run_se,
 )
 
@@ -129,7 +128,8 @@ class RecipeCalibration:
     Generative singular values come from one reference draw of an i.i.d.
     Gaussian matrix (scale 1/sqrt(fan-in)); bias means are tuned so the
     target fraction of pre-activations is positive; the measurement noise
-    precision realizes the requested SNR.
+    precision realizes the requested SNR in the ensemble, from the
+    closed-form signal moments.
     """
 
     generative_singular_values: tuple
@@ -148,36 +148,28 @@ def _reference_singular_values(recipe, seed):
     return tuple(out)
 
 
-#: Monte-Carlo sizes of a recipe's calibration: pre-activation draws per
-#: separable stage, and forward generations averaged for the signal power.
-CALIBRATION_SAMPLES = 10_000
-SNR_TRIALS = 20
-
-
 def calibrate_recipe(recipe, seed):
-    """Fix the trial-independent parts of a recipe (pure given seed)."""
+    """Fix the trial-independent parts of a recipe (pure given seed).
+
+    The signal second moments follow the predictor's closed-form recursion
+    (``se_initial_pass``), so the SNR is met in the ensemble; the seed enters
+    only through the reference singular values.
+    """
     svals = _reference_singular_values(recipe, seed)
     dims = recipe.hidden_dims
     target = ndtri(recipe.positive_fraction)
-    rng = substream(seed, 0xB1A5)
     bias_means = []
     v = 1.0  # component second moment of the current signal
     for pair in range(recipe.num_generative_pairs):
-        n_out = dims[2 * pair + 1]
         s = svals[pair]
-        v_pre = float(np.sum(s * s)) / n_out * v
+        v_pre = float(np.sum(s * s)) / dims[2 * pair + 1] * v
         sigma_pre = math.sqrt(v_pre + recipe.bias_std**2)
         mu_b = sigma_pre * target
         bias_means.append(mu_b)
-        # second moment after the separable stage, by scalar Monte-Carlo
-        x = mu_b + sigma_pre * rng.standard_normal(CALIBRATION_SAMPLES)
-        v = float(np.mean(apply_activation(recipe.activation, x) ** 2))
-
-    probe = RecipeCalibration(svals, tuple(bias_means), measurement_noise_precision=1.0)
-    nu = calibrate_noise_to_snr(
-        build_synthetic_network(recipe, seed, probe), recipe.snr_db, SNR_TRIALS, seed
-    )
-    return replace(probe, measurement_noise_precision=nu)
+        v = activation_second_moment(recipe.activation, mu_b, sigma_pre**2)
+    s = geometric_singular_values(recipe.measurements, dims[-1], recipe.condition_number)
+    nu = float(10.0 ** (recipe.snr_db / 10.0) / (np.sum(s * s) / recipe.measurements * v))
+    return RecipeCalibration(svals, tuple(bias_means), measurement_noise_precision=nu)
 
 
 def _haar_factors(n_out, n_in, seed, *key):

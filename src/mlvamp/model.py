@@ -348,12 +348,13 @@ def forward_generate(spec, seed):
 
 
 def calibrate_noise_to_snr(spec, snr_db, trials, seed):
-    """Measurement-noise precision achieving the requested SNR in dB.
+    """Measurement-noise precision achieving ``snr_db`` on one network, such as a loaded one.
 
     The final layer must be affine.  Signal power ``E||W z + b||^2`` is
-    estimated by Monte-Carlo over ``trials`` independent forward
-    generations; the returned precision makes
-    ``10 log10(signal_power / noise_power)`` equal ``snr_db``.
+    estimated by Monte-Carlo over ``trials`` forward generations of ``spec``;
+    the returned precision makes ``10 log10(signal_power / noise_power)``
+    equal ``snr_db``.  ``harness.calibrate_recipe`` calibrates a recipe's
+    ensemble in closed form instead.
     """
     final = spec.layers[-1]
     if final.kind != "linear":

@@ -45,7 +45,8 @@ from scipy.special import ndtr
 
 from . import denoisers as dn
 from .engine import (
-    ALPHA_MIN, Bookkeeping, Precisions, check_count, check_real, clip_alpha, damp, sweep,
+    ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, check_count, check_real, clip_alpha, damp,
+    sweep,
 )
 from .errors import InvalidModelError
 from .model import apply_activation, svd_factorize, zero_pad
@@ -160,10 +161,10 @@ class SEConfig:
     quad_order: int = 12
 
     def __post_init__(self):
-        if self.mode not in ("mmse", "map"):
-            raise InvalidModelError("mode must be 'mmse' or 'map'")
-        if not (0.0 < self.damping <= 1.0):
-            raise InvalidModelError("damping must lie in (0, 1]")
+        check_count("iterations", self.iterations, 1)
+        # the fields an engine run shares are checked as the engine checks them
+        EngineConfig(max_iters=self.iterations, mode=self.mode, gamma_init=self.gamma_init,
+                     damping=self.damping, alpha_clip=self.alpha_clip)
         check_count("quad_order", self.quad_order, 1)
         check_real("stop_tol", self.stop_tol, 0.0)
 
@@ -511,14 +512,17 @@ def run_se(law, config):
         book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)
         mse = np.zeros((2, n))
 
+        # each step's clip names the signal it updates, as the engine's does
         def input_prior():
-            alpha, K[0], mse[0, 0] = _input_step(state.gamma_minus[0], tau_m[0], book.clip)
+            clip = functools.partial(book.clip, layer=0)
+            alpha, K[0], mse[0, 0] = _input_step(state.gamma_minus[0], tau_m[0], clip)
             return alpha
 
         def forward(ell):
             alpha, K[ell], mse[0, ell] = se_forward_layer(
                 law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], state.gamma_minus[ell],
-                state.gamma_plus[ell - 1], config.mode, config.quad_order, clip=book.clip,
+                state.gamma_plus[ell - 1], config.mode, config.quad_order,
+                clip=functools.partial(book.clip, layer=ell),
             )
             return alpha
 
@@ -527,7 +531,8 @@ def run_se(law, config):
             alpha, tau_m[ell - 1], mse[1, ell - 1] = se_backward_layer(
                 law, ell, K[ell - 1], mu[ell - 1],
                 0.0 if observed else tau_m[ell], math.inf if observed else state.gamma_minus[ell],
-                state.gamma_plus[ell - 1], config.mode, config.quad_order, clip=book.clip,
+                state.gamma_plus[ell - 1], config.mode, config.quad_order,
+                clip=functools.partial(book.clip, layer=ell - 1),
             )
             return alpha
 

@@ -8,13 +8,13 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from mlvamp import engine, harness
+from mlvamp import engine, harness, model, state_evolution
 from mlvamp.cli import cli_main
 from mlvamp.engine import EngineConfig, run
 from mlvamp.errors import DivergedIterationError, InvalidModelError, NumericFailureError
@@ -34,8 +34,8 @@ from mlvamp.harness import (
     se_rows,
     write_result_csv,
 )
-from mlvamp.model import SignalSet, forward_generate, load_network
-from mlvamp.state_evolution import SEConfig, run_se
+from mlvamp.model import NOISELESS, SignalSet, forward_generate, load_network
+from mlvamp.state_evolution import SEConfig, run_se, se_initial_pass
 
 SMALL_RECIPE = SyntheticRecipe(
     hidden_dims=(8, 24, 24, 16, 16, 20, 20),
@@ -64,6 +64,9 @@ BAD_VALUES = [
     ("recipe", "bias_std", -1),
     ("engine", "alpha_clip", 0.9),
     ("engine", "alpha_clip", 0.5),
+    ("engine", "gamma_init", math.nan),
+    ("engine", "gamma_init", math.inf),
+    ("engine", "gamma_init", 1e300),
 ]
 BAD_VALUE_IDS = [f"{key}={value!r}" for _, key, value in BAD_VALUES]
 
@@ -125,6 +128,29 @@ class TestBuilder:
         law = recipe_law(SMALL_RECIPE, cal)
         assert law.dims == SMALL_RECIPE.dims
         assert law.layers[0].bias_mean == cal.bias_means[0]
+
+    @pytest.mark.parametrize("measurements", [10, 100])
+    @pytest.mark.parametrize("positive_fraction", [0.3, 0.5])
+    def test_the_ensemble_meets_the_snr(self, measurements, positive_fraction):
+        # the closed-form moments of the predictor's law, noise left out
+        recipe = SyntheticRecipe(measurements=measurements, positive_fraction=positive_fraction)
+        cal = calibrate_recipe(recipe, 3)
+        law = recipe_law(recipe, cal)
+        measurement = replace(law.layers[-1], noise_precision=NOISELESS)
+        power = se_initial_pass(replace(law, layers=(*law.layers[:-1], measurement)))[0][-1]
+        snr = power * cal.measurement_noise_precision
+        assert snr == pytest.approx(10 ** (recipe.snr_db / 10), rel=1e-12)
+
+    def test_calibration_builds_no_network(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration drew a network")
+
+        for module, name in ((harness, "build_synthetic_network"),
+                             (harness, "sample_haar_orthogonal"),
+                             (model, "sample_haar_orthogonal")):
+            monkeypatch.setattr(module, name, refuse)
+        cal = calibrate_recipe(SMALL_RECIPE, 3)
+        assert math.isfinite(cal.measurement_noise_precision)
 
     def test_non_alternating_recipe_rejected(self):
         with pytest.raises(InvalidModelError):
@@ -199,6 +225,52 @@ class TestTrials:
                 harness.worker_count()
 
 
+class TestDivergenceLocation:
+    """A non-finite divergence in the predictor names the signal its step
+    updates and the iteration.  SMALL_RECIPE has signals 0 .. 6 and affine
+    law layers 0, 2, 4 and 6."""
+
+    @staticmethod
+    def poison(monkeypatch, law, step, layer, forward, iteration):
+        """Make the divergence of ``step`` at law layer ``layer`` (None: every
+        call) in the sweep ``forward`` NaN from the call of ``iteration`` on."""
+        original = getattr(state_evolution, step)
+        # by repr, which a copy of the law sent to a pool worker keeps
+        target = None if layer is None else repr(law.layers[layer])
+        calls = []
+
+        def patched(*args):
+            *args, clip = args
+            if target is None or (repr(args[0]) == target and args[1] == forward):
+                calls.append(None)
+                if len(calls) > iteration:
+                    return original(*args, lambda alpha: clip(math.nan))
+            return original(*args, clip)
+
+        monkeypatch.setattr(state_evolution, step, patched)
+        return calls
+
+    @pytest.mark.parametrize(
+        "step, layer, forward, signal",
+        [("_input_step", None, True, 0), ("_affine_step", 2, True, 3),
+         ("_separable_step", 3, False, 3), ("_affine_step", 6, False, 6)],
+        ids=["input-prior", "affine-forward", "relu-backward", "observed-output"],
+    )
+    def test_run_se_and_run_trials_name_the_signal(self, monkeypatch, step, layer, forward, signal):
+        cal = calibrate_recipe(SMALL_RECIPE, 7)
+        law = recipe_law(SMALL_RECIPE, cal)
+        calls = self.poison(monkeypatch, law, step, layer, forward, iteration=2)
+        with pytest.raises(DivergedIterationError) as exc:
+            run_se(law, SEConfig(iterations=4))
+        assert (exc.value.layer, exc.value.iteration) == (signal, 2)
+        calls.clear()
+        # the predictor runs in a forked pool worker, and its error crosses back
+        cfg = ExperimentConfig(recipe=SMALL_RECIPE, engine=EngineConfig(max_iters=4), trials=2)
+        with pytest.raises(DivergedIterationError) as exc:
+            run_trials(cfg, calibration=cal, law=law, workers=2)
+        assert (exc.value.layer, exc.value.iteration) == (signal, 2)
+
+
 class TestOneBlasThread:
     """Results do not depend on the host's cores: the package computes on one
     BLAS thread, and takes its parallelism from the trial pool."""
@@ -240,10 +312,9 @@ class TestOneBlasThread:
         assert out.stdout.split() == ["1", "1", "1", "1"]
 
     def test_bytes_do_not_depend_on_workers_or_blas_threads(self, tmp_path):
-        # the paper recipe draws 784 x 784 Haar factors, whose blocked QR sums
-        # in a thread-dependent order: without one BLAS thread its
-        # calibrated noise precision (2516.0432508158797 on one thread)
-        # reads 2516.043250815877 on two
+        # the paper recipe's trial networks draw 784-wide Haar factors, whose
+        # blocked QR sums in a thread-dependent order: without one BLAS thread
+        # their weights, signals and engine precisions move in the last bits
         outputs = []
         for workers, blas_threads in (("1", "1"), ("1", "2"), ("2", "2")):
             out = tmp_path / f"w{workers}-b{blas_threads}.csv"

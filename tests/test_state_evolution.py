@@ -9,6 +9,7 @@ import pytest
 from mlvamp import harness
 from mlvamp import state_evolution as se
 from mlvamp.engine import EngineConfig, run
+from mlvamp.errors import InvalidModelError
 from mlvamp.model import NOISELESS, forward_generate, geometric_singular_values as sv
 from mlvamp.state_evolution import (
     LinearLaw,
@@ -471,3 +472,17 @@ class TestEngineAgreement:
                 K[:, 0, 1] / K[:, 1, 1], mean[:, 0] / mean[:, 1], atol=0.15,
                 err_msg=f"K01 / K11 after {k} iterations",
             )
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize(
+        "fields",
+        [{"iterations": 0}, {"iterations": 2.5}, {"gamma_init": math.nan},
+         {"gamma_init": math.inf}, {"gamma_init": 1e300}, {"alpha_clip": 0.7},
+         {"mode": "mean"}, {"damping": 0.0}],
+        ids=lambda fields: ",".join(f"{k}={v!r}" for k, v in fields.items()),
+    )
+    def test_a_bad_field_is_rejected(self, fields):
+        with pytest.raises(InvalidModelError):
+            SEConfig(**fields)
+
