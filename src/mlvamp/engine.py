@@ -385,6 +385,11 @@ def backward_pass(state, bank, book):
     return state
 
 
+def _norm(x):
+    """Euclidean norm of a 1-D float vector, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(x @ x)
+
+
 def nmse_db(zhat, z0):
     """Normalized squared error in decibels; floored at -300 dB."""
     z0 = np.asarray(z0, float)
@@ -394,7 +399,8 @@ def nmse_db(zhat, z0):
     ref = float(z0 @ z0)
     if ref <= 0.0:
         raise UndefinedMetricError("zero reference signal")
-    ratio = float((z0 - zhat) @ (z0 - zhat)) / ref
+    err = z0 - zhat
+    ratio = float(err @ err) / ref
     return 10.0 * math.log10(max(ratio, 1e-30))
 
 
@@ -406,9 +412,9 @@ def _consistency(state):
     """
     worst = 0.0
     for zp, zm in zip(state.zhat_plus, state.zhat_minus):
-        gap = float(np.linalg.norm(zp - zm))
+        gap = _norm(zp - zm)
         if gap > 0.0:
-            worst = max(worst, gap / (float(np.linalg.norm(zp)) or float(np.linalg.norm(zm))))
+            worst = max(worst, gap / (_norm(zp) or _norm(zm)))
     return worst
 
 
@@ -424,8 +430,7 @@ def run(spec, y, config, truth=None):
     trace = IterationTrace()
     half = 0
     for k in range(config.max_iters):
-        prev_plus = [z.copy() for z in state.zhat_plus]
-        prev_minus = [z.copy() for z in state.zhat_minus]
+        prev = state.zhat_plus + state.zhat_minus  # estimates are replaced, never mutated
         book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)
         try:
             forward_pass(state, bank, book)
@@ -438,7 +443,10 @@ def run(spec, y, config, truth=None):
             exc.trace = trace
             raise
         half += 1
-        delta = _max_delta(state, prev_plus, prev_minus, first=(k == 0))
+        delta = math.inf if k == 0 else max(
+            _norm(new - old) / max(_norm(old), _TINY)
+            for new, old in zip(state.zhat_plus + state.zhat_minus, prev)
+        )
         _record(trace, state, half, "backward", truth, book.events, delta)
         if config.convergence_tol > 0 and delta < config.convergence_tol:
             break
@@ -464,16 +472,6 @@ def _check_blowup(estimates, power, iteration):
                 layer=ell,
                 iteration=iteration,
             )
-
-
-def _max_delta(state, prev_plus, prev_minus, first=False):
-    if first:
-        return math.inf
-    worst = 0.0
-    for new, old in zip(state.zhat_plus + state.zhat_minus, prev_plus + prev_minus):
-        denom = max(float(np.linalg.norm(old)), _TINY)
-        worst = max(worst, float(np.linalg.norm(new - old)) / denom)
-    return worst
 
 
 def _record(trace, state, half, direction, truth, clip_events, delta):
@@ -522,11 +520,11 @@ def fixed_point_report(state, spec, y, mode):
             abs(state.eta_minus[ell] - eta_sum) / state.eta_minus[ell],
         )
         zc = combined_estimate(state, ell)
-        denom = max(float(np.linalg.norm(state.zhat_plus[ell])), _TINY)
+        denom = max(_norm(state.zhat_plus[ell]), _TINY)
         comb_res = max(
             comb_res,
-            float(np.linalg.norm(state.zhat_plus[ell] - zc)) / denom,
-            float(np.linalg.norm(state.zhat_minus[ell] - zc)) / denom,
+            _norm(state.zhat_plus[ell] - zc) / denom,
+            _norm(state.zhat_minus[ell] - zc) / denom,
         )
 
     stationarity = None
@@ -565,7 +563,7 @@ def map_stationarity(spec, y, zs, kink_tol=1e-12):
     least magnitude is selected (zero whenever the interval contains it).
     """
     grads = [np.zeros_like(z) for z in zs]
-    contribs = [float(np.linalg.norm(zs[0]))]
+    contribs = [_norm(zs[0])]
     grads[0] += zs[0]
     kinks = []  # (signal index, component mask, coefficient array)
     for ell, layer in enumerate(spec.layers, start=1):
@@ -573,19 +571,20 @@ def map_stationarity(spec, y, zs, kink_tol=1e-12):
         z = y if ell == len(spec.layers) else zs[ell]
         nu = layer.noise_precision
         if layer.kind == "linear":
-            resid = z - layer.weight @ x - layer.bias
+            w = layer.weight  # a package-made layer builds it on each read
+            resid = z - w @ x - layer.bias
             if ell != len(spec.layers):
                 grads[ell] += nu * resid
-                contribs.append(float(np.linalg.norm(nu * resid)))
-            back = -nu * (layer.weight.T @ resid)
+                contribs.append(_norm(nu * resid))
+            back = -nu * (w.T @ resid)
             grads[ell - 1] += back
-            contribs.append(float(np.linalg.norm(back)))
+            contribs.append(_norm(back))
         else:
             phi = apply_activation(layer.activation, x)
             resid = z - phi
             if ell != len(spec.layers):
                 grads[ell] += nu * resid
-                contribs.append(float(np.linalg.norm(nu * resid)))
+                contribs.append(_norm(nu * resid))
             slope = activation_slope(layer.activation, x)
             if layer.activation == "relu":
                 at_kink = np.abs(x) <= kink_tol
@@ -594,7 +593,7 @@ def map_stationarity(spec, y, zs, kink_tol=1e-12):
                     kinks.append((ell - 1, at_kink, -nu * resid))
             back = -nu * slope * resid
             grads[ell - 1] += back
-            contribs.append(float(np.linalg.norm(back)))
+            contribs.append(_norm(back))
     for idx, mask, coef in kinks:
         g = grads[idx]
         t = np.clip(np.divide(g, -coef, out=np.zeros_like(g), where=coef != 0.0), 0.0, 1.0)

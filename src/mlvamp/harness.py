@@ -168,7 +168,12 @@ def calibrate_recipe(recipe, seed):
         bias_means.append(mu_b)
         v = activation_second_moment(recipe.activation, mu_b, sigma_pre**2)
     s = geometric_singular_values(recipe.measurements, dims[-1], recipe.condition_number)
-    nu = float(10.0 ** (recipe.snr_db / 10.0) / (np.sum(s * s) / recipe.measurements * v))
+    try:
+        nu = float(10.0 ** (recipe.snr_db / 10.0) / (np.sum(s * s) / recipe.measurements * v))
+    except OverflowError:
+        nu = math.inf
+    if not 0.0 < nu < math.inf:
+        raise InvalidModelError(f"snr_db {recipe.snr_db} gives noise precision {nu}")
     return RecipeCalibration(svals, tuple(bias_means), measurement_noise_precision=nu)
 
 

@@ -63,7 +63,7 @@ def _check_orthonormal(q):
     ``p``: ``max|q.T @ (q @ p) - p|`` must stay within ``ORTHOGONALITY_TOL``."""
     probe = np.random.default_rng(0).standard_normal(q.shape[1])
     err = np.max(np.abs(q.T @ (q @ probe) - probe))
-    if err > ORTHOGONALITY_TOL:
+    if not err <= ORTHOGONALITY_TOL:  # a non-finite entry makes err NaN
         raise InvalidModelError(f"factor not orthogonal (|QtQp - p| = {err:.3e})")
 
 
@@ -78,7 +78,7 @@ class SvdFactors:
     components all have singular value 0 and share every gain, so it enters
     only by projection (``x - left @ (left.T @ x)``).  ``bias`` is the layer's
     raw bias and ``transformed_bias`` its range coordinates ``left.T @ bias``.
-    Orthonormality is probe-checked on ``left`` and ``right.T``.
+    Orthonormality is probe-checked on ``left`` and ``right.T``; entries are finite.
     """
 
     left_orthogonal: np.ndarray
@@ -97,14 +97,14 @@ class SvdFactors:
             raise InvalidModelError("left factor must be n_out x min(n_out, n_in)")
         if self.right_orthogonal.shape != (k, n_in):
             raise InvalidModelError("right factor must be min(n_out, n_in) x n_in")
-        if np.any(self.singular_values < 0):
-            raise InvalidModelError("singular values must be nonnegative")
+        if not np.all(np.isfinite(self.singular_values) & (self.singular_values >= 0)):
+            raise InvalidModelError("singular values must be finite and nonnegative")
         if np.any(np.diff(self.singular_values) > 0):
             raise InvalidModelError("singular values must be sorted descending")
         _check_orthonormal(self.left_orthogonal)
         _check_orthonormal(self.right_orthogonal.T)
-        if self.bias.shape != (n_out,):
-            raise InvalidModelError("bias has wrong length")
+        if self.bias.shape != (n_out,) or not np.all(np.isfinite(self.bias)):
+            raise InvalidModelError("bias must hold n_out finite entries")
         object.__setattr__(self, "transformed_bias", self.left_orthogonal.T @ self.bias)
 
     @property
@@ -121,40 +121,53 @@ class SvdFactors:
         return (self.left_orthogonal * self.singular_values) @ self.right_orthogonal
 
 
-@dataclass(frozen=True)
+class _Weight:
+    """``LinearLayerSpec.weight``: the stored matrix, else the factors multiplied out."""
+
+    def __get__(self, layer, owner=None):
+        if layer is None:
+            return None  # the field's default
+        w = layer.__dict__["_weight"]
+        return layer.factors.to_weight() if w is None else w
+
+    def __set__(self, layer, value):
+        layer.__dict__["_weight"] = None if value is None else np.asarray(value, dtype=float)
+
+
+@dataclass(frozen=True, kw_only=True)
 class LinearLayerSpec:
     """Affine layer ``z_out = weight @ z_in + bias + noise``.
 
     ``noise_precision`` is the inverse variance of the additive Gaussian
-    noise; ``NOISELESS`` (infinity) means the map is exact.
+    noise; ``NOISELESS`` (infinity) means the map is exact.  A package-made
+    layer holds only its ``factors`` and builds ``weight`` from them when read.
     """
 
-    weight: np.ndarray
+    weight: np.ndarray | None = _Weight()
     bias: np.ndarray
     noise_precision: float
     factors: SvdFactors | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=float)
+        w = self.__dict__["_weight"]
         b = np.asarray(self.bias, dtype=float)
-        object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
-        if w.ndim != 2:
-            raise InvalidModelError("weight must be a matrix")
-        if b.shape != (w.shape[0],):
-            raise InvalidModelError("bias length must equal output dimension")
-        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(b)):
-            raise InvalidModelError("weight/bias entries must be finite")
+        if w is None and self.factors is None:
+            raise InvalidModelError("an affine layer needs a weight or its factors")
+        if w is not None and (w.ndim != 2 or not np.all(np.isfinite(w))):
+            raise InvalidModelError("weight must be a matrix of finite entries")
+        if b.shape != (self.out_dim,) or not np.all(np.isfinite(b)):
+            raise InvalidModelError("bias must hold out_dim finite entries")
         if not (self.noise_precision > 0):
             raise InvalidModelError("noise_precision must be positive (or NOISELESS)")
 
     @property
     def out_dim(self):
-        return self.weight.shape[0]
+        return self.factors.out_dim if self.factors is not None else self.weight.shape[0]
 
     @property
     def in_dim(self):
-        return self.weight.shape[1]
+        return self.factors.in_dim if self.factors is not None else self.weight.shape[1]
 
     @property
     def kind(self):
@@ -322,9 +335,7 @@ def linear_layer_from_factors(left, singular_values, right, bias, noise_precisio
         right = right[: s.size].copy()
     bias = np.asarray(bias, dtype=float)
     factors = SvdFactors(left_orthogonal=left, singular_values=s, right_orthogonal=right, bias=bias)
-    return LinearLayerSpec(
-        weight=factors.to_weight(), bias=bias, noise_precision=noise_precision, factors=factors
-    )
+    return LinearLayerSpec(bias=bias, noise_precision=noise_precision, factors=factors)
 
 
 def forward_generate(spec, seed):
@@ -337,7 +348,10 @@ def forward_generate(spec, seed):
     for ell, layer in enumerate(spec.layers, start=1):
         rng = substream(seed, ell)
         x = signals[-1]
-        if layer.kind == "linear":
+        if layer.kind == "linear" and layer.factors is not None:
+            f = layer.factors
+            z = f.left_orthogonal @ (f.singular_values * (f.right_orthogonal @ x)) + layer.bias
+        elif layer.kind == "linear":
             z = layer.weight @ x + layer.bias
         else:
             z = apply_activation(layer.activation, x)
@@ -361,10 +375,10 @@ def calibrate_noise_to_snr(spec, snr_db, trials, seed):
         raise InvalidModelError("SNR calibration requires an affine measurement layer")
     if trials < 1:
         raise InvalidModelError("need at least one calibration trial")
-    power = 0.0
+    power, w = 0.0, final.weight
     for t in range(int(trials)):
         sig = forward_generate(spec, substream(seed, 0xCA11B, t).integers(2**63))
-        clean = final.weight @ sig.signals[-2] + final.bias
+        clean = w @ sig.signals[-2] + final.bias
         power += float(clean @ clean)
     power /= trials
     if power <= 0:

@@ -157,6 +157,49 @@ class TestBuilder:
             SyntheticRecipe(hidden_dims=(8, 24, 20), measurements=10)
 
 
+@pytest.fixture(scope="module")
+def paper_network():
+    recipe = SyntheticRecipe()
+    return build_synthetic_network(recipe, 11, calibrate_recipe(recipe, 11))
+
+
+class TestFactoredLayers:
+    """A package-made affine layer keeps only its compact factors and bias."""
+
+    def test_signals_match_the_dense_product(self, paper_network):
+        dense = replace(paper_network, layers=tuple(
+            model.LinearLayerSpec(
+                weight=layer.weight, bias=layer.bias, noise_precision=layer.noise_precision
+            )
+            if layer.kind == "linear" else layer
+            for layer in paper_network.layers
+        ))
+        factored, reference = forward_generate(paper_network, 11), forward_generate(dense, 11)
+        for z, ref in zip(factored.signals, reference.signals):
+            assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_weight_is_the_product_of_the_factors(self, paper_network):
+        for layer in paper_network.layers[::2]:
+            np.testing.assert_array_equal(layer.weight, layer.factors.to_weight())
+
+    def test_no_layer_holds_a_dense_weight(self, paper_network):
+        for layer in paper_network.layers[::2]:
+            assert layer.weight.shape == (layer.out_dim, layer.in_dim)  # built, not kept
+            f = layer.factors
+            own = {id(a) for a in (f.left_orthogonal, f.singular_values, f.right_orthogonal,
+                                   f.bias, f.transformed_bias)}
+            held = [a for a in (*vars(layer).values(), *vars(f).values())
+                    if isinstance(a, np.ndarray)]
+            assert held and all(id(a) in own for a in held)
+
+    def test_json_keeps_every_weight(self, paper_network):
+        back = model.network_from_json(json.loads(json.dumps(model.network_to_json(paper_network))))
+        for a, b in zip(back.layers[::2], paper_network.layers[::2]):
+            np.testing.assert_array_equal(a.weight, b.weight)
+            np.testing.assert_array_equal(a.bias, b.bias)
+            assert a.noise_precision == b.noise_precision
+
+
 class TestTrials:
     def test_single_trial_aggregate_is_the_trace(self, small_result):
         cfg = ExperimentConfig(
@@ -569,6 +612,14 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "se"])
+    @pytest.mark.parametrize("snr_db", [5000.0, -5000.0])
+    def test_snr_without_a_finite_noise_precision_exit_code(self, tmp_path, command, snr_db):
+        # 5000 dB overflows the precision, -5000 dB rounds it to 0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_tiny_config_with("recipe", "snr_db", snr_db)))
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
 
     @pytest.mark.parametrize("bad", BAD_VALUES[:3], ids=BAD_VALUE_IDS[:3])
     def test_malformed_config_exit_code_through_se(self, tmp_path, bad):

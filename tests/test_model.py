@@ -227,6 +227,22 @@ class TestSvdFactorization:
         with pytest.raises(InvalidModelError, match="not orthogonal"):
             linear_layer_from_factors(small, s, bent.T, np.ones(3), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("part", ["left", "singular_values", "right", "bias"])
+    def test_a_non_finite_factor_or_bias_is_rejected(self, part, bad):
+        # no dense weight is formed to catch it, so the factors' own checks must
+        parts = {
+            "left": sample_haar_orthogonal(6, substream(5, 0x7C), columns=4),
+            "singular_values": geometric_singular_values(6, 4, 2.0),
+            "right": haar(4, 6),
+            "bias": np.ones(6),
+        }
+        linear_layer_from_factors(*parts.values(), 1.0)
+        parts[part] = parts[part].copy()
+        parts[part].flat[-1] = bad
+        with pytest.raises(InvalidModelError):
+            linear_layer_from_factors(*parts.values(), 1.0)
+
     def test_compact_factors_of_the_wrong_shape_are_rejected(self):
         thin, small = sample_haar_orthogonal(6, substream(5, 0x7C), columns=4), haar(3, 6)
         with pytest.raises(InvalidModelError, match="left factor"):
