@@ -338,6 +338,27 @@ def _kinked_axis(kink_z, order):
     return t, w
 
 
+@functools.lru_cache(maxsize=8)
+def _layout(rule, kink_z, n_axes, noiseless):
+    """``_grid``'s node axes and weight tensor, ``(t, w)``: built once per
+    layout and read-only; at most eight are kept (a noisy layer's ``w`` is
+    1.8 MB at order 12)."""
+    axes_nodes = [rule.nodes] * n_axes
+    axes_weights = [rule.weights] * n_axes
+    if kink_z is not None:
+        axes_nodes[0], axes_weights[0] = _kinked_axis(kink_z, rule.order)
+    if noiseless:
+        # a noiseless minus message: the integrand is constant along t_minus
+        axes_nodes[2], axes_weights[2] = np.zeros(1), np.ones(1)
+    t = np.meshgrid(*axes_nodes, indexing="ij", sparse=True)
+    w = 1.0
+    for a in np.meshgrid(*axes_weights, indexing="ij", sparse=True):
+        w = w * a
+    for a in (*t, w):
+        a.flags.writeable = False
+    return tuple(t), w
+
+
 def _grid(K, mu, tau_m, xi_var, order, kink=None):
     """Joint nodes/weights for the separable-layer integration.
 
@@ -369,19 +390,8 @@ def _grid(K, mu, tau_m, xi_var, order, kink=None):
     """
     var_p0 = max(K[0, 0] - mu * mu, 0.0)
     sd_p0 = math.sqrt(var_p0)
-    rule = dn.gauss_hermite_rule(order)
-    n_axes = 3 + (1 if xi_var > 0 else 0)
-    axes_nodes = [rule.nodes] * n_axes
-    axes_weights = [rule.weights] * n_axes
-    if kink is not None and sd_p0 > 0:
-        axes_nodes[0], axes_weights[0] = _kinked_axis((kink - mu) / sd_p0, order)
-    if tau_m <= 0:
-        # a noiseless minus message: the integrand is constant along t_minus
-        axes_nodes[2], axes_weights[2] = np.zeros(1), np.ones(1)
-    t = np.meshgrid(*axes_nodes, indexing="ij", sparse=True)
-    w = 1.0
-    for a in np.meshgrid(*axes_weights, indexing="ij", sparse=True):
-        w = w * a
+    kink_z = (kink - mu) / sd_p0 if kink is not None and sd_p0 > 0 else None
+    t, w = _layout(dn.gauss_hermite_rule(order), kink_z, 3 + (xi_var > 0), tau_m <= 0)
     p0 = mu + sd_p0 * t[0]
     k01, k11 = K[0, 1], max(K[1, 1], 0.0)
     if var_p0 > 0:
@@ -428,12 +438,19 @@ def _extrinsic_moments(w, truth, message, est, alpha, forward):
     means included: the next (mixing) layer sees them as the covariance of
     mean-free rotated components."""
     err = est - truth
-    ext = (err - alpha * (message - truth)) / (1.0 - alpha)
-    mse, k11 = float(np.sum(w * err * err)), float(np.sum(w * ext * ext))
+    ext = err - alpha * (message - truth)
+    ext /= 1.0 - alpha
+
+    def moment(a, b):  # sum(w * a * b), with one product on the full grid
+        prod = w * a
+        prod *= b
+        return float(np.sum(prod))
+
+    mse, k11 = moment(err, err), moment(ext, ext)
     if not forward:
         return alpha, k11, mse
-    k01 = float(np.sum(w * truth * ext))
-    return alpha, np.array([[float(np.sum(w * truth * truth)), k01], [k01, k11]]), mse
+    k01 = moment(truth, ext)
+    return alpha, np.array([[moment(truth, truth), k01], [k01, k11]]), mse
 
 
 def _input_step(gm, tau_m, clip=clip_alpha):

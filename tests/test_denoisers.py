@@ -1,6 +1,7 @@
 """Scalar and affine pair estimators against independent oracles."""
 
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -488,6 +489,27 @@ class TestSharedReluLogMass:
         for got, want in zip(dn._trunc_lower_moments(m, sig, 0.0, log_ndtr(m / sig)),
                              dn._trunc_lower_moments(m, sig, 0.0)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestBranchWeights:
+    """``_branch_weights`` forms ``1 / (1 + exp(log_b - log_a))`` with numpy's
+    ``exp``; ``expit(log_a - log_b)`` is the reference."""
+
+    def test_matches_expit(self):
+        rng = np.random.default_rng(stable_seed("branch-weights"))
+        edges = [np.inf, -np.inf, np.nan, 0.0, -0.0, 36.7, 37.0, -709.78, -709.79]
+        gap = np.concatenate([np.linspace(-750.0, 750.0, 150_001),
+                              30.0 * rng.standard_normal(100_000), edges])
+        want = expit(gap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w_a, w_b = dn._branch_weights(gap, 0.0)
+        finite = np.isfinite(want)
+        assert np.all(np.abs(w_a - want)[finite] <= 4 * np.spacing(want[finite]))
+        for exact in (0.0, 1.0):
+            assert np.all(w_a[want == exact] == exact)
+        np.testing.assert_array_equal(np.isnan(w_a), np.isnan(want))
+        np.testing.assert_array_equal(w_b, 1.0 - w_a)
 
 
 class TestOneSideRules:
