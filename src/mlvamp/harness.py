@@ -60,9 +60,12 @@ CSV_COLUMNS = (
 
 
 def worker_count():
-    """Worker pool size: MLVAMP_THREADS if set, else available parallelism."""
+    """Worker pool size: MLVAMP_THREADS if set, else the number of CPUs this
+    process may run on."""
     env = os.environ.get("MLVAMP_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         count = int(env)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dorgqr, dormqr
 from scipy.special import expit
 
 from .errors import DegenerateModelError, InvalidModelError, MlvampError, NumericFailureError
@@ -249,6 +249,17 @@ def zero_pad(vec, n):
     return out
 
 
+def _lapack(routine, *args, **kwargs):
+    """Call a scipy LAPACK wrapper with the workspace its query returns, as
+    ``scipy.linalg``'s QR does: a smaller ``lwork`` changes the blocking and so
+    the bits.  A nonzero ``info`` is a ``NumericFailureError``."""
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    *out, _, info = routine(*args, lwork=int(work[0].real), **kwargs)
+    if info != 0:
+        raise NumericFailureError(f"LAPACK {routine.__name__} returned info {info}")
+    return out
+
+
 def sample_haar_orthogonal(n, rng, columns=None, rows=None):
     """Draw an ``n x n`` orthogonal matrix from the uniform (Haar) law with
     ``rng``, or only its first ``columns`` columns or its first ``rows`` rows.
@@ -260,7 +271,10 @@ def sample_haar_orthogonal(n, rng, columns=None, rows=None):
     first ``k`` columns of the full draw (to rounding) without forming the
     rest.  Rows need every reflector but not the formed ``Q``: the reflectors
     are applied to the first ``k`` unit vectors.  The full Gaussian matrix is
-    drawn either way, so all read the same numbers from ``rng``.
+    drawn either way, so all read the same numbers from ``rng``.  LAPACK
+    (``geqrf``, then ``orgqr`` or ``ormqr``) works in place on one
+    Fortran-ordered copy.  The result is C-ordered: on a Fortran-ordered
+    factor the engine's products run another BLAS kernel, with other rounding.
     """
     n = int(n)
     if columns is not None and rows is not None:
@@ -268,14 +282,17 @@ def sample_haar_orthogonal(n, rng, columns=None, rows=None):
     k = n if columns is None and rows is None else int(rows if columns is None else columns)
     if n < 1 or not 1 <= k <= n:
         raise InvalidModelError("matrix size must be at least 1, and columns or rows at most n")
-    g = rng.standard_normal((n, n))
-    if rows is not None and k < n:
-        q, r = scipy.linalg.qr_multiply(g, np.eye(k, n), mode="right", overwrite_a=True)
-    else:
-        q, r = np.linalg.qr(g[:, :k])
-    d = np.sign(np.diag(r))
+    by_rows = rows is not None and k < n
+    g = np.asfortranarray(rng.standard_normal((n, n))[:, : n if by_rows else k])
+    qr, tau = _lapack(dgeqrf, g, overwrite_a=True)
+    d = np.sign(np.diag(qr))  # read before orgqr overwrites qr with Q
     d[d == 0] = 1.0
-    return q * d
+    if by_rows:  # Q^T applied to the first k unit vectors: Q's first k rows, transposed
+        (qt,) = _lapack(dormqr, "L", "T", qr, tau, np.eye(n, k, order="F"), overwrite_c=True)
+        q = qt.T
+    else:
+        (q,) = _lapack(dorgqr, qr, tau, overwrite_a=True)
+    return np.multiply(q, d, order="C")
 
 
 def geometric_singular_values(m, n, cond):

@@ -257,6 +257,14 @@ class TestTrials:
         # the four half-iterations of iterations 0 and 1, bit for bit
         np.testing.assert_array_equal(failed.nmse_db, full.nmse_db[:4])
 
+    def test_worker_count_reads_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("MLVAMP_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert harness.worker_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness.worker_count() == 64
+
     def test_worker_count_env_override(self, monkeypatch):
         monkeypatch.setenv("MLVAMP_THREADS", "3")
         assert harness.worker_count() == 3

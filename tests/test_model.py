@@ -5,11 +5,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlvamp import model
-from mlvamp.errors import DegenerateModelError, InvalidModelError, UndefinedMetricError
+from mlvamp.errors import (
+    DegenerateModelError,
+    InvalidModelError,
+    NumericFailureError,
+    UndefinedMetricError,
+)
 from mlvamp.model import (
     NOISELESS,
     LinearLayerSpec,
@@ -77,6 +83,38 @@ class TestHaarSampling:
             sample_haar_orthogonal(50, substream(3, 0x7C), rows=50),
             sample_haar_orthogonal(50, substream(3, 0x7C)),
         )
+
+    @staticmethod
+    def front_end_draw(n, rng, columns=None, rows=None):
+        """The reference: the same draw through numpy's and scipy's QR front ends, sign-fixed."""
+        k = n if columns is None and rows is None else (rows if columns is None else columns)
+        g = rng.standard_normal((n, n))
+        if rows is not None and k < n:
+            q, r = scipy.linalg.qr_multiply(g, np.eye(k, n), mode="right", overwrite_a=True)
+        else:
+            q, r = np.linalg.qr(g[:, :k])
+        d = np.sign(np.diag(r))
+        d[d == 0] = 1.0
+        return q * d
+
+    @pytest.mark.parametrize("n, side", [
+        (784, {"rows": 100}), (784, {"columns": 500}), (500, {}),
+        (500, {"columns": 100}), (100, {"columns": 20}), (20, {}),
+    ])
+    def test_lapack_draw_keeps_the_qr_front_ends_bits(self, n, side):
+        # the paper network's draws: the same Gaussian, the same LAPACK
+        # blocking, so the same bits, in the C order the engine was measured on
+        for seed in (1, 2):
+            drawn = sample_haar_orthogonal(n, substream(seed, 0x7C), **side)
+            assert np.array_equal(drawn, self.front_end_draw(n, substream(seed, 0x7C), **side))
+            assert drawn.flags.c_contiguous
+
+    def test_lapack_failure_is_a_numeric_failure(self):
+        def fails(*args, lwork, **kwargs):
+            return (np.zeros(1), np.zeros(1), np.array([8.0]), -1 if lwork > 0 else 0)
+
+        with pytest.raises(NumericFailureError, match="info -1"):
+            model._lapack(fails, np.eye(2))
 
     @pytest.mark.parametrize("columns", [0, 6])
     def test_columns_outside_the_matrix_rejected(self, columns):
