@@ -102,12 +102,20 @@ def _trunc_lower_moments(mu, sigma, cut=0.0, log_mass=None):
     ``log_mass`` is the log-probability of the condition,
     ``log_ndtr((mu - cut) / sigma)``, when the caller has it.
     """
-    alpha = (cut - mu) / sigma
-    if log_mass is None:
-        log_mass = log_ndtr(-alpha)
-    lam = np.exp(_norm_logpdf(alpha) - log_mass)
+    z = -((cut - mu) / sigma)
+    return _moments_above(mu, sigma, z, log_ndtr(z) if log_mass is None else log_mass)
+
+
+def _moments_above(mu, sigma, z, log_mass):
+    """Mean and variance of N(mu, sigma^2) above the cut ``z`` standard
+    deviations below ``mu``, whose log-mass ``log_ndtr(z)`` is ``log_mass``.
+
+    At ``z = -alpha`` this is the textbook form in ``alpha``, bit for bit:
+    negation is exact, so ``lam + z == lam - alpha`` and the pdf is even.
+    """
+    lam = np.exp(_norm_logpdf(z) - log_mass)
     mean = mu + sigma * lam
-    var = sigma * sigma * np.minimum(np.maximum(1.0 - lam * (lam - alpha), 0.0), 1.0)
+    var = sigma * sigma * np.minimum(np.maximum(1.0 - lam * (lam + z), 0.0), 1.0)
     return mean, var
 
 
@@ -128,9 +136,14 @@ def _branch_weights(log_a, log_b):
     elsewhere the two agree to 4 ulp.  On large gaps it costs about 60% of
     ``expit``.
     """
-    with np.errstate(over="ignore"):
-        wa = 1.0 / (1.0 + np.exp(log_b - log_a))
+    wa = _branch_weight(log_a, log_b)
     return wa, 1.0 - wa
+
+
+def _branch_weight(log_a, log_b):
+    """``w_a`` of :func:`_branch_weights` alone."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(log_b - log_a))
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +168,21 @@ def _relu_stats(r_out, r_in, g_out, g_in, forward):
     gt = g_out + g_in
     sig_pos = 1.0 / math.sqrt(gt)
     m_pos = (g_out * r_out + g_in * r_in) / gt
-    # each branch's log-mass, P(x > 0) under N(m_pos, sig_pos^2) and P(x < 0)
-    # under N(r_in, sig_in^2), is shared by its weight and its moments
-    log_mass = log_ndtr(m_pos / sig_pos)
-    log_neg_mass = log_ndtr(-(r_in / sig_in))
+    # each branch's standardized distance to the cut and its log-mass, P(x > 0)
+    # under N(m_pos, sig_pos^2) and P(x < 0) under N(r_in, sig_in^2), are
+    # shared by its weight and its moments
+    z_pos, z_neg = m_pos / sig_pos, -(r_in / sig_in)
+    log_mass, log_neg_mass = log_ndtr(z_pos), log_ndtr(z_neg)
     log_neg = -0.5 * g_out * r_out**2 + log_neg_mass - 0.5 * math.log(g_in)
     log_pos = -0.5 * (g_out * g_in / gt) * (r_out - r_in) ** 2 + log_mass - 0.5 * math.log(gt)
-    w_pos, w_neg = _branch_weights(log_pos, log_neg)
-    e_pos, v_pos = _trunc_lower_moments(m_pos, sig_pos, 0.0, log_mass)
+    w_pos = _branch_weight(log_pos, log_neg)
+    e_pos, v_pos = _moments_above(m_pos, sig_pos, z_pos, log_mass)
     if forward:  # phi(x) is 0 on the negative branch
         ephi = w_pos * e_pos
         return ephi, np.maximum(w_pos * (v_pos + e_pos**2) - ephi**2, 0.0)
-    e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0, log_neg_mass)
+    w_neg = 1.0 - w_pos
+    e_neg, v_neg = _moments_above(-r_in, sig_in, z_neg, log_neg_mass)
+    e_neg = -e_neg
     ex = w_neg * e_neg + w_pos * e_pos
     ex2 = w_neg * (v_neg + e_neg**2) + w_pos * (v_pos + e_pos**2)
     return ex, np.maximum(ex2 - ex**2, 0.0)
@@ -184,8 +200,9 @@ def _sign_stats(r_out, r_in, g_out, g_in, forward):
     if forward:  # phi(x) is +1 or -1
         ephi = w_pos - w_neg
         return ephi, np.minimum(np.maximum(1.0 - ephi**2, 0.0), 1.0)
-    e_pos, v_pos = _trunc_lower_moments(r_in, sig_in, 0.0, log_pos_mass)
-    e_neg, v_neg = _trunc_upper_moments(r_in, sig_in, 0.0, log_neg_mass)
+    e_pos, v_pos = _moments_above(r_in, sig_in, z, log_pos_mass)
+    e_neg, v_neg = _moments_above(-r_in, sig_in, -z, log_neg_mass)
+    e_neg = -e_neg
     ex = w_neg * e_neg + w_pos * e_pos
     ex2 = w_neg * (v_neg + e_neg**2) + w_pos * (v_pos + e_pos**2)
     return ex, np.maximum(ex2 - ex**2, 0.0)
@@ -435,25 +452,24 @@ def linear_gains_plus(s, nu, gamma_minus, gamma_plus):
     analytic noise-free limit.
     """
     s = np.asarray(s, dtype=float)
+    gss = gamma_minus * s * s
     if math.isinf(nu):
-        den = gamma_plus + gamma_minus * s * s
-        return gamma_minus * s * s / den, s * gamma_plus / den, gamma_plus / den
-    det = gamma_minus * gamma_plus + nu * (gamma_plus + gamma_minus * s * s)
-    return (
-        gamma_minus * (gamma_plus + nu * s * s) / det,
-        nu * s * gamma_plus / det,
-        nu * gamma_plus / det,
-    )
+        den = gamma_plus + gss
+        return gss / den, s * gamma_plus / den, gamma_plus / den
+    det = gamma_minus * gamma_plus + nu * (gamma_plus + gss)
+    nus = nu * s
+    return gamma_minus * (gamma_plus + nus * s) / det, nus * gamma_plus / det, nu * gamma_plus / det
 
 
 def linear_gains_minus(s, nu, gamma_minus, gamma_plus):
     """Input-side gains (a_q, a_p, a_b): estimate is a_q*u_out + a_p*u_in + a_b*bbar."""
     s = np.asarray(s, dtype=float)
+    gs = gamma_minus * s
     if math.isinf(nu):
-        den = gamma_plus + gamma_minus * s * s
-        aq = gamma_minus * s / den
+        den = gamma_plus + gs * s
+        aq = gs / den
         return aq, gamma_plus / den, -aq
-    det = gamma_minus * gamma_plus + nu * (gamma_plus + gamma_minus * s * s)
+    det = gamma_minus * gamma_plus + nu * (gamma_plus + gs * s)
     aq = nu * s * gamma_minus / det
     return aq, gamma_plus * (gamma_minus + nu) / det, -aq
 
@@ -482,18 +498,19 @@ def rotate_message(factors, side, message):
     return factors.right_orthogonal @ message
 
 
-def _rotate_back(back, est, gains, n, null_gain, null_part, null_coords):
+def _rotate_back(back, est, gains, n, null):
     """An estimate in the signal basis and its divergence.
 
     ``est`` and ``gains`` hold the ``k`` range components; ``back`` (``n x k``)
-    maps them back.  The other ``n - k`` components share the gain
-    ``null_gain``, and their estimate is the null-space part of ``null_part``,
-    whose range coordinates are ``null_coords``.
+    maps them back.  When ``n > k`` the other ``n - k`` components share a
+    gain, and their estimate is the null-space part of a vector: ``null()``
+    returns that gain, the vector and its range coordinates.
     """
     k = est.size
-    alpha = (float(np.sum(gains)) + (n - k) * float(null_gain)) / n
     if n == k:
-        return back @ est, alpha
+        return back @ est, float(gains.sum()) / n
+    null_gain, null_part, null_coords = null()
+    alpha = (float(gains.sum()) + (n - k) * float(null_gain)) / n
     return back @ (est - null_coords) + null_part, alpha
 
 
@@ -514,17 +531,16 @@ def linear_pair(params, factors, noise_precision, forward, rotate=rotate_message
     g_q, g_p, g_b = gains(factors.singular_values, noise_precision, gm, gp)
     est = g_q * u_out + g_p * u_in + g_b * b
     _check_finite(est)
-    c_q, c_p, c_b = gains(0.0, noise_precision, gm, gp)
-    if forward:  # an output null component weighs its message and its bias
-        return _rotate_back(
-            factors.left_orthogonal, est, g_q, factors.out_dim, c_q,
-            c_q * params.r_minus + c_b * factors.bias, c_q * u_out + c_b * b,
-        )
-    # an input null component weighs its message alone
-    return _rotate_back(
-        factors.right_orthogonal.T, est, g_p, factors.in_dim, c_p,
-        c_p * params.r_plus, c_p * u_in,
-    )
+
+    def null():
+        c_q, c_p, c_b = gains(0.0, noise_precision, gm, gp)
+        if forward:  # an output null component weighs its message and its bias
+            return c_q, c_q * params.r_minus + c_b * factors.bias, c_q * u_out + c_b * b
+        return c_p, c_p * params.r_plus, c_p * u_in  # an input one its message alone
+
+    if forward:
+        return _rotate_back(factors.left_orthogonal, est, g_q, factors.out_dim, null)
+    return _rotate_back(factors.right_orthogonal.T, est, g_p, factors.in_dim, null)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +565,12 @@ def output_linear(r_plus, gamma_plus, y, factors, noise_precision, rotate=rotate
     u_obs = rotate(factors, "left", np.asarray(y, float))
     g_r, g_obs = observed_linear_gains(factors.singular_values, noise_precision, gamma_plus)
     phat = g_r * u_in + g_obs * (u_obs - factors.transformed_bias)
-    c_r = observed_linear_gains(np.zeros(1), noise_precision, gamma_plus)[0][0]
-    return _rotate_back(
-        factors.right_orthogonal.T, phat, g_r, factors.in_dim, c_r, c_r * r_plus, c_r * u_in
-    )
+
+    def null():
+        c_r = observed_linear_gains(np.zeros(1), noise_precision, gamma_plus)[0][0]
+        return c_r, c_r * r_plus, c_r * u_in
+
+    return _rotate_back(factors.right_orthogonal.T, phat, g_r, factors.in_dim, null)
 
 
 def separable_output_fields(r_plus, gamma_plus, y, activation, noise_precision, mode):
@@ -605,7 +623,7 @@ def output_separable(r_plus, gamma_plus, y, layer, mode):
     zm, dm = separable_output_fields(
         r_plus, gamma_plus, y, layer.activation, layer.noise_precision, mode
     )
-    return zm, float(np.mean(dm))
+    return zm, _mean(dm)
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +652,16 @@ def _estimate(fields):
     field)``: the estimate checked finite, and the field's mean."""
     z, d = fields
     _check_finite(z)
-    return z, float(np.mean(d))
+    return z, _mean(d)
+
+
+def _mean(d):
+    """``float(np.mean(d))`` of a float array, bit for bit, without its wrapper."""
+    return float(np.add.reduce(d, axis=None) / d.size)
 
 
 def _check_finite(z):
-    if np.all(np.isfinite(z)):
+    if np.isfinite(z).all():
         return
     bad = int(np.argwhere(~np.isfinite(np.ravel(z))).ravel()[0])
     raise NumericFailureError(f"denoiser produced non-finite value (component {bad})")

@@ -170,7 +170,7 @@ class Bookkeeping:
         self.events = 0
 
     def clip(self, alpha, layer=None):
-        if not np.isfinite(alpha):
+        if not math.isfinite(alpha):
             raise DivergedIterationError(
                 f"divergence estimate is not finite at layer {layer}",
                 layer=layer,
@@ -305,7 +305,8 @@ def signal_power_ladder(spec):
 
 def _pair_estimate(state, bank, ell, forward, iteration):
     """``(estimate, divergence)`` at the pair layer ``ell`` (1-based) from the
-    current messages: of its output forward, of its input backward."""
+    current messages: of its output (signal ``ell``) forward, of its input
+    (signal ``ell - 1``) backward.  A failure names that signal."""
     layer = bank.spec.layers[ell - 1]
     params = dn.BeliefParams(
         state.r_minus[ell], state.r_plus[ell - 1], state.gamma_minus[ell], state.gamma_plus[ell - 1]
@@ -319,7 +320,8 @@ def _pair_estimate(state, bank, ell, forward, iteration):
             return dn.mmse_pair_nonlinear(params, layer, forward)
         return dn.map_pair_nonlinear(params, layer, forward)
     except NumericFailureError as exc:
-        raise DivergedIterationError(str(exc), layer=ell, iteration=iteration) from exc
+        signal = ell if forward else ell - 1
+        raise DivergedIterationError(str(exc), layer=signal, iteration=iteration) from exc
 
 
 def _output_estimate(state, bank, iteration):
@@ -339,7 +341,7 @@ def _output_estimate(state, bank, iteration):
 
 def _extrinsic(zhat, message, alpha, ell, book):
     """Clipped divergence and extrinsic message ``(zhat - alpha message) / (1 - alpha)``."""
-    if not np.all(np.isfinite(zhat)):
+    if not np.isfinite(zhat).all():
         raise DivergedIterationError(
             f"non-finite estimate at layer {ell}", layer=ell, iteration=book.iteration
         )
@@ -399,22 +401,48 @@ def nmse_db(zhat, z0):
     ref = float(z0 @ z0)
     if ref <= 0.0:
         raise UndefinedMetricError("zero reference signal")
+    return _nmse_db(zhat, z0, ref)
+
+
+def _nmse_db(zhat, z0, ref):
+    """``nmse_db`` of a same-length float estimate against ``z0``, whose energy is ``ref``."""
     err = z0 - zhat
-    ratio = float(err @ err) / ref
-    return 10.0 * math.log10(max(ratio, 1e-30))
+    return 10.0 * math.log10(max(float(err @ err) / ref, 1e-30))
 
 
-def _consistency(state):
+def _references(truth, spec):
+    """Each hidden truth signal with its energy, checked once for a run's error rows."""
+    widths = spec.dims[:-1]
+    if len(truth.signals) < len(widths):
+        raise UndefinedMetricError(f"truth holds {len(truth.signals)} signals, not {len(widths)}")
+    refs = []
+    for ell, (width, z0) in enumerate(zip(widths, truth.signals)):
+        z0 = np.asarray(z0, float)
+        if z0.shape != (width,):
+            raise UndefinedMetricError(f"truth signal {ell} is not a vector of length {width}")
+        ref = float(z0 @ z0)
+        if ref <= 0.0:
+            raise UndefinedMetricError(f"zero reference signal at layer {ell}")
+        refs.append((z0, ref))
+    return refs
+
+
+def _consistency(state, energy=None):
     """Largest ``||zhat_plus - zhat_minus|| / ||zhat_plus||`` over the signals.
 
     A zero plus estimate (as the prior's can be in the first iteration) is
     measured against the minus estimate instead; two zero estimates agree.
+    ``energy`` holds each estimate's ``z @ z``, plus side then minus side,
+    when the caller has them.
     """
+    n = state.num_signals
+    if energy is None:
+        energy = [z @ z for z in state.zhat_plus + state.zhat_minus]
     worst = 0.0
-    for zp, zm in zip(state.zhat_plus, state.zhat_minus):
+    for ell, (zp, zm) in enumerate(zip(state.zhat_plus, state.zhat_minus)):
         gap = _norm(zp - zm)
         if gap > 0.0:
-            worst = max(worst, gap / (_norm(zp) or _norm(zm)))
+            worst = max(worst, gap / (math.sqrt(energy[ell]) or math.sqrt(energy[n + ell])))
     return worst
 
 
@@ -425,6 +453,7 @@ def run(spec, y, config, truth=None):
     error metrics to the trace.  Returns ``(state, trace, report)``.
     """
     bank = build_denoiser_bank(spec, y, config.mode)
+    refs = None if truth is None else _references(truth, bank.spec)
     state = initialize(spec, config)
     power = signal_power_ladder(bank.spec)
     trace = IterationTrace()
@@ -434,20 +463,22 @@ def run(spec, y, config, truth=None):
         book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)
         try:
             forward_pass(state, bank, book)
-            _check_blowup(state.zhat_plus, power, k)
+            plus = _check_blowup(state.zhat_plus, power, k)
             half += 1
-            _record(trace, state, half, "forward", truth, book.events, math.nan)
+            _record(trace, state, half, "forward", refs, book.events, math.nan)
             backward_pass(state, bank, book)
-            _check_blowup(state.zhat_minus, power, k)
+            minus = _check_blowup(state.zhat_minus, power, k)
         except DivergedIterationError as exc:
             exc.trace = trace
             raise
         half += 1
+        # the energies of prev are those its sweeps' energy checks took
         delta = math.inf if k == 0 else max(
-            _norm(new - old) / max(_norm(old), _TINY)
-            for new, old in zip(state.zhat_plus + state.zhat_minus, prev)
+            _norm(new - old) / max(math.sqrt(e), _TINY)
+            for new, old, e in zip(state.zhat_plus + state.zhat_minus, prev, energy)
         )
-        _record(trace, state, half, "backward", truth, book.events, delta)
+        energy = plus + minus
+        _record(trace, state, half, "backward", refs, book.events, delta, energy)
         if config.convergence_tol > 0 and delta < config.convergence_tol:
             break
     report = fixed_point_report(state, spec, y, config.mode)
@@ -460,25 +491,30 @@ BLOWUP_FACTOR = 1e3
 
 
 def _check_blowup(estimates, power, iteration):
-    """Raise unless each of one side's estimates is within the energy bound.
+    """Each of one side's estimates' energy ``z @ z``; raise unless each is
+    within the energy bound.
 
     A sweep replaces one side only; the other passed after the sweep before.
     """
+    energy = [float(z @ z) for z in estimates]
     for ell, z in enumerate(estimates):
-        if not float(z @ z) <= BLOWUP_FACTOR * z.size * power[ell]:
+        if not energy[ell] <= BLOWUP_FACTOR * z.size * power[ell]:
             raise DivergedIterationError(
                 f"estimate energy exceeds {BLOWUP_FACTOR:.0e} x the prior signal "
                 f"energy at layer {ell}",
                 layer=ell,
                 iteration=iteration,
             )
+    return energy
 
 
-def _record(trace, state, half, direction, truth, clip_events, delta):
+def _record(trace, state, half, direction, refs, clip_events, delta, energy=None):
+    """Append one pass's row; ``refs`` are the truth's ``_references``, if any,
+    and ``energy`` the estimates' energies after a backward pass."""
     nmse = None
-    if truth is not None:
+    if refs is not None:
         estimates = state.zhat_plus if direction == "forward" else state.zhat_minus
-        nmse = tuple(nmse_db(zh, truth.signals[ell]) for ell, zh in enumerate(estimates))
+        nmse = tuple(_nmse_db(zh, z0, ref) for zh, (z0, ref) in zip(estimates, refs))
     trace.rows.append(
         TraceRow(
             half_iter=half,
@@ -488,7 +524,7 @@ def _record(trace, state, half, direction, truth, clip_events, delta):
             gamma_minus=state.gamma_minus.copy(),
             alpha_plus=state.alpha_plus.copy(),
             alpha_minus=state.alpha_minus.copy(),
-            consistency=_consistency(state) if direction == "backward" else math.nan,
+            consistency=_consistency(state, energy) if direction == "backward" else math.nan,
             max_delta=delta,
             clip_events=clip_events,
         )

@@ -22,7 +22,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .engine import EngineConfig, check_count, check_real, nmse_db, run
-from .errors import DivergedIterationError, InvalidModelError, NumericFailureError
+from .errors import (
+    DivergedIterationError, InvalidModelError, NumericFailureError, UndefinedMetricError,
+)
 from .model import (
     NOISELESS,
     NetworkSpec,
@@ -328,7 +330,7 @@ def run_single_trial(recipe, calibration, engine_cfg, trial_seed):
         spec = build_synthetic_network(recipe, trial_seed, calibration)
         truth = forward_generate(spec, trial_seed)
         _, trace, _ = run(spec, truth.y, engine_cfg, truth=truth)
-    except (DivergedIterationError, NumericFailureError) as exc:
+    except (DivergedIterationError, NumericFailureError, UndefinedMetricError) as exc:
         partial = getattr(exc, "trace", None)
         return TrialResult(
             seed=trial_seed,

@@ -255,6 +255,36 @@ class TestLinearPair:
                 np.testing.assert_allclose(res_z, rot @ zhat, atol=1e-8)
                 assert res_alpha == pytest.approx(alpha, rel=1e-10)
 
+    @staticmethod
+    def direct_gains(s, nu, gm, gp, forward):
+        """The gains as each formula wrote out its products: the bit reference."""
+        if math.isinf(nu):
+            den = gp + gm * s * s
+            if forward:
+                return gm * s * s / den, s * gp / den, gp / den
+            aq = gm * s / den
+            return aq, gp / den, -aq
+        det = gm * gp + nu * (gp + gm * s * s)
+        if forward:
+            return gm * (gp + nu * s * s) / det, nu * s * gp / det, nu * gp / det
+        aq = nu * s * gm / det
+        return aq, gp * (gm + nu) / det, -aq
+
+    @pytest.mark.parametrize("nu", [NOISELESS, 2.0, 1e-3, 7.5e4])
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_gains_keep_the_direct_formulas_bits(self, nu, forward):
+        # the shared products (gm s, gm s s, nu s) are formed once, in the
+        # order each formula wrote them
+        rng = np.random.default_rng(stable_seed("affine-gains"))
+        s = np.concatenate([np.zeros(3), rng.uniform(0.0, 5.0, 200), [1e-9, 1e3]])
+        gains = dn.linear_gains_plus if forward else dn.linear_gains_minus
+        for gm in (dn.GAMMA_MIN, 0.37, 3.1, dn.GAMMA_MAX):
+            for gp in (dn.GAMMA_MIN, 0.9, 42.0, dn.GAMMA_MAX):
+                for arg in (s, 0.0):
+                    want = self.direct_gains(np.asarray(arg, float), nu, gm, gp, forward)
+                    for got, ref in zip(gains(arg, nu, gm, gp), want, strict=True):
+                        assert np.array_equal(got, ref, equal_nan=True)
+
 
 def square_basis_pair(params, u, s, v, bias, nu, forward):
     """``linear_pair`` in the square SVD basis: every null component is formed

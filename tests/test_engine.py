@@ -1,6 +1,7 @@
 """Alternating-pass iteration: bookkeeping identities and exact references."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mlvamp.model import (
     LinearLayerSpec,
     NetworkSpec,
     NonlinearLayerSpec,
+    SignalSet,
     forward_generate,
     linear_layer_from_factors,
 )
@@ -351,6 +353,59 @@ class TestRunControl:
         with pytest.raises(DivergedIterationError) as info:
             run(spec, y, EngineConfig(max_iters=3))
         assert info.value.iteration == 0
+
+    @pytest.mark.parametrize(
+        "signal, bad, match",
+        [(1, np.zeros(5), "zero reference signal at layer 1"),
+         (0, np.ones(5), "truth signal 0 is not a vector of length 6")],
+        ids=["zero", "short"],
+    )
+    def test_truth_is_checked_before_the_first_sweep(self, monkeypatch, signal, bad, match):
+        spec = make_gaussian_chain((6, 5, 4), (1.0, 1.0), seed=13)
+        sig = forward_generate(spec, 14)
+        truth = SignalSet(signals=tuple(bad if ell == signal else z
+                                        for ell, z in enumerate(sig.signals)))
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(engine, "forward_pass", no_sweep)
+        with pytest.raises(UndefinedMetricError, match=match):
+            run(spec, sig.y, EngineConfig(max_iters=3), truth=truth)
+        with pytest.raises(UndefinedMetricError, match="truth holds 1 signals, not 2"):
+            run(spec, sig.y, EngineConfig(max_iters=3), truth=SignalSet(signals=sig.signals[:1]))
+
+
+class TestTraceFields:
+    """The trace's fields are the public definitions evaluated on the states
+    the run passed through, bit for bit."""
+
+    @staticmethod
+    def problem():
+        spec = make_relu_network((6, 16, 16, 12, 12, 9), 0.4, 80.0, 80.0, 200.0, seed=5)
+        return spec, forward_generate(spec, 6)
+
+    def test_last_rows_are_the_final_estimates_errors_and_consistency(self):
+        spec, truth = self.problem()
+        state, trace, report = run(spec, truth.y, EngineConfig(max_iters=7, convergence_tol=0.0),
+                                   truth=truth)
+        fwd, back = trace.rows[-2:]
+        for row, estimates in ((fwd, state.zhat_plus), (back, state.zhat_minus)):
+            assert row.nmse_db == tuple(nmse_db(z, truth.signals[ell])
+                                        for ell, z in enumerate(estimates))
+        assert back.consistency == engine._consistency(state) == report.consistency_residual
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_max_delta_is_the_largest_relative_change_of_an_estimate(self, k):
+        spec, truth = self.problem()
+        cfg = EngineConfig(max_iters=k, convergence_tol=0.0)
+        old, _, _ = run(spec, truth.y, cfg)
+        new, trace, _ = run(spec, truth.y, replace(cfg, max_iters=k + 1))
+        want = max(
+            np.linalg.norm(a - b) / max(np.linalg.norm(b), engine._TINY)
+            for a, b in zip(new.zhat_plus + new.zhat_minus, old.zhat_plus + old.zhat_minus)
+        )
+        assert trace.rows[-1].max_delta == want
 
 
 class TestNmse:

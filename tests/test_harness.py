@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mlvamp import engine, harness, model, state_evolution
+from mlvamp import denoisers, engine, harness, model, state_evolution
 from mlvamp.cli import cli_main
 from mlvamp.engine import EngineConfig, run
 from mlvamp.errors import DivergedIterationError, InvalidModelError, NumericFailureError
@@ -257,6 +257,20 @@ class TestTrials:
         # the four half-iterations of iterations 0 and 1, bit for bit
         np.testing.assert_array_equal(failed.nmse_db, full.nmse_db[:4])
 
+    #: a relu layer that is positive with probability 0.1 on 3 components: at
+    #: master seed 2, five of six trial truths have an all-zero signal 2
+    ZERO_SIGNAL = {"recipe": {"hidden_dims": [2, 3, 3], "measurements": 2,
+                              "positive_fraction": 0.1}, "trials": 6}
+
+    def test_a_zero_truth_signal_fails_its_own_trial(self):
+        cfg = replace(config_from_json(self.ZERO_SIGNAL), master_seed=2)
+        result = run_trials(cfg, workers=1)
+        assert [t.error for t in result.trials] == ["zero reference signal at layer 2"] * 3 + [
+            None] + ["zero reference signal at layer 2"] * 2
+        # it failed before its first sweep: no rows, no location in the iteration
+        zero = result.trials[0]
+        assert (zero.nmse_db, zero.error_layer, zero.error_iteration) == (None, None, None)
+
     def test_worker_count_reads_the_cpus_this_process_may_run_on(self, monkeypatch):
         monkeypatch.delenv("MLVAMP_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -320,6 +334,43 @@ class TestDivergenceLocation:
         with pytest.raises(DivergedIterationError) as exc:
             run_trials(cfg, calibration=cal, law=law, workers=2)
         assert (exc.value.layer, exc.value.iteration) == (signal, 2)
+
+    #: pair layers 1 .. 4: affine 10 -> 30, relu 30, affine 30 -> 40, relu 40
+    PAIR_RECIPE = SyntheticRecipe(hidden_dims=(10, 30, 30, 40, 40), measurements=20)
+
+    @pytest.mark.parametrize("how", ["raise", "nan"])
+    @pytest.mark.parametrize(
+        "width, forward, signal", [(30, True, 2), (40, False, 3)],
+        ids=["relu-forward", "relu-backward"],
+    )
+    def test_engine_and_run_single_trial_name_the_signal(self, monkeypatch, width, forward,
+                                                         signal, how):
+        # the relu pair at layer 2 (width 30) updates signal 2 forward; the one
+        # at layer 4 (width 40) updates signal 3 backward.  An estimator that
+        # fails and one whose estimate is NaN name the same signal.
+        original = denoisers.mmse_pair_nonlinear
+        calls = []
+
+        def poisoned(params, layer, fw):
+            zhat, alpha = original(params, layer, fw)
+            if params.r_plus.size == width and fw == forward:
+                calls.append(None)
+                if len(calls) > 2:  # from iteration 2 on
+                    if how == "raise":
+                        raise NumericFailureError("poisoned")
+                    return np.full_like(zhat, math.nan), alpha
+            return zhat, alpha
+
+        monkeypatch.setattr(denoisers, "mmse_pair_nonlinear", poisoned)
+        cal = calibrate_recipe(self.PAIR_RECIPE, 3)
+        spec = build_synthetic_network(self.PAIR_RECIPE, 11, cal)
+        truth = forward_generate(spec, 11)
+        with pytest.raises(DivergedIterationError) as exc:
+            run(spec, truth.y, FAST_ENGINE, truth=truth)
+        assert (exc.value.layer, exc.value.iteration) == (signal, 2)
+        calls.clear()
+        trial = harness.run_single_trial(self.PAIR_RECIPE, cal, FAST_ENGINE, 11)
+        assert (trial.error_layer, trial.error_iteration) == (signal, 2)
 
 
 class TestOneBlasThread:
@@ -565,6 +616,21 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert cli_main(["run", "--config", missing]) == 2
+
+    def test_zero_truth_signals_fail_trials_not_the_run(self, tmp_path, capsys):
+        # the CSV holds the one trial whose truth has no zero signal; when
+        # every trial fails the run exits 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TestTrials.ZERO_SIGNAL))
+        out = str(tmp_path / "run.csv")
+        assert cli_main(["run", "--config", str(path), "--seed", "2", "--out", out]) == 0
+        seeds = {row["trial_seed"] for row in read_result_csv(out)}
+        trials = run_trials(replace(config_from_json(TestTrials.ZERO_SIGNAL), master_seed=2),
+                            workers=1).trials
+        assert seeds == {trials[3].seed}
+        assert cli_main(["run", "--config", str(path), "--seed", "1", "--out", out]) == 3
+        assert "all trials failed; first error: zero reference signal at layer 2" in (
+            capsys.readouterr().err)
 
     def test_numeric_divergence_exit_code(self, tmp_path):
         cfg = self._config_file(tmp_path)
