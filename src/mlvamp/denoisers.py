@@ -660,6 +660,11 @@ def _mean(d):
     return float(np.add.reduce(d, axis=None) / d.size)
 
 
+def _total(a):
+    """``float(np.sum(a))`` of a float array, bit for bit, without its wrapper."""
+    return float(np.add.reduce(a, axis=None))
+
+
 def _check_finite(z):
     if np.isfinite(z).all():
         return

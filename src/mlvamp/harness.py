@@ -413,6 +413,8 @@ def run_trials(config, calibration=None, law=None, workers=None):
 
 def measurement_sweep(config, measurement_list, workers=None):
     """Re-run the experiment for each measurement count in the list."""
+    if len(set(measurement_list)) < len(measurement_list):
+        raise InvalidModelError(f"a measurement count repeats in {list(measurement_list)}")
     out = {}
     for m in measurement_list:
         recipe = replace(config.recipe, measurements=int(m))
@@ -524,34 +526,26 @@ def se_rows(experiment_id, se_result):
 
 
 def compare_rows(empirical_rows, se_rows_):
-    """Join mean empirical NMSE with predictions on the (half_iter, layer) grid.
+    """Join mean empirical NMSE with predictions on the trials' (half_iter, layer) grid.
 
-    Mismatched grids are a hard error; nothing is silently dropped.
+    Predictions past the trials' last half iteration are left out (trials stop
+    early on ``engine.convergence_tol``); any other mismatch is a hard error.
     """
     emp = {}
     for row in empirical_rows:
-        if row["trial_seed"] < 0:
-            continue
-        key = (row["half_iter"], row["layer"])
-        emp.setdefault(key, []).append(row["nmse_db_empirical"])
-    pred = {}
-    for row in se_rows_:
-        pred[(row["half_iter"], row["layer"])] = row["nmse_db_se"]
+        if row["trial_seed"] >= 0:
+            emp.setdefault((row["half_iter"], row["layer"]), []).append(row["nmse_db_empirical"])
+    last = max((half for half, _ in emp), default=math.inf)
+    pred = {(row["half_iter"], row["layer"]): row["nmse_db_se"]
+            for row in se_rows_ if row["half_iter"] <= last}
     if set(emp) != set(pred):
         missing = set(emp) ^ set(pred)
         raise InvalidModelError(f"empirical/prediction grids differ on {sorted(missing)[:5]} ...")
     joined = []
-    for key in sorted(emp):
-        mean_emp = float(np.mean(emp[key]))
-        joined.append(
-            {
-                "half_iter": key[0],
-                "layer": key[1],
-                "nmse_db_empirical_mean": mean_emp,
-                "nmse_db_se": pred[key],
-                "gap_db": mean_emp - pred[key],
-            }
-        )
+    for (half, layer), values in sorted(emp.items()):
+        mean_emp, se = float(np.mean(values)), pred[(half, layer)]
+        joined.append({"half_iter": half, "layer": layer, "nmse_db_empirical_mean": mean_emp,
+                       "nmse_db_se": se, "gap_db": mean_emp - se})
     return joined
 
 

@@ -35,7 +35,6 @@ expectations integrate over a kink-aware tensor quadrature grid.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -79,10 +78,11 @@ class LinearLaw:
     kind = "linear"
 
     def bias_terms(self, n):
-        """(deterministic per-component value, shared Gaussian variance)."""
+        """(deterministic per-component value, or None where there is none;
+        shared Gaussian variance)."""
         if self.bbar_atoms is not None:
             return zero_pad(self.bbar_atoms, n), 0.0
-        return np.zeros(n), float(self.bbar_var)
+        return None, float(self.bbar_var)
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,8 @@ def se_initial_pass(law):
             atoms, bvar = layer.bias_terms(layer.n_out)
             s = zero_pad(layer.singular_values, layer.n_out)
             noise = 0.0 if math.isinf(layer.noise_precision) else 1.0 / layer.noise_precision
-            tau[ell] = float(np.mean(s * s) * tau[ell - 1] + np.mean(atoms * atoms) + bvar + noise)
+            atom_energy = 0.0 if atoms is None else np.mean(atoms * atoms)
+            tau[ell] = float(np.mean(s * s) * tau[ell - 1] + atom_energy + bvar + noise)
             next_separable = ell < n and law.layers[ell].kind == "nonlinear"
             mu[ell] = layer.bias_mean if next_separable else 0.0
         else:
@@ -244,62 +245,76 @@ def se_initial_pass(law):
 # Independent basis per component: X = (P0, Pp, Qm, Xi, Bg) with
 #   (P0, Pp) ~ N(0, K),  Qm ~ N(0, tau_m),  Xi ~ N(0, 1/nu),  Bg ~ N(0, bvar)
 # plus a deterministic per-component bias atom.  Every quantity of
-# interest is affine in X, so all moments are exact.
+# interest is affine in X, so all moments are exact.  A moment is the
+# component mean of its K00, K01, K11, tau_m, xi_var, bvar and atom terms,
+# summed in that order; a term that is exactly zero is left out.
 
 
-def _cross_moment(ca, da, cb, db, K, tau_m, xi_var, b_var):
-    return (
-        ca[0] * cb[0] * K[0, 0]
-        + (ca[0] * cb[1] + ca[1] * cb[0]) * K[0, 1]
-        + ca[1] * cb[1] * K[1, 1]
-        + ca[2] * cb[2] * tau_m
-        + ca[3] * cb[3] * xi_var
-        + ca[4] * cb[4] * b_var
-        + da * db
-    )
+def _square(c, d, K, variances):
+    """The moment of ``(c, d)`` with itself (``d`` None: zero)."""
+    cross = c[0] * c[1]
+    acc = c[0] * c[0] * K[0, 0] + (cross + cross) * K[0, 1] + c[1] * c[1] * K[1, 1]
+    for ci, var in zip(c[2:], variances):
+        if var != 0.0:
+            acc += ci * ci * var
+    if d is not None:
+        acc += d * d
+    return dn._mean(acc)
 
 
-def _affine_step(layer, forward, gains, K_prev, tau_m, clip):
-    """Update at an affine layer from its per-component gains (g_q, g_p, g_b).
+def _affine_step(layer, forward, K_prev, tau_m, gm, gp_prev, clip):
+    """Update at an affine layer from the per-component gains (g_q, g_p, g_b) of gm and gp_prev.
 
     The estimate is ``g_q u_out + g_p u_in + g_b bbar``.  Forward it
     estimates the output ``Q0 = s P0 + Xi + Bg + atoms`` from its message
     ``Q0 + Qm`` (divergence: the mean of ``g_q``); backward, the input ``P0``
     from ``P0 + Pp`` (the mean of ``g_p``).  An exactly observed output is
-    the backward step with ``observed_linear_gains`` and ``tau_m = 0``.
-    Returns ``(alpha, K, mse)`` forward, ``K`` the second moments of (truth,
-    extrinsic error), and ``(alpha, tau, mse)`` backward, ``tau = K11``: the
-    recursion models the minus error as noise independent of the truth.
+    the backward step with ``gm = inf`` and ``tau_m = 0``.  Returns
+    ``(alpha, K, mse)`` forward, ``K`` the second moments of (truth, extrinsic
+    error), and ``(alpha, tau, mse)`` backward, ``tau = K11``: the recursion
+    models the minus error as noise independent of the truth.
     """
     nu = layer.noise_precision
-    xi_var = 0.0 if math.isinf(nu) else 1.0 / nu
     s = zero_pad(layer.singular_values, layer.n_out if forward else layer.n_in)
-    atoms, b_var = layer.bias_terms(s.size)
-    g_q, g_p, g_b = gains
-    one = np.ones_like(s)
-    zero = np.zeros_like(s)
-    # (coefficients on X, deterministic part) of the estimate, truth and message
-    c_est, d_est = (g_q * s + g_p, g_p, g_q, g_q, g_q + g_b), atoms * (g_q + g_b)
     if forward:
-        c_t, d_t, c_msg = (s, zero, zero, one, one), atoms, (zero, zero, one, zero, zero)
-        alpha = clip(np.mean(g_q))
+        g_q, g_p, g_b = dn.linear_gains_plus(s, nu, gm, gp_prev)
+    elif math.isinf(gm):
+        g_p, g_q = dn.observed_linear_gains(s, nu, gp_prev)
     else:
-        c_t, d_t, c_msg = (one, zero, zero, zero, zero), zero, (zero, one, zero, zero, zero)
-        alpha = clip(np.mean(g_p))
-    c_err = tuple(ce - ct for ce, ct in zip(c_est, c_t))
-    d_err = d_est - d_t
-    scale = 1.0 / (1.0 - alpha)
-    c_ext = tuple((ce - alpha * cm) * scale for ce, cm in zip(c_err, c_msg))
-    d_ext = d_err * scale
-
-    def moment(ca, da, cb, db):
-        return float(np.mean(_cross_moment(ca, da, cb, db, K_prev, tau_m, xi_var, b_var)))
-
-    mse, k11 = moment(c_err, d_err, c_err, d_err), moment(c_ext, d_ext, c_ext, d_ext)
+        g_q, g_p, _ = dn.linear_gains_minus(s, nu, gm, gp_prev)
+    atoms, b_var = layer.bias_terms(s.size)
+    variances = (tau_m, 0.0 if math.isinf(nu) else 1.0 / nu, b_var)  # of Qm, Xi, Bg
+    alpha = clip(dn._mean(g_q if forward else g_p))
+    # (coefficients on X, deterministic part) of the error, estimate - truth, and
+    # of the extrinsic error, (error - alpha * message error) / (1 - alpha).  The
+    # truth is (s, 0, 0, 1, 1; atoms) forward and (1, 0, 0, 0, 0; 0) backward,
+    # the message error Qm's unit vector, then Pp's.  Backward g_b = -g_q, so the
+    # error's coefficients stop at Xi.
+    if forward:
+        c_err = (g_q * s + g_p - s, g_p, g_q, g_q - 1.0, g_q + g_b - 1.0)
+        d_err = None if atoms is None else atoms * (g_q + g_b) - atoms
+    else:
+        c_err, d_err = (g_q * s + g_p - 1.0, g_p, g_q, g_q), None
+    scale, unit = 1.0 / (1.0 - alpha), 2 if forward else 1
+    c_ext = [(c - alpha if i == unit else c) * scale for i, c in enumerate(c_err)]
+    d_ext = None if d_err is None else d_err * scale
+    mse, k11 = _square(c_err, d_err, K_prev, variances), _square(c_ext, d_ext, K_prev, variances)
     if not forward:
         return alpha, k11, mse
-    k01 = moment(c_t, d_t, c_ext, d_ext)
-    return alpha, np.array([[moment(c_t, d_t, c_t, d_t), k01], [k01, k11]]), mse
+    k00 = s * s * K_prev[0, 0]
+    k01 = s * c_ext[0] * K_prev[0, 0] + s * c_ext[1] * K_prev[0, 1]
+    for c, var in zip(c_ext[3:], variances[1:]):
+        if var != 0.0:
+            k00 += var
+            k01 += c * var
+    if atoms is not None:
+        k00 += atoms * atoms
+        k01 += atoms * d_ext
+    # the truth's zero coefficients meet K01 (in k00), K11 and tau_m: 0 * inf is NaN
+    lost = (K_prev[1, 1], tau_m)
+    k01 = dn._mean(k01) if all(map(math.isfinite, lost)) else math.nan
+    k00 = dn._mean(k00) if all(map(math.isfinite, (*lost, K_prev[0, 1]))) else math.nan
+    return alpha, np.array([[k00, k01], [k01, k11]]), mse
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +338,10 @@ def _kinked_axis(kink_z, order):
     if np.isfinite(kink_z) and abs(kink_z) < 8.5:
         edges = np.concatenate([edges, [kink_z]])
     edges = np.unique(edges)
-    per_panel = max(order // 2, 12)
-    nodes, weights = np.polynomial.legendre.leggauss(per_panel)
-    ts = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        t = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        ts.append(t)
-        ws.append(0.5 * (b - a) * weights * np.exp(-0.5 * t * t) / math.sqrt(2 * math.pi))
-    t = np.concatenate(ts)
-    w = np.concatenate(ws)
+    nodes, weights = np.polynomial.legendre.leggauss(max(order // 2, 12))
+    a, b = edges[:-1, None], edges[1:, None]  # one panel per row
+    t = (0.5 * (a + b) + 0.5 * (b - a) * nodes).ravel()
+    w = (0.5 * (b - a) * weights).ravel() * np.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
     w /= w.sum()
     t.flags.writeable = w.flags.writeable = False
     return t, w
@@ -424,13 +433,13 @@ def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, o
         est, d = dn.separable_output_fields(
             r_plus, gp_prev, q0, layer.activation, layer.noise_precision, mode
         )
-        return _extrinsic_moments(w, p0, r_plus, est, clip(np.sum(w * d)), False)
+        return _extrinsic_moments(w, p0, r_plus, est, clip(dn._total(w * d)), False)
     r_minus = q0 + math.sqrt(max(tau_m, 0.0)) * t_minus
     est, d = dn.scalar_pair(
         mode, layer.activation, layer.noise_precision, r_minus, r_plus, gm, gp_prev, forward
     )
     truth, message = (q0, r_minus) if forward else (p0, r_plus)
-    return _extrinsic_moments(w, truth, message, est, clip(np.sum(w * d)), forward)
+    return _extrinsic_moments(w, truth, message, est, clip(dn._total(w * d)), forward)
 
 
 def _extrinsic_moments(w, truth, message, est, alpha, forward):
@@ -444,13 +453,14 @@ def _extrinsic_moments(w, truth, message, est, alpha, forward):
     def moment(a, b):  # sum(w * a * b), with one product on the full grid
         prod = w * a
         prod *= b
-        return float(np.sum(prod))
+        return dn._total(prod)
 
     mse, k11 = moment(err, err), moment(ext, ext)
     if not forward:
         return alpha, k11, mse
-    k01 = moment(truth, ext)
-    return alpha, np.array([[moment(truth, truth), k01], [k01, k11]]), mse
+    w_truth = w * truth
+    k01 = dn._total(w_truth * ext)
+    return alpha, np.array([[dn._total(w_truth * truth), k01], [k01, k11]]), mse
 
 
 def _input_step(gm, tau_m, clip=clip_alpha):
@@ -475,9 +485,7 @@ def se_forward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order,
     """One forward update at layer ``ell`` (1-based): ``(alpha, K_new, mse_plus)``."""
     layer = law.layers[ell - 1]
     if layer.kind == "linear":
-        s = zero_pad(layer.singular_values, layer.n_out)
-        gains = dn.linear_gains_plus(s, layer.noise_precision, gm, gp_prev)
-        return _affine_step(layer, True, gains, K_prev, tau_m, clip)
+        return _affine_step(layer, True, K_prev, tau_m, gm, gp_prev, clip)
     return _separable_step(layer, True, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip)
 
 
@@ -490,13 +498,7 @@ def se_backward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order
     layer = law.layers[ell - 1]
     if layer.kind == "nonlinear":
         return _separable_step(layer, False, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip)
-    s = zero_pad(layer.singular_values, layer.n_in)
-    if math.isinf(gm):
-        g_r, g_obs = dn.observed_linear_gains(s, layer.noise_precision, gp_prev)
-        gains = (g_obs, g_r, -g_obs)
-    else:
-        gains = dn.linear_gains_minus(s, layer.noise_precision, gm, gp_prev)
-    return _affine_step(layer, False, gains, K_prev, tau_m, clip)
+    return _affine_step(layer, False, K_prev, tau_m, gm, gp_prev, clip)
 
 
 def run_se(law, config):
@@ -556,7 +558,7 @@ def run_se(law, config):
         sweep(state, True, input_prior, forward, book)
         sweep(state, False, lambda: backward(n), backward, book)
         nmse_rows += [mse[0] / tau0[:n], mse[1] / tau0[:n]]
-        states.append(copy.deepcopy(state))
+        states.append(SEState(**{k: v.copy() for k, v in vars(state).items()}))
         params = np.concatenate([state.gamma_plus, state.gamma_minus])
         if prev_params is not None and config.stop_tol > 0:
             change = np.max(np.abs(params - prev_params) / np.maximum(np.abs(prev_params), 1e-30))
@@ -638,17 +640,13 @@ def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
             mse = _matched_mse(law, ell, False, tau0, mu, gm[ell], gp[ell - 1], order)
             gm[ell - 1] = update(gm[ell - 1], 1.0 / mse - gp[ell - 1])
 
-    converged = False
-    sweeps = 0
-    for sweep_index in range(max_sweeps):
-        sweeps = sweep_index + 1
+    converged, sweeps = False, 0
+    while not converged and sweeps < max_sweeps:
+        sweeps += 1
         prev = np.concatenate([gp, gm])
         visit(lambda old, raw: damp(old, dn.clip_gamma(raw), damping))
-        new = np.concatenate([gp, gm])
-        change = np.max(np.abs(new - prev) / np.maximum(np.abs(prev), 1e-30))
-        if change < tol:
-            converged = True
-            break
+        change = np.max(np.abs(np.concatenate([gp, gm]) - prev) / np.maximum(np.abs(prev), 1e-30))
+        converged = bool(change < tol)
 
     residual = 0.0
 

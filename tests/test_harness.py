@@ -607,6 +607,37 @@ class TestCli:
             assert len(predicted) < len(first)
             assert entry["se_final_nmse_db"] == predicted[-1]
 
+    #: trials that stop early on convergence_tol; the predictor runs all 30 iterations
+    EARLY_STOP = {"recipe": {"hidden_dims": [4, 8, 8], "measurements": 6}, "trials": 3,
+                  "master_seed": 1,
+                  "engine": {"max_iters": 30, "damping": 0.7, "convergence_tol": 1e-3}}
+
+    def test_compare_joins_on_the_grid_of_trials_that_stop_early(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.EARLY_STOP))
+        cfg, emp, pred = str(path), str(tmp_path / "emp.csv"), str(tmp_path / "pred.csv")
+        fresh, files = str(tmp_path / "fresh.json"), str(tmp_path / "files.json")
+        assert cli_main(["compare", "--config", cfg, "--out", fresh]) == 0
+        assert cli_main(["run", "--config", cfg, "--out", emp]) == 0
+        assert cli_main(["se", "--config", cfg, "--out", pred]) == 0
+        argv = ["compare", "--config", cfg, "--empirical", emp, "--predicted", pred]
+        assert cli_main([*argv, "--out", files]) == 0
+        trial_rows = [r for r in read_result_csv(emp) if r["trial_seed"] >= 0]
+        last = max(r["half_iter"] for r in trial_rows)
+        assert last < max(r["half_iter"] for r in read_result_csv(pred)) == 60
+        joined = json.loads(open(files).read())["joined"]
+        assert [(r["half_iter"], r["layer"]) for r in joined] == sorted(
+            {(r["half_iter"], r["layer"]) for r in trial_rows})
+        assert open(fresh).read() == open(files).read()
+
+    def test_sweep_rejects_a_repeated_count_before_running(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_trials", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", self._config_file(tmp_path), "--measurements", "10,14,10"]
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+
     @pytest.mark.parametrize("given", ["--empirical", "--predicted"])
     def test_compare_with_one_input_file_exits_2(self, tmp_path, given):
         # one file alone must not fall back to fresh trials

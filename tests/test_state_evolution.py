@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mlvamp import denoisers as dn
 from mlvamp import harness
 from mlvamp import state_evolution as se
-from mlvamp.engine import EngineConfig, run
+from mlvamp.engine import EngineConfig, clip_alpha, run
 from mlvamp.errors import InvalidModelError
 from mlvamp.model import NOISELESS, forward_generate, geometric_singular_values as sv
 from mlvamp.state_evolution import (
@@ -20,6 +21,7 @@ from mlvamp.state_evolution import (
     run_se,
     se_initial_pass,
 )
+import full_term_moments as ref
 from conftest import exact_gaussian_posterior, make_gaussian_chain, make_relu_network
 
 
@@ -518,3 +520,94 @@ class TestConfigChecks:
         with pytest.raises(InvalidModelError):
             SEConfig(**fields)
 
+
+
+def _affine_law(k, n_out, n_in, nu, bias):
+    """An affine law of ``k`` singular values; ``bias``: "none", "gaussian"
+    (a shared variance) or "atoms" (per-component values)."""
+    rng = np.random.default_rng([k, n_out, n_in])
+    values = np.sort(rng.uniform(0.3, 2.0, k))[::-1]
+    atoms = rng.normal(size=n_out) if bias == "atoms" else None
+    return LinearLaw(values, n_out, n_in, nu, bbar_atoms=atoms,
+                     bbar_var=0.45 if bias == "gaussian" else 0.0)
+
+
+def _assert_same_returns(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+class TestFullTermMoments:
+    """The steps form only the moment terms that can be nonzero; they return
+    the bits of the moments that sum every term (``full_term_moments``)."""
+
+    K = np.array([[1.3, -0.4], [-0.4, 0.7]])
+    #: (singular values, n_out, n_in): square, zero-padded forward, backward, both
+    SHAPES = {"square": (40, 40, 40), "pad-out": (25, 45, 25), "pad-in": (25, 25, 45),
+              "pad-both": (20, 35, 30)}
+
+    @staticmethod
+    def both(layer, step, K, tau_m):
+        """The package's and the reference's ``(alpha, K or tau, mse)``."""
+        forward, gm = step == "forward", math.inf if step == "observed" else 2.5
+        args = (layer, forward, K, tau_m, gm, 1.7, clip_alpha)
+        with np.errstate(invalid="ignore"):
+            return se._affine_step(*args), ref.affine_step(*args)
+
+    @pytest.mark.parametrize("step", ["forward", "backward", "observed"])
+    @pytest.mark.parametrize("tau_m", [0.0, 0.35])
+    @pytest.mark.parametrize("bias", ["none", "gaussian", "atoms"])
+    @pytest.mark.parametrize("nu", [NOISELESS, 40.0])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_affine_step(self, shape, nu, bias, tau_m, step):
+        layer = _affine_law(*self.SHAPES[shape], nu, bias)
+        _assert_same_returns(*self.both(layer, step, self.K, tau_m))
+
+    @pytest.mark.parametrize("step", ["forward", "backward"])
+    @pytest.mark.parametrize("bad", [(0, 0, math.inf), (0, 1, math.inf), (0, 1, math.nan),
+                                     (1, 1, math.inf), (1, 1, math.nan), ("tau", math.inf),
+                                     ("tau", math.nan)], ids=str)
+    @pytest.mark.parametrize("bias", ["gaussian", "atoms"])
+    def test_a_non_finite_input_propagates_as_before(self, bias, bad, step):
+        # the skipped terms multiply K01, K11 and tau_m by zero: 0 * inf is NaN
+        K, tau_m = self.K.copy(), 0.35
+        if bad[0] == "tau":
+            tau_m = bad[1]
+        else:
+            K[bad[0], bad[1]] = K[bad[1], bad[0]] = bad[2]
+        layer = _affine_law(*self.SHAPES["pad-both"], 40.0, bias)
+        got, want = self.both(layer, step, K, tau_m)
+        assert not np.isfinite(want[1]).all()
+        _assert_same_returns(got, want)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("nu", [NOISELESS, 50.0], ids=["3-D", "noisy-4-D"])
+    def test_extrinsic_moments(self, nu, forward):
+        xi_var = 0.0 if math.isinf(nu) else 1.0 / nu
+        p0, r_plus, t_minus, xi, w = se._grid(self.K, 0.2, 0.3, xi_var, 12, kink=0.0)
+        assert w.ndim == (3 if math.isinf(nu) else 4)
+        q0 = np.maximum(p0, 0.0) + xi
+        r_minus = q0 + math.sqrt(0.3) * t_minus
+        est, d = dn.scalar_pair("mmse", "relu", nu, r_minus, r_plus, 2.0, 1.5, forward)
+        alpha = clip_alpha(np.sum(w * d))
+        truth, message = (q0, r_minus) if forward else (p0, r_plus)
+        got = se._extrinsic_moments(w, truth, message, est, alpha, forward)
+        _assert_same_returns(got, ref._extrinsic_moments(w, truth, message, est, alpha, forward))
+
+    @pytest.mark.parametrize("mode", ["mmse", "map"])
+    def test_paper_law_run_keeps_every_bit(self, monkeypatch, mode):
+        law = harness.recipe_law(harness.SyntheticRecipe(),
+                                 harness.calibrate_recipe(harness.SyntheticRecipe(), 0))
+        config = SEConfig(iterations=50, mode=mode, damping=0.7)
+        got = run_se(law, config)
+        monkeypatch.setattr(se, "_affine_step", ref.affine_step)
+        monkeypatch.setattr(se, "_extrinsic_moments", ref._extrinsic_moments)
+        monkeypatch.setattr(dn, "_total", np.sum)
+        want = run_se(law, config)
+        np.testing.assert_array_equal(got.nmse_db, want.nmse_db)
+        np.testing.assert_array_equal(got.mse, want.mse)
+        assert len(got.states) == len(want.states) == 50
+        for g, w in zip(got.states, want.states):
+            for name, value in vars(w).items():
+                np.testing.assert_array_equal(getattr(g, name), value, err_msg=name)
