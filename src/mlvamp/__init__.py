@@ -62,7 +62,6 @@ from .model import (
 from .state_evolution import (
     NetworkLaw,
     SEConfig,
-    matched_mmse_recursion,
     run_se,
     se_initial_pass,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "forward_generate",
     "geometric_singular_values",
     "load_network",
-    "matched_mmse_recursion",
     "nmse_db",
     "run",
     "run_se",

@@ -59,7 +59,7 @@ class EngineConfig:
     gamma_init: float = 1e-4
     damping: float = 1.0
     alpha_clip: float = ALPHA_MIN
-    convergence_tol: float = 1e-8
+    convergence_tol: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("mmse", "map"):

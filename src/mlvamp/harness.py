@@ -114,6 +114,7 @@ class SyntheticRecipe:
                 raise InvalidModelError("separable layers must preserve width")
         if not (0.0 < self.positive_fraction < 1.0):
             raise InvalidModelError("positive_fraction must lie in (0, 1)")
+        check_real("condition_number", self.condition_number, 1.0)
         check_real("snr_db", self.snr_db)
         check_real("bias_std", self.bias_std, 0.0)
 
@@ -268,7 +269,7 @@ def recipe_law(recipe, calibration):
 @dataclass(frozen=True)
 class ExperimentConfig:
     recipe: SyntheticRecipe = field(default_factory=SyntheticRecipe)
-    engine: EngineConfig = field(default_factory=lambda: EngineConfig(convergence_tol=0.0))
+    engine: EngineConfig = field(default_factory=EngineConfig)
     se: SEConfig = field(default_factory=SEConfig)
     trials: int = 50
     master_seed: int = 0
@@ -411,7 +412,7 @@ def run_trials(config, calibration=None, law=None, workers=None):
     return ExperimentResult(config=config, trials=results, se_result=se_result)
 
 
-def measurement_sweep(config, measurement_list, workers=None):
+def measurement_sweep(config, measurement_list):
     """Re-run the experiment for each measurement count in the list."""
     if len(set(measurement_list)) < len(measurement_list):
         raise InvalidModelError(f"a measurement count repeats in {list(measurement_list)}")
@@ -419,7 +420,7 @@ def measurement_sweep(config, measurement_list, workers=None):
     for m in measurement_list:
         recipe = replace(config.recipe, measurements=int(m))
         cfg = replace(config, recipe=recipe, experiment_id=f"{config.experiment_id}-m{m}")
-        out[int(m)] = run_trials(cfg, workers=workers)
+        out[int(m)] = run_trials(cfg)
     return out
 
 

@@ -2,7 +2,7 @@
 
 The recursion mirrors the engine sweep for sweep, but every vector is
 replaced by a scalar random variable: true signals become Gaussians with
-matched second moments (orthogonal mixing makes components Gaussian in
+the same second moments (orthogonal mixing makes components Gaussian in
 the wide limit) and each estimator call becomes an expectation over a
 small scalar model of its inputs.
 
@@ -12,10 +12,11 @@ upstream, so its error is correlated with the truth it estimates (at the
 prior, ``r_plus = 0`` and the error is exactly minus the truth), while the
 output-side message summarizes the downstream likelihood (truth plus
 independent noise).  The forward pass therefore tracks the full joint
-second moments of (truth, plus-side error).  At a matched fixed point the
-plus-side error is orthogonal to the message itself (``K01 = -K11``), and
-the per-layer belief is the true conditional of the scalar model, which
-is what makes the posterior-variance identities hold there.
+second moments of (truth, plus-side error).  At a Bayes-optimal fixed
+point the plus-side error is orthogonal to the message itself
+(``K01 = -K11``), and the per-layer belief is the true conditional of the
+scalar model, which is what makes the posterior-variance identities hold
+there.
 
 Bookkeeping per hidden signal:
 
@@ -44,10 +45,8 @@ from scipy.special import ndtr
 
 from . import denoisers as dn
 from .engine import (
-    ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, check_count, check_real, clip_alpha, damp,
-    sweep,
+    ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, check_count, check_real, clip_alpha, sweep,
 )
-from .errors import InvalidModelError
 from .model import apply_activation, svd_factorize, zero_pad
 
 
@@ -388,7 +387,7 @@ def _grid(K, mu, tau_m, xi_var, order, kink=None):
     a pair that is not jointly admissible (``s^2 < 0``) is projected by
     clamping ``Var(r_plus) = Var(p0) + 2 K01 + K11`` at zero,
     ``|Cov(p0, r_plus)|`` at Cauchy-Schwarz and ``s`` at zero.  A
-    matched channel (``K01 = -K11``, error orthogonal to the message)
+    Bayes-optimal channel (``K01 = -K11``, error orthogonal to the message)
     reproduces ``b = 1 - K11 / Var(p0)`` and ``s^2 = b K11``.  The
     output-side message is a downstream likelihood summary, i.e. the true
     output plus independent noise of variance ``tau_m`` (assembled by the
@@ -570,97 +569,3 @@ def run_se(law, config):
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.maximum(np.array(nmse_rows), 1e-30))
     return SEResult(states=states, nmse_db=db, mse=mse)
-
-
-# ---------------------------------------------------------------------------
-# Matched posterior-mean fixed point (independent-channel recursion)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MatchedResult:
-    gamma_plus: np.ndarray
-    gamma_minus: np.ndarray
-    mse: np.ndarray
-    residual: float
-    converged: bool
-    sweeps: int
-
-
-def _matched_K(tau0, gp_prev):
-    """Plus-side moments of a matched channel: error variance ``1/gp``,
-    orthogonal to the message (``K01 = -K11``)."""
-    k11 = 1.0 / gp_prev
-    return np.array([[tau0, -k11], [-k11, k11]])
-
-
-def _matched_mse(law, ell, forward, tau0, mu, gm, gp_prev, order):
-    """Posterior variance of the output (forward) or input (backward) of layer
-    ``ell`` under matched channels; ``gm = inf`` at the observed output."""
-    layer = law.layers[ell - 1]
-    if layer.kind == "linear":
-        nu = layer.noise_precision
-        s = zero_pad(layer.singular_values, layer.n_out if forward else layer.n_in)
-        if forward:
-            aq, _, _ = dn.linear_gains_plus(s, nu, gm, gp_prev)
-            return float(np.mean(aq)) / gm
-        if not math.isinf(gm):
-            return float(np.mean(dn.linear_gains_minus(s, nu, gm, gp_prev)[1])) / gp_prev
-        if math.isinf(nu):
-            return float(np.mean(np.where(s > 0, 0.0, 1.0 / gp_prev)))
-        return float(np.mean(1.0 / (gp_prev + nu * s * s)))
-    K = _matched_K(tau0[ell - 1], gp_prev)
-    return _separable_step(layer, forward, K, mu[ell - 1], 1.0 / gm, gm, gp_prev, "mmse", order)[2]
-
-
-def matched_mmse_recursion(law, config, max_sweeps=500, damping=0.5, tol=1e-12):
-    """Fixed point of the matched posterior-mean precision recursion.
-
-    Iterates ``gamma_plus = 1/mse_plus - gamma_minus`` and the mirrored
-    backward update with geometric damping (which preserves fixed points),
-    then reports the residual of both equalities at the returned point.
-    """
-    if config.mode != "mmse":
-        raise InvalidModelError("the matched recursion is defined for mmse mode")
-    order = config.quad_order
-    n = law.num_layers
-    tau0, mu = se_initial_pass(law)
-    gm = np.full(n, float(config.gamma_init))
-    gp = np.full(n, float(config.gamma_init))
-
-    def visit(update):
-        """Set each precision, in sweep order, to ``update(old, matched target)``."""
-        gp[0] = update(gp[0], (1.0 + gm[0]) - gm[0])
-        for ell in range(1, n):
-            mse = _matched_mse(law, ell, True, tau0, mu, gm[ell], gp[ell - 1], order)
-            gp[ell] = update(gp[ell], 1.0 / mse - gm[ell])
-        mse = _matched_mse(law, n, False, tau0, mu, math.inf, gp[n - 1], order)
-        gm[n - 1] = update(gm[n - 1], 1.0 / mse - gp[n - 1])
-        for ell in range(n - 1, 0, -1):
-            mse = _matched_mse(law, ell, False, tau0, mu, gm[ell], gp[ell - 1], order)
-            gm[ell - 1] = update(gm[ell - 1], 1.0 / mse - gp[ell - 1])
-
-    converged, sweeps = False, 0
-    while not converged and sweeps < max_sweeps:
-        sweeps += 1
-        prev = np.concatenate([gp, gm])
-        visit(lambda old, raw: damp(old, dn.clip_gamma(raw), damping))
-        change = np.max(np.abs(np.concatenate([gp, gm]) - prev) / np.maximum(np.abs(prev), 1e-30))
-        converged = bool(change < tol)
-
-    residual = 0.0
-
-    def measure(old, raw):
-        nonlocal residual
-        residual = max(residual, abs(old - raw) / abs(old))
-        return old
-
-    visit(measure)
-    return MatchedResult(
-        gamma_plus=gp,
-        gamma_minus=gm,
-        mse=1.0 / (gp + gm),
-        residual=float(residual),
-        converged=converged,
-        sweeps=sweeps,
-    )

@@ -24,6 +24,7 @@ from conftest import (
     make_gaussian_chain,
     make_relu_network,
 )
+from matched_recursion import matched_mmse_recursion
 from test_denoisers import trapezoid_mmse
 
 PAPER_TRIALS = 50
@@ -209,7 +210,7 @@ class TestCriterion6MatchedRecursionConsistency:
         law = harness.recipe_law(recipe, cal)
         full = se.run_se(law, se.SEConfig(iterations=400, stop_tol=1e-13))
         st = full.states[-1]
-        matched = se.matched_mmse_recursion(law, se.SEConfig())
+        matched = matched_mmse_recursion(law, se.SEConfig())
         rel = max(
             float(np.max(np.abs(st.gamma_plus - matched.gamma_plus) / matched.gamma_plus)),
             float(np.max(np.abs(st.gamma_minus - matched.gamma_minus) / matched.gamma_minus)),

@@ -67,6 +67,10 @@ BAD_VALUES = [
     ("engine", "gamma_init", math.nan),
     ("engine", "gamma_init", math.inf),
     ("engine", "gamma_init", 1e300),
+    ("recipe", "condition_number", "x"),
+    ("recipe", "condition_number", math.nan),
+    ("recipe", "condition_number", math.inf),
+    ("recipe", "condition_number", True),
 ]
 BAD_VALUE_IDS = [f"{key}={value!r}" for _, key, value in BAD_VALUES]
 
@@ -515,6 +519,9 @@ class TestConfigJson:
         assert back.recipe == cfg.recipe
         assert back.engine == cfg.engine
         assert back.trials == 3 and back.master_seed == 11
+
+    def test_a_file_without_an_engine_block_runs_the_default_engine(self):
+        assert config_from_json({}).engine == ExperimentConfig().engine
 
     def test_se_block_holds_only_what_the_predictor_keeps(self):
         # iterations, mode, gamma_init, damping and alpha_clip come from the engine

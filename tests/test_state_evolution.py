@@ -17,11 +17,11 @@ from mlvamp.state_evolution import (
     NetworkLaw,
     SEConfig,
     SeparableLaw,
-    matched_mmse_recursion,
     run_se,
     se_initial_pass,
 )
 import full_term_moments as ref
+from matched_recursion import matched_mmse_recursion
 from conftest import exact_gaussian_posterior, make_gaussian_chain, make_relu_network
 
 
@@ -449,6 +449,16 @@ class TestMatchedRecursion:
         assert mr.converged and mr.residual <= 1e-8
         np.testing.assert_allclose(st.gamma_plus, mr.gamma_plus, rtol=1e-4)
         np.testing.assert_allclose(st.gamma_minus, mr.gamma_minus, rtol=1e-4)
+
+
+class TestMatchedRecursionBudget:
+    def test_a_spent_sweep_budget_is_reported(self, monkeypatch):
+        # criterion 6 gates on `converged`, so running out of sweeps must not pass silently
+        monkeypatch.setattr("matched_recursion.MAX_SWEEPS", 2)
+        recipe = harness.SyntheticRecipe()
+        law = harness.recipe_law(recipe, harness.calibrate_recipe(recipe, 3))
+        mr = matched_mmse_recursion(law, SEConfig())
+        assert mr.sweeps == 2 and not mr.converged
 
 
 class TestEngineAgreement:
