@@ -23,6 +23,8 @@ from .errors import (
     InvalidModelError,
     NumericFailureError,
     UndefinedMetricError,
+    check_count,
+    check_real,
 )
 from .model import NetworkSpec, activation_slope, apply_activation, svd_factorize
 
@@ -32,22 +34,6 @@ ALPHA_MIN = 1e-6
 
 #: Floor used when a metric denominator could vanish.
 _TINY = 1e-300
-
-
-def check_count(name, value, least):
-    """Raise ``InvalidModelError`` unless ``value`` is an integer, not a bool, >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InvalidModelError(f"{name} must be an integer of at least {least}, not {value!r}")
-
-
-def check_real(name, value, least=-math.inf, below=math.inf):
-    """Raise ``InvalidModelError`` unless ``value`` is a finite real number, not a
-    bool, with ``least <= value < below``."""
-    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-    if not (real and math.isfinite(value) and least <= value < below):
-        raise InvalidModelError(
-            f"{name} must be a finite number in [{least}, {below}), not {value!r}"
-        )
 
 
 @dataclass(frozen=True)

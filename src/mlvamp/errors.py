@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+import math
+
+import numpy as np
 
 
 class MlvampError(Exception):
@@ -7,6 +11,22 @@ class MlvampError(Exception):
 
 class InvalidModelError(MlvampError, ValueError):
     """A network description or argument violates a structural requirement."""
+
+
+def check_count(name, value, least):
+    """Raise ``InvalidModelError`` unless ``value`` is an integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidModelError(f"{name} must be an integer of at least {least}, not {value!r}")
+
+
+def check_real(name, value, least=-math.inf, below=math.inf):
+    """Raise ``InvalidModelError`` unless ``value`` is a finite real number, not a
+    bool, with ``least <= value < below``."""
+    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if not (real and math.isfinite(value) and least <= value < below):
+        raise InvalidModelError(
+            f"{name} must be a finite number in [{least}, {below}), not {value!r}"
+        )
 
 
 class DegenerateModelError(MlvampError, ValueError):

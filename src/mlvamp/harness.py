@@ -19,11 +19,13 @@ from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork
 from scipy.special import ndtri
 
-from .engine import EngineConfig, check_count, check_real, nmse_db, run
+from .engine import EngineConfig, nmse_db, run
 from .errors import (
     DivergedIterationError, InvalidModelError, NumericFailureError, UndefinedMetricError,
+    check_count, check_real,
 )
 from .model import (
     NOISELESS,
@@ -33,6 +35,7 @@ from .model import (
     geometric_singular_values,
     linear_layer_from_factors,
     sample_haar_orthogonal,
+    standard_normal_fortran,
 )
 from .seeding import substream
 from .state_evolution import (
@@ -144,13 +147,19 @@ class RecipeCalibration:
 
 
 def _reference_singular_values(recipe, seed):
+    """Each generative pair's singular values, from one Gaussian draw scaled
+    by ``1/sqrt(fan-in)``: LAPACK ``dgesdd`` works on the draw in place."""
     out = []
     dims = recipe.hidden_dims
     for pair in range(recipe.num_generative_pairs):
         n_in, n_out = dims[2 * pair], dims[2 * pair + 1]
-        rng = substream(seed, 0x5D, pair)
-        g = rng.standard_normal((n_out, n_in)) / math.sqrt(n_in)
-        out.append(np.linalg.svd(g, compute_uv=False))
+        g = standard_normal_fortran(substream(seed, 0x5D, pair), (n_out, n_in))
+        g /= math.sqrt(n_in)
+        lwork, _ = dgesdd_lwork(n_out, n_in, compute_uv=0)
+        _, s, _, info = dgesdd(g, compute_uv=0, lwork=int(lwork), overwrite_a=1)
+        if info != 0:
+            raise NumericFailureError(f"LAPACK dgesdd returned info {info}")
+        out.append(s)
     return tuple(out)
 
 
@@ -198,9 +207,15 @@ def build_synthetic_network(recipe, seed, calibration):
     """One instance of the recipe: fresh Haar factors and biases.
 
     Each factor is drawn only over the layer's range, so no square factor
-    wider than it is formed.
+    wider than it is formed.  The measurement layer's factors are drawn
+    first: the rows of its right factor need the whole square draw, the
+    widest workspace of the build, and drawn first it sits on no factor
+    already kept.  Each factor has its own substream, so the order moves no
+    number.
     """
     dims = recipe.dims
+    m, n_last = dims[-1], dims[-2]
+    m_left, m_right = _haar_factors(m, n_last, seed, 0x2E)
     layers = []
     for pair in range(recipe.num_generative_pairs):
         n_in, n_out = dims[2 * pair], dims[2 * pair + 1]
@@ -214,12 +229,10 @@ def build_synthetic_network(recipe, seed, calibration):
             )
         )
         layers.append(NonlinearLayerSpec(activation=recipe.activation))
-    m, n_last = dims[-1], dims[-2]
-    left, right = _haar_factors(m, n_last, seed, 0x2E)
     s = geometric_singular_values(m, n_last, recipe.condition_number)
     layers.append(
         linear_layer_from_factors(
-            left, s, right, np.zeros(m), calibration.measurement_noise_precision
+            m_left, s, m_right, np.zeros(m), calibration.measurement_noise_precision
         )
     )
     return NetworkSpec(layers=tuple(layers), dims=dims)

@@ -17,7 +17,9 @@ import numpy as np
 from scipy.linalg.lapack import dgeqrf, dorgqr, dormqr
 from scipy.special import expit
 
-from .errors import DegenerateModelError, InvalidModelError, MlvampError, NumericFailureError
+from .errors import (
+    DegenerateModelError, InvalidModelError, MlvampError, NumericFailureError, check_count,
+)
 from .seeding import substream
 
 #: Sentinel for an exact (noise-free) conditional: precision -> infinity.
@@ -260,6 +262,29 @@ def _lapack(routine, *args, **kwargs):
     return out
 
 
+#: Values per block of a Gaussian drawn into a Fortran-ordered array.
+DRAW_BLOCK = 1 << 16
+
+
+def standard_normal_fortran(rng, shape, columns=None):
+    """The first ``columns`` columns of ``rng.standard_normal(shape)``, in a
+    Fortran-ordered array that LAPACK can work on in place.
+
+    The C-ordered draw is taken a block of about ``DRAW_BLOCK`` values at a
+    time, so no full-size C-ordered copy is made.  The blocks read the stream
+    in the one-call draw's order, so the array holds its values.
+    """
+    n, width = shape
+    out = np.empty((n, width if columns is None else columns), order="F")
+    step = max(1, DRAW_BLOCK // width)
+    block = np.empty((min(step, n), width))
+    for start in range(0, n, step):
+        rows = block[: min(step, n - start)]
+        rng.standard_normal(out=rows)
+        out[start : start + len(rows)] = rows[:, : out.shape[1]]
+    return out
+
+
 def sample_haar_orthogonal(n, rng, columns=None, rows=None):
     """Draw an ``n x n`` orthogonal matrix from the uniform (Haar) law with
     ``rng``, or only its first ``columns`` columns or its first ``rows`` rows.
@@ -272,18 +297,20 @@ def sample_haar_orthogonal(n, rng, columns=None, rows=None):
     rest.  Rows need every reflector but not the formed ``Q``: the reflectors
     are applied to the first ``k`` unit vectors.  The full Gaussian matrix is
     drawn either way, so all read the same numbers from ``rng``.  LAPACK
-    (``geqrf``, then ``orgqr`` or ``ormqr``) works in place on one
-    Fortran-ordered copy.  The result is C-ordered: on a Fortran-ordered
-    factor the engine's products run another BLAS kernel, with other rounding.
+    (``geqrf``, then ``orgqr`` or ``ormqr``) works in place on the
+    Fortran-ordered columns it needs, drawn straight into it.  The result is
+    C-ordered: on a Fortran-ordered factor the engine's products run another
+    BLAS kernel, with other rounding.
     """
-    n = int(n)
+    check_count("matrix size", n, 1)
     if columns is not None and rows is not None:
         raise InvalidModelError("draw columns or rows, not both")
-    k = n if columns is None and rows is None else int(rows if columns is None else columns)
-    if n < 1 or not 1 <= k <= n:
-        raise InvalidModelError("matrix size must be at least 1, and columns or rows at most n")
+    k = n if columns is None and rows is None else (rows if columns is None else columns)
+    check_count("columns" if rows is None else "rows", k, 1)
+    if k > n:
+        raise InvalidModelError(f"columns or rows must be at most n = {n}, not {k}")
     by_rows = rows is not None and k < n
-    g = np.asfortranarray(rng.standard_normal((n, n))[:, : n if by_rows else k])
+    g = standard_normal_fortran(rng, (n, n), n if by_rows else k)
     qr, tau = _lapack(dgeqrf, g, overwrite_a=True)
     d = np.sign(np.diag(qr))  # read before orgqr overwrites qr with Q
     d[d == 0] = 1.0

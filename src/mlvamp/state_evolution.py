@@ -44,9 +44,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import denoisers as dn
-from .engine import (
-    ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, check_count, check_real, clip_alpha, sweep,
-)
+from .engine import ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, clip_alpha, sweep
+from .errors import check_count, check_real
 from .model import apply_activation, svd_factorize, zero_pad
 
 

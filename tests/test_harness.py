@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict, replace
 from functools import partial
 
@@ -35,6 +36,7 @@ from mlvamp.harness import (
     write_result_csv,
 )
 from mlvamp.model import NOISELESS, SignalSet, forward_generate, load_network
+from mlvamp.seeding import substream
 from mlvamp.state_evolution import SEConfig, run_se, se_initial_pass
 
 SMALL_RECIPE = SyntheticRecipe(
@@ -159,6 +161,47 @@ class TestBuilder:
     def test_non_alternating_recipe_rejected(self):
         with pytest.raises(InvalidModelError):
             SyntheticRecipe(hidden_dims=(8, 24, 20), measurements=10)
+
+    @pytest.mark.parametrize("recipe, seed", [
+        (SyntheticRecipe(), 0), (SyntheticRecipe(), 1), (SyntheticRecipe(), 2),
+        (SyntheticRecipe(hidden_dims=(40, 200, 200, 1000, 1000, 1568, 1568), measurements=200), 0),
+    ], ids=["paper-0", "paper-1", "paper-2", "2x-0"])
+    def test_reference_singular_values_keep_numpys_bits(self, recipe, seed):
+        # LAPACK gesdd in place on the blockwise draw: numpy's one-call draw
+        # and SVD front end, bit for bit
+        dims = recipe.hidden_dims
+        for pair, s in enumerate(calibrate_recipe(recipe, seed).generative_singular_values):
+            n_in, n_out = dims[2 * pair], dims[2 * pair + 1]
+            g = substream(seed, 0x5D, pair).standard_normal((n_out, n_in)) / math.sqrt(n_in)
+            assert np.array_equal(s, np.linalg.svd(g, compute_uv=False))
+
+    def test_gesdd_failure_is_a_numeric_failure(self, monkeypatch):
+        def fails(a, compute_uv, lwork, overwrite_a):
+            return np.zeros((1, 1)), np.zeros(min(a.shape)), np.zeros((1, 1)), 2
+
+        monkeypatch.setattr(harness, "dgesdd", fails)
+        with pytest.raises(NumericFailureError, match="dgesdd returned info 2"):
+            calibrate_recipe(SMALL_RECIPE, 3)
+
+    def test_build_peak_is_its_factors_and_one_square_workspace(self):
+        # the measurement layer's 784 x 784 draw is the widest workspace; drawn
+        # first and straight into LAPACK's array, it sits on no kept factor
+        recipe = SyntheticRecipe()
+        cal = calibrate_recipe(recipe, 0)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            spec = build_synthetic_network(recipe, 1, cal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        kept = sum(a.nbytes for layer in spec.layers if layer.kind == "linear"
+                   for a in (layer.factors.left_orthogonal, layer.factors.singular_values,
+                             layer.factors.right_orthogonal, layer.factors.bias))
+        assert peak - before <= kept + 784 * 784 * 8, (peak - before, kept)
 
 
 @pytest.fixture(scope="module")

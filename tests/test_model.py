@@ -47,9 +47,26 @@ class TestHaarSampling:
         err = np.max(np.abs(q.T @ q - np.eye(n)))
         assert err <= 1e-10
 
-    def test_zero_size_rejected(self):
+    @pytest.mark.parametrize("n", [0, 5.7, True, "5"])
+    def test_zero_size_rejected(self, n):
         with pytest.raises(InvalidModelError):
-            haar(0, 1)
+            haar(n, 1)
+
+    def test_numpy_integer_sizes_are_counts(self):
+        np.testing.assert_array_equal(
+            sample_haar_orthogonal(np.int64(7), substream(3, 0x7C), columns=np.int32(3)),
+            sample_haar_orthogonal(7, substream(3, 0x7C), columns=3),
+        )
+
+    @pytest.mark.parametrize("shape, columns", [
+        ((1, 1), None), ((3, 5), None), ((997, 784), 7), ((784, 784), 100),
+        ((2, model.DRAW_BLOCK + 3), None), ((5, 2 * model.DRAW_BLOCK), 4),
+    ])
+    def test_blockwise_draw_is_the_one_call_draw(self, shape, columns):
+        drawn = model.standard_normal_fortran(substream(5, 0x7C), shape, columns)
+        whole = substream(5, 0x7C).standard_normal(shape)
+        assert drawn.flags.f_contiguous
+        assert np.array_equal(drawn, whole[:, :columns])
 
     @pytest.mark.parametrize("n, k", [(7, 3), (100, 20), (500, 100), (784, 500)])
     def test_thin_columns_are_the_square_draws(self, n, k):
@@ -100,10 +117,12 @@ class TestHaarSampling:
     @pytest.mark.parametrize("n, side", [
         (784, {"rows": 100}), (784, {"columns": 500}), (500, {}),
         (500, {"columns": 100}), (100, {"columns": 20}), (20, {}),
+        (3, {}), (130, {"columns": 1}), (997, {"rows": 7}), (1000, {"columns": 999}),
     ])
     def test_lapack_draw_keeps_the_qr_front_ends_bits(self, n, side):
-        # the paper network's draws: the same Gaussian, the same LAPACK
-        # blocking, so the same bits, in the C order the engine was measured on
+        # the paper network's draws and edge shapes (a draw inside one block, a
+        # row count that does not divide the blocks): the same Gaussian, the
+        # same LAPACK blocking, so the same bits, in the engine's C order
         for seed in (1, 2):
             drawn = sample_haar_orthogonal(n, substream(seed, 0x7C), **side)
             assert np.array_equal(drawn, self.front_end_draw(n, substream(seed, 0x7C), **side))
@@ -116,12 +135,12 @@ class TestHaarSampling:
         with pytest.raises(NumericFailureError, match="info -1"):
             model._lapack(fails, np.eye(2))
 
-    @pytest.mark.parametrize("columns", [0, 6])
+    @pytest.mark.parametrize("columns", [0, 6, 2.5, True])
     def test_columns_outside_the_matrix_rejected(self, columns):
         with pytest.raises(InvalidModelError):
             sample_haar_orthogonal(5, substream(1, 0x7C), columns=columns)
 
-    @pytest.mark.parametrize("rows", [0, 6])
+    @pytest.mark.parametrize("rows", [0, 6, 2.5, True])
     def test_rows_outside_the_matrix_rejected(self, rows):
         with pytest.raises(InvalidModelError):
             sample_haar_orthogonal(5, substream(1, 0x7C), rows=rows)
