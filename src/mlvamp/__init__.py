@@ -57,7 +57,6 @@ from .model import (
     load_network,
     sample_haar_orthogonal,
     save_network,
-    svd_factorize,
 )
 from .state_evolution import (
     NetworkLaw,
@@ -95,7 +94,6 @@ __all__ = [
     "sample_haar_orthogonal",
     "save_network",
     "se_initial_pass",
-    "svd_factorize",
 ]
 
 __version__ = "0.1.0"

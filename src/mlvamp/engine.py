@@ -13,7 +13,7 @@ algorithm on scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     check_count,
     check_real,
 )
-from .model import NetworkSpec, activation_slope, apply_activation, svd_factorize
+from .model import NetworkSpec, activation_slope, apply_activation
 
 #: Divergences are clamped to [ALPHA_MIN, 1 - ALPHA_MIN] before the
 #: extrinsic division; clamp events are logged in the trace.
@@ -71,6 +71,17 @@ class Precisions:
     alpha_minus: np.ndarray
     eta_plus: np.ndarray
     eta_minus: np.ndarray
+
+    @staticmethod
+    def start(n, gamma_init):
+        """The fields of ``n`` signals before the first sweep: every gamma at
+        ``gamma_init``, every alpha at 0.5, so every eta at ``2 gamma_init``."""
+        g = float(gamma_init)
+        return dict(
+            gamma_minus=np.full(n, g), gamma_plus=np.full(n, g),
+            alpha_plus=np.full(n, 0.5), alpha_minus=np.full(n, 0.5),
+            eta_plus=np.full(n, 2.0 * g), eta_minus=np.full(n, 2.0 * g),
+        )
 
 
 @dataclass
@@ -236,7 +247,7 @@ class Rotations:
 
 @dataclass(frozen=True)
 class DenoiserBank:
-    """The network with every affine layer's SVD factors attached, plus y, the
+    """The network (each affine layer carries its SVD factors), plus y, the
     mode and the run's rotation cache."""
 
     spec: NetworkSpec
@@ -246,17 +257,11 @@ class DenoiserBank:
 
 
 def build_denoiser_bank(spec, y, mode):
-    """Factorize every affine layer once (loaded networks carry no factors) for a run."""
+    """The bank of one run over ``spec``, once ``y`` is checked against it."""
     y = np.asarray(y, float)
     if y.shape != (spec.dims[-1],):
         raise InvalidModelError("observation length mismatches the network output width")
-    layers = tuple(
-        replace(layer, factors=svd_factorize(layer))
-        if layer.kind == "linear" and layer.factors is None
-        else layer
-        for layer in spec.layers
-    )
-    return DenoiserBank(spec=replace(spec, layers=layers), y=y, mode=mode)
+    return DenoiserBank(spec=spec, y=y, mode=mode)
 
 
 def initialize(spec, config):
@@ -264,16 +269,11 @@ def initialize(spec, config):
     n = spec.num_layers
     dims = spec.dims[:-1]
     return MessageState(
+        **Precisions.start(n, config.gamma_init),
         r_minus=[np.zeros(d) for d in dims],
         r_plus=[np.zeros(d) for d in dims],
         zhat_plus=[np.zeros(d) for d in dims],
         zhat_minus=[np.zeros(d) for d in dims],
-        gamma_minus=np.full(n, float(config.gamma_init)),
-        gamma_plus=np.full(n, float(config.gamma_init)),
-        alpha_plus=np.full(n, 0.5),
-        alpha_minus=np.full(n, 0.5),
-        eta_plus=np.full(n, 2.0 * config.gamma_init),
-        eta_minus=np.full(n, 2.0 * config.gamma_init),
     )
 
 
@@ -281,8 +281,7 @@ def signal_power_ladder(spec):
     """A-priori per-component second moments of the signals z_0 .. z_L.
 
     The predictor's initial pass over the network's own law; used to detect
-    runaway estimates.  The affine layers of ``spec`` should carry their
-    factors (as the bank's do), or each is factorized here.
+    runaway estimates.
     """
     from .state_evolution import NetworkLaw, se_initial_pass  # it imports this module
 

@@ -394,7 +394,8 @@ def run_trials(config, calibration=None, law=None, workers=None):
     Trial seeds derive from the master seed; aggregation is keyed by trial
     index so the result is independent of completion order.
     """
-    n_workers = workers if workers is not None else worker_count()
+    # a fork pool starts all its workers at once: no more than the jobs
+    n_workers = min(workers if workers is not None else worker_count(), config.trials + 1)
     recipe = config.recipe
     if calibration is None:
         calibration = calibrate_recipe(recipe, config.master_seed)

@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dgeqrf, dorgqr, dormqr
 from scipy.special import expit
 
 from .errors import (
-    DegenerateModelError, InvalidModelError, MlvampError, NumericFailureError, check_count,
+    DegenerateModelError, InvalidModelError, MlvampError, NumericFailureError, check_count, check_real,
 )
 from .seeding import substream
 
@@ -93,6 +93,8 @@ class SvdFactors:
         n_out = self.left_orthogonal.shape[0]
         n_in = self.right_orthogonal.shape[1]
         k = min(n_out, n_in)
+        if k < 1:
+            raise InvalidModelError("an affine layer needs positive dimensions")
         if self.singular_values.shape != (k,):
             raise InvalidModelError("need min(n_out, n_in) singular values")
         if self.left_orthogonal.shape != (n_out, k):
@@ -141,8 +143,10 @@ class LinearLayerSpec:
     """Affine layer ``z_out = weight @ z_in + bias + noise``.
 
     ``noise_precision`` is the inverse variance of the additive Gaussian
-    noise; ``NOISELESS`` (infinity) means the map is exact.  A package-made
-    layer holds only its ``factors`` and builds ``weight`` from them when read.
+    noise; ``NOISELESS`` (infinity) means the map is exact.  Every layer
+    carries its compact ``factors``: a package-made layer holds only them and
+    builds ``weight`` when read; one made from a dense ``weight`` (as a loaded
+    network's are) keeps it, factored by one checked SVD at construction.
     """
 
     weight: np.ndarray | None = _Weight()
@@ -154,10 +158,10 @@ class LinearLayerSpec:
         w = self.__dict__["_weight"]
         b = np.asarray(self.bias, dtype=float)
         object.__setattr__(self, "bias", b)
-        if w is None and self.factors is None:
+        if w is not None and self.factors is None:
+            object.__setattr__(self, "factors", _svd_factors(w, b))
+        if self.factors is None:
             raise InvalidModelError("an affine layer needs a weight or its factors")
-        if w is not None and (w.ndim != 2 or not np.all(np.isfinite(w))):
-            raise InvalidModelError("weight must be a matrix of finite entries")
         if b.shape != (self.out_dim,) or not np.all(np.isfinite(b)):
             raise InvalidModelError("bias must hold out_dim finite entries")
         if not (self.noise_precision > 0):
@@ -165,15 +169,31 @@ class LinearLayerSpec:
 
     @property
     def out_dim(self):
-        return self.factors.out_dim if self.factors is not None else self.weight.shape[0]
+        return self.factors.out_dim
 
     @property
     def in_dim(self):
-        return self.factors.in_dim if self.factors is not None else self.weight.shape[1]
+        return self.factors.in_dim
 
     @property
     def kind(self):
         return "linear"
+
+
+def _svd_factors(weight, bias):
+    """The compact SVD of a dense weight, checked against it."""
+    if weight.ndim != 2 or not np.all(np.isfinite(weight)):
+        raise InvalidModelError("weight must be a matrix of finite entries")
+    try:
+        u, s, vt = np.linalg.svd(weight, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"SVD failed for a {weight.shape} layer") from exc
+    factors = SvdFactors(left_orthogonal=u, singular_values=s, right_orthogonal=vt, bias=bias)
+    scale = max(np.max(np.abs(weight)), 1e-300)
+    err = np.max(np.abs(factors.to_weight() - weight))
+    if err > RECONSTRUCTION_TOL * scale:
+        raise NumericFailureError(f"SVD reconstruction error {err:.3e} exceeds tolerance")
+    return factors
 
 
 @dataclass(frozen=True)
@@ -329,11 +349,10 @@ def geometric_singular_values(m, n, cond):
     ratio, ``s_max / s_min == cond`` and unit mean square
     (``sum(s^2) == min(m, n)``).
     """
-    if cond < 1:
-        raise InvalidModelError("condition number must be >= 1")
-    k = min(int(m), int(n))
-    if k < 1:
-        raise InvalidModelError("dimensions must be positive")
+    check_count("m", m, 1)
+    check_count("n", n, 1)
+    check_real("condition number", cond, 1.0)
+    k = min(m, n)
     if k == 1 or cond == 1:
         s = np.ones(k)
     else:
@@ -342,41 +361,10 @@ def geometric_singular_values(m, n, cond):
     return s * math.sqrt(k / np.sum(s * s))
 
 
-def svd_factorize(layer):
-    """Return the orthogonal factorization of an affine layer.
-
-    Layers built synthetically from factors carry them already and the
-    decomposition is bypassed; otherwise a compact SVD is computed once and
-    validated against the stored weight.
-    """
-    if layer.factors is not None:
-        return layer.factors
-    try:
-        u, s, vt = np.linalg.svd(layer.weight, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"SVD failed for a {layer.weight.shape} layer") from exc
-    factors = SvdFactors(left_orthogonal=u, singular_values=s, right_orthogonal=vt, bias=layer.bias)
-    scale = max(np.max(np.abs(layer.weight)), 1e-300)
-    err = np.max(np.abs(factors.to_weight() - layer.weight))
-    if err > RECONSTRUCTION_TOL * scale:
-        raise NumericFailureError(f"SVD reconstruction error {err:.3e} exceeds tolerance")
-    return factors
-
-
 def linear_layer_from_factors(left, singular_values, right, bias, noise_precision):
-    """Build an affine layer directly from prescribed orthogonal factors.
-
-    The factors may be compact (see ``SvdFactors``) or square; a square factor
-    wider than the range is checked whole, then cut to the range.
-    """
+    """Build an affine layer directly from its compact factors (see ``SvdFactors``)."""
     left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
     s = np.asarray(singular_values, dtype=float)
-    if left.ndim == 2 and left.shape[0] == left.shape[1] > s.size:
-        _check_orthonormal(left)
-        left = left[:, : s.size].copy()
-    if right.ndim == 2 and right.shape[0] == right.shape[1] > s.size:
-        _check_orthonormal(right)
-        right = right[: s.size].copy()
     bias = np.asarray(bias, dtype=float)
     factors = SvdFactors(left_orthogonal=left, singular_values=s, right_orthogonal=right, bias=bias)
     return LinearLayerSpec(bias=bias, noise_precision=noise_precision, factors=factors)
@@ -392,11 +380,9 @@ def forward_generate(spec, seed):
     for ell, layer in enumerate(spec.layers, start=1):
         rng = substream(seed, ell)
         x = signals[-1]
-        if layer.kind == "linear" and layer.factors is not None:
+        if layer.kind == "linear":
             f = layer.factors
             z = f.left_orthogonal @ (f.singular_values * (f.right_orthogonal @ x)) + layer.bias
-        elif layer.kind == "linear":
-            z = layer.weight @ x + layer.bias
         else:
             z = apply_activation(layer.activation, x)
         if math.isfinite(layer.noise_precision):

@@ -46,7 +46,7 @@ from scipy.special import ndtr
 from . import denoisers as dn
 from .engine import ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, clip_alpha, sweep
 from .errors import check_count, check_real
-from .model import apply_activation, svd_factorize, zero_pad
+from .model import apply_activation, zero_pad
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ class NetworkLaw:
         laws = []
         for ell, layer in enumerate(spec.layers, start=1):
             if layer.kind == "linear":
-                f = svd_factorize(layer)
+                f = layer.factors
                 laws.append(
                     LinearLaw(
                         singular_values=f.singular_values.copy(),
@@ -510,12 +510,7 @@ def run_se(law, config):
     n = law.num_layers  # hidden signals 0 .. n-1
     tau0, mu = se_initial_pass(law)
     state = SEState(
-        gamma_minus=np.full(n, float(config.gamma_init)),
-        gamma_plus=np.full(n, float(config.gamma_init)),
-        alpha_plus=np.full(n, np.nan),
-        alpha_minus=np.full(n, np.nan),
-        eta_plus=np.full(n, np.nan),
-        eta_minus=np.full(n, np.nan),
+        **Precisions.start(n, config.gamma_init),
         # prior messages are zero, so the plus error is minus the truth
         K_plus=np.array([[[t, -t], [-t, t]] for t in tau0[:n]]),
         tau_minus=tau0[:n].copy(),

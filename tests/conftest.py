@@ -23,6 +23,13 @@ def haar(n, seed):
     return sample_haar_orthogonal(n, substream(seed, 0x0A17))
 
 
+def layer_from_square_factors(left, s, right, bias, noise_precision):
+    """``linear_layer_from_factors`` on square orthogonal factors (such as
+    ``haar`` draws), cut to their first ``s.size`` columns and rows."""
+    k = s.size
+    return linear_layer_from_factors(left[:, :k].copy(), s, right[:k].copy(), bias, noise_precision)
+
+
 def both_sides(rule, *args):
     """``(zhat_plus, zhat_minus, d_plus, d_minus)`` of a one-side scalar pair rule
     (``scalar_pair_mmse`` or ``scalar_pair_map``), asked once for each side."""
@@ -94,7 +101,7 @@ def make_gaussian_chain(dims, noise_precisions, conds=None, seed=0, bias_scale=0
         else:
             s = geometric_singular_values(n_out, n_in, conds[i])
         bias = rng.normal(0.0, bias_scale, n_out)
-        layers.append(linear_layer_from_factors(left, s, right, bias, noise_precisions[i]))
+        layers.append(layer_from_square_factors(left, s, right, bias, noise_precisions[i]))
     return network_from_layers(tuple(layers))
 
 
@@ -151,7 +158,7 @@ def make_relu_network(dims, rho, nu_lin, nu_act, nu_meas, seed=0, cond=3.0, bias
         mu_b = 0.0 if last else sigma_pre * ndtri(rho)
         bias = rng.normal(mu_b, bias_std, n_out)
         layers.append(
-            linear_layer_from_factors(left, s, right, bias, nu_meas if last else nu_lin)
+            layer_from_square_factors(left, s, right, bias, nu_meas if last else nu_lin)
         )
         if not last:
             layers.append(NonlinearLayerSpec("relu", noise_precision=nu_act))

@@ -21,6 +21,7 @@ from conftest import (
     divergence_finite_difference,
     exact_gaussian_posterior,
     haar,
+    layer_from_square_factors,
     make_gaussian_chain,
     make_relu_network,
 )
@@ -258,9 +259,9 @@ class TestCriterion7DivergenceCorrectness:
                 worst = max(worst, abs(float(np.mean(dp)) - fd_p), abs(float(np.mean(dmn)) - fd_m))
         # the affine pair and the input estimator
         from mlvamp.denoisers import BeliefParams, input_denoiser, linear_pair
-        from mlvamp.model import geometric_singular_values, linear_layer_from_factors
+        from mlvamp.model import geometric_singular_values
 
-        layer = linear_layer_from_factors(
+        layer = layer_from_square_factors(
             haar(25, 1),
             geometric_singular_values(25, 20, 4.0),
             haar(20, 2),

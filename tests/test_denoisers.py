@@ -28,11 +28,12 @@ from mlvamp.model import (
     NOISELESS,
     LinearLayerSpec,
     NonlinearLayerSpec,
-    svd_factorize,
     zero_pad,
 )
 import four_field_rules
-from conftest import both_sides, divergence_finite_difference, haar, scalar_belief_cost
+from conftest import (
+    both_sides, divergence_finite_difference, haar, layer_from_square_factors, scalar_belief_cost,
+)
 
 GAMMAS = st.floats(min_value=0.05, max_value=20.0)
 RS = st.floats(min_value=-4.0, max_value=4.0)
@@ -134,19 +135,18 @@ class TestInputDenoiser:
 
 class TestLinearPair:
     def _factors(self, n_out, n_in, seed, cond=3.0):
-        from mlvamp.model import geometric_singular_values, linear_layer_from_factors
+        from mlvamp.model import geometric_singular_values
 
         u = haar(n_out, seed)
         v = haar(n_in, seed + 1)
         s = geometric_singular_values(n_out, n_in, cond)
         rng = np.random.default_rng(seed)
-        layer = linear_layer_from_factors(u, s, v, rng.normal(0, 0.3, n_out), 2.0)
+        layer = layer_from_square_factors(u, s, v, rng.normal(0, 0.3, n_out), 2.0)
         return layer
 
     def test_zero_inputs_give_zero(self):
         # with zero pseudo-observations and zero bias every output is zero
-        layer = self._factors(6, 4, 10)
-        f = svd_factorize(layer)
+        f = self._factors(6, 4, 10).factors
         zero_bias = type(f)(
             left_orthogonal=f.left_orthogonal,
             singular_values=f.singular_values,
@@ -322,14 +322,14 @@ class TestCompactFactors:
     @pytest.mark.parametrize("shape", [(50, 20), (20, 50), (784, 100), (100, 784)])
     @pytest.mark.parametrize("nu", [NOISELESS, 2.0])
     def test_pair_and_output_match_the_square_basis(self, shape, nu):
-        from mlvamp.model import geometric_singular_values, linear_layer_from_factors
+        from mlvamp.model import geometric_singular_values
 
         n_out, n_in = shape
         rng = np.random.default_rng(n_out + n_in)
         u, v = haar(n_out, 30), haar(n_in, 31)
         s = geometric_singular_values(n_out, n_in, 5.0)
         bias = rng.normal(0.4, 0.3, n_out)
-        f = linear_layer_from_factors(u, s, v, bias, nu).factors
+        f = layer_from_square_factors(u, s, v, bias, nu).factors
         assert f.left_orthogonal.shape == (n_out, s.size)
         assert f.right_orthogonal.shape == (s.size, n_in)
         params = BeliefParams(rng.standard_normal(n_out), rng.standard_normal(n_in), 1.3, 0.6)
@@ -707,13 +707,13 @@ class TestDivergences:
         assert fd_p == 0.0 and fd_m == 0.0
 
     def test_linear_pair_divergence(self):
-        from mlvamp.model import geometric_singular_values, linear_layer_from_factors
+        from mlvamp.model import geometric_singular_values
 
         u = haar(8, 5)
         v = haar(6, 6)
         s = geometric_singular_values(8, 6, 4.0)
         rng = np.random.default_rng(7)
-        layer = linear_layer_from_factors(u, s, v, rng.normal(0, 0.3, 8), 2.0)
+        layer = layer_from_square_factors(u, s, v, rng.normal(0, 0.3, 8), 2.0)
         f = layer.factors
         gm, gp = 1.3, 0.6
 
@@ -750,7 +750,7 @@ class TestOutputDenoisers:
         keep = np.array([1.0, 0.0, 1.0, 0.0])
         w = np.diag(keep)[keep > -1]  # full 4x4 diag with zero rows
         layer = LinearLayerSpec(weight=np.diag(keep), bias=np.zeros(4), noise_precision=2.0)
-        f = svd_factorize(layer)
+        f = layer.factors
         rng = np.random.default_rng(9)
         r_plus = rng.standard_normal(4)
         y = np.array([0.7, 0.0, -0.3, 0.0])

@@ -29,7 +29,9 @@ from mlvamp.model import (
     forward_generate,
     linear_layer_from_factors,
 )
-from conftest import exact_gaussian_posterior, haar, make_gaussian_chain, make_relu_network
+from conftest import (
+    exact_gaussian_posterior, haar, layer_from_square_factors, make_gaussian_chain, make_relu_network,
+)
 
 
 class TestInitialize:
@@ -43,6 +45,11 @@ class TestInitialize:
         spec = make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=1)
         state = initialize(spec, EngineConfig(gamma_init=1.0))
         np.testing.assert_array_equal(state.gamma_minus, 1.0)
+
+    def test_the_bank_holds_the_callers_network(self):
+        # every affine layer carries its factors, so the bank copies nothing
+        spec = make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=1)
+        assert build_denoiser_bank(spec, np.zeros(5), "mmse").spec is spec
 
     def test_determinism(self):
         spec = make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=1)
@@ -145,7 +152,6 @@ class TestUpdateArithmetic:
         # A square affine layer with equal precisions on both sides has the
         # same mean derivative in both directions.
         from mlvamp.denoisers import BeliefParams, linear_pair
-        from mlvamp.model import svd_factorize
 
         rng = np.random.default_rng(5)
         left = haar(7, 50)
@@ -215,7 +221,7 @@ class TestRotationCache:
 
     def test_a_replaced_message_is_rotated_afresh(self):
         rng = np.random.default_rng(9)
-        factors = linear_layer_from_factors(
+        factors = layer_from_square_factors(
             haar(6, 1), np.ones(5), haar(5, 2), np.zeros(6), 1.0
         ).factors
         rotate = engine.Rotations()

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import asdict, replace
 from functools import partial
 
@@ -214,16 +215,16 @@ class TestFactoredLayers:
     """A package-made affine layer keeps only its compact factors and bias."""
 
     def test_signals_match_the_dense_product(self, paper_network):
-        dense = replace(paper_network, layers=tuple(
-            model.LinearLayerSpec(
-                weight=layer.weight, bias=layer.bias, noise_precision=layer.noise_precision
-            )
-            if layer.kind == "linear" else layer
-            for layer in paper_network.layers
-        ))
-        factored, reference = forward_generate(paper_network, 11), forward_generate(dense, 11)
-        for z, ref in zip(factored.signals, reference.signals):
-            assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+        # each affine signal against the dense weight applied to its input,
+        # with the same noise draw
+        signals = forward_generate(paper_network, 11).signals
+        for ell, layer in enumerate(paper_network.layers, start=1):
+            if layer.kind == "linear":
+                ref = layer.weight @ signals[ell - 1] + layer.bias
+                if math.isfinite(layer.noise_precision):
+                    ref += substream(11, ell).standard_normal(ref.size) / math.sqrt(
+                        layer.noise_precision)
+                assert np.linalg.norm(signals[ell] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_weight_is_the_product_of_the_factors(self, paper_network):
         for layer in paper_network.layers[::2]:
@@ -276,6 +277,34 @@ class TestTrials:
         )
         res2 = run_trials(cfg, workers=2)
         np.testing.assert_array_equal(small_result.nmse_stack(), res2.nmse_stack())
+
+    def test_the_pool_starts_no_more_workers_than_jobs(self, monkeypatch):
+        # a fork pool starts all its workers at once; this stand-in runs each
+        # job inline and records the size it was asked for
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("MLVAMP_THREADS", "6")
+        cfg = ExperimentConfig(
+            recipe=SMALL_RECIPE, engine=FAST_ENGINE, trials=2, master_seed=7, experiment_id="t"
+        )
+        run_trials(cfg)
+        assert sizes == [3]  # two trials and the predictor
 
     def test_a_failing_predictor_cancels_the_queued_trials(self, monkeypatch, tmp_path):
         # pool workers are forked after the patch, so they run the stand-ins

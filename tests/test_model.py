@@ -28,10 +28,9 @@ from mlvamp.model import (
     network_from_json,
     network_to_json,
     sample_haar_orthogonal,
-    svd_factorize,
 )
 from mlvamp.seeding import substream
-from conftest import haar, network_from_layers
+from conftest import haar, layer_from_square_factors, network_from_layers
 
 
 class TestHaarSampling:
@@ -199,6 +198,20 @@ class TestGeometricSingularValues:
         with pytest.raises(InvalidModelError):
             geometric_singular_values(4, 4, 0.5)
 
+    @pytest.mark.parametrize("m, n, cond", [
+        (0, 4, 2.0), (4, 0, 2.0), (4.7, 4, 2.0), (4, True, 2.0), (4, "4", 2.0),
+        (4, 4, math.nan), (4, 4, math.inf), (4, 4, True), (4, 4, "2"),
+    ])
+    def test_invalid_arguments_are_rejected(self, m, n, cond):
+        with pytest.raises(InvalidModelError):
+            geometric_singular_values(m, n, cond)
+
+    def test_numpy_integer_sizes_are_counts(self):
+        np.testing.assert_array_equal(
+            geometric_singular_values(np.int64(5), np.int32(3), 2.0),
+            geometric_singular_values(5, 3, 2.0),
+        )
+
     @given(
         m=st.integers(min_value=1, max_value=40),
         n=st.integers(min_value=1, max_value=40),
@@ -215,31 +228,44 @@ class TestGeometricSingularValues:
 class TestSvdFactorization:
     def test_identity(self):
         layer = LinearLayerSpec(weight=np.eye(3), bias=np.zeros(3), noise_precision=1.0)
-        f = svd_factorize(layer)
+        f = layer.factors
         np.testing.assert_allclose(f.singular_values, np.ones(3))
 
     def test_diagonal(self):
         layer = LinearLayerSpec(
             weight=np.diag([3.0, 2.0, 1.0]), bias=np.zeros(3), noise_precision=1.0
         )
-        f = svd_factorize(layer)
+        f = layer.factors
         np.testing.assert_allclose(f.singular_values, [3.0, 2.0, 1.0])
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(42)
         w = rng.standard_normal((20, 50))
         layer = LinearLayerSpec(weight=w, bias=rng.standard_normal(20), noise_precision=2.0)
-        f = svd_factorize(layer)
+        f = layer.factors
         err = np.max(np.abs(f.to_weight() - w))
         assert err <= 1e-8 * np.max(np.abs(w))
 
-    def test_synthetic_layers_bypass_the_decomposition(self):
-        u = haar(4, 1)
-        v = haar(6, 2)
-        s = geometric_singular_values(4, 6, 2.0)
-        layer = linear_layer_from_factors(u, s, v, np.zeros(4), 1.0)
-        assert layer.factors is not None
-        assert svd_factorize(layer) is layer.factors
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)])
+    def test_a_dense_layer_carries_the_svd_of_its_weight(self, shape):
+        # factored once, at construction, and the weight itself is kept
+        w = np.random.default_rng(shape[0]).standard_normal(shape)
+        layer = LinearLayerSpec(weight=w, bias=np.ones(shape[0]), noise_precision=1.0)
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+        f = layer.factors
+        for got, want in ((f.left_orthogonal, u), (f.singular_values, s), (f.right_orthogonal, vt)):
+            np.testing.assert_array_equal(got, want)
+        assert layer.weight is w
+        assert (layer.out_dim, layer.in_dim) == shape
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_a_weight_with_an_empty_axis_is_rejected(self, shape):
+        with pytest.raises(InvalidModelError, match="positive dimensions"):
+            LinearLayerSpec(weight=np.zeros(shape), bias=np.zeros(shape[0]), noise_precision=1.0)
+        k = min(shape)
+        with pytest.raises(InvalidModelError, match="positive dimensions"):
+            linear_layer_from_factors(np.zeros((shape[0], k)), np.zeros(k),
+                                      np.zeros((k, shape[1])), np.zeros(shape[0]), 1.0)
 
     @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)])
     def test_zero_padding_reproduces_the_affine_map(self, shape):
@@ -248,7 +274,7 @@ class TestSvdFactorization:
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         w = rng.standard_normal(shape)
         b = rng.standard_normal(shape[0])
-        f = svd_factorize(LinearLayerSpec(weight=w, bias=b, noise_precision=1.0))
+        f = LinearLayerSpec(weight=w, bias=b, noise_precision=1.0).factors
         for _ in range(5):
             z = rng.standard_normal(shape[1])
             out = w @ z + b
@@ -258,16 +284,6 @@ class TestSvdFactorization:
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
             null = out - f.left_orthogonal @ rhs
             assert np.max(np.abs(null - (b - f.left_orthogonal @ f.transformed_bias))) <= 1e-8 * scale
-
-    @pytest.mark.parametrize("n", [4, 784])
-    def test_a_factor_bent_off_orthogonal_is_rejected(self, n):
-        u, v = haar(n, 1), haar(6, 2)
-        s = geometric_singular_values(n, 6, 2.0)
-        linear_layer_from_factors(u, s, v, np.ones(n), 1.0)
-        bent = u.copy()
-        bent[n // 2, n // 3] += 1e-6
-        with pytest.raises(InvalidModelError, match="not orthogonal"):
-            linear_layer_from_factors(bent, s, v, np.ones(n), 1.0)
 
     @pytest.mark.parametrize("n", [4, 784])
     def test_a_bent_compact_factor_is_rejected(self, n):
@@ -312,7 +328,7 @@ class TestSvdFactorization:
         n_out, n_in = shape
         s = geometric_singular_values(n_out, n_in, 10.0)
         u, v = haar(n_out, 3), haar(n_in, 4)
-        f = linear_layer_from_factors(u, s, v, np.zeros(n_out), 1.0).factors
+        f = layer_from_square_factors(u, s, v, np.zeros(n_out), 1.0).factors
         smat = np.zeros(shape)
         smat[: s.size, : s.size] = np.diag(s)
         np.testing.assert_array_equal(f.to_weight(), u @ smat @ v)
