@@ -249,7 +249,7 @@ def cli_main(argv=None):
     except (DivergedIterationError, NumericFailureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (MlvampError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (MlvampError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,16 +96,6 @@ def _norm_logpdf(x):
     return -0.5 * x * x - _LOG_SQRT_2PI
 
 
-def _trunc_lower_moments(mu, sigma, cut=0.0, log_mass=None):
-    """Mean and variance of N(mu, sigma^2) conditioned on exceeding ``cut``.
-
-    ``log_mass`` is the log-probability of the condition,
-    ``log_ndtr((mu - cut) / sigma)``, when the caller has it.
-    """
-    z = -((cut - mu) / sigma)
-    return _moments_above(mu, sigma, z, log_ndtr(z) if log_mass is None else log_mass)
-
-
 def _moments_above(mu, sigma, z, log_mass):
     """Mean and variance of N(mu, sigma^2) above the cut ``z`` standard
     deviations below ``mu``, whose log-mass ``log_ndtr(z)`` is ``log_mass``.
@@ -119,29 +109,14 @@ def _moments_above(mu, sigma, z, log_mass):
     return mean, var
 
 
-def _trunc_upper_moments(mu, sigma, cut=0.0, log_mass=None):
-    """Mean and variance of N(mu, sigma^2) conditioned on staying below ``cut``.
-
-    ``log_mass`` is ``log_ndtr((cut - mu) / sigma)``, when the caller has it.
-    """
-    mean, var = _trunc_lower_moments(-np.asarray(mu, dtype=float), sigma, -cut, log_mass)
-    return -mean, var
-
-
-def _branch_weights(log_a, log_b):
-    """Normalized (w_a, w_b) from log-masses, stable under large gaps.
+def _branch_weight(log_a, log_b):
+    """Normalized weight ``w_a`` of branch a from the log-masses, stable under large gaps.
 
     ``w_a = 1 / (1 + exp(log_b - log_a))`` with numpy's ``exp``.  Where the
     ``exp`` overflows, ``w_a`` is 0, as ``expit(log_a - log_b)`` gives;
     elsewhere the two agree to 4 ulp.  On large gaps it costs about 60% of
     ``expit``.
     """
-    wa = _branch_weight(log_a, log_b)
-    return wa, 1.0 - wa
-
-
-def _branch_weight(log_a, log_b):
-    """``w_a`` of :func:`_branch_weights` alone."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(log_b - log_a))
 
@@ -196,7 +171,8 @@ def _sign_stats(r_out, r_in, g_out, g_in, forward):
     log_pos_mass, log_neg_mass = log_ndtr(z), log_ndtr(-z)
     log_pos = -0.5 * g_out * (1.0 - r_out) ** 2 + log_pos_mass
     log_neg = -0.5 * g_out * (1.0 + r_out) ** 2 + log_neg_mass
-    w_pos, w_neg = _branch_weights(log_pos, log_neg)
+    w_pos = _branch_weight(log_pos, log_neg)
+    w_neg = 1.0 - w_pos
     if forward:  # phi(x) is +1 or -1
         ephi = w_pos - w_neg
         return ephi, np.minimum(np.maximum(1.0 - ephi**2, 0.0), 1.0)
@@ -220,18 +196,17 @@ def _sigmoid_cost(x, r_out, r_in, g_out, g_in):
     return 0.5 * g_out * (expit(x) - r_out) ** 2 + 0.5 * g_in * (x - r_in) ** 2
 
 
-def _sigmoid_mode(r_out, r_in, g_out, g_in, start=None, iters=100):
-    """Componentwise local mode of the sigmoid-channel belief.
+def _sigmoid_mode(r_out, r_in, g_out, g_in, start):
+    """Componentwise local mode of the sigmoid-channel belief, from ``start``.
 
-    Safeguarded Newton: steps that fail to decrease the cost are halved
-    (handles basins without an interior minimum, where plain damped Newton
-    can cycle).
+    Safeguarded Newton, at most 100 steps: steps that fail to decrease the
+    cost are halved (handles basins without an interior minimum, where plain
+    damped Newton can cycle).
     """
-    base = np.broadcast_arrays(np.asarray(r_out, float), np.asarray(r_in, float))[1]
-    x = np.array(base if start is None else np.broadcast_to(start, base.shape), dtype=float)
+    x = np.array(np.broadcast_to(start, np.broadcast(r_out, r_in).shape), dtype=float)
     floor = 0.25 * g_in
     cost = _sigmoid_cost(x, r_out, r_in, g_out, g_in)
-    for _ in range(iters):
+    for _ in range(100):
         _, _, grad, curv = _sigmoid_cost_derivs(x, r_out, r_in, g_out, g_in)
         step = np.clip(grad / np.maximum(curv, floor), -8.0, 8.0)
         for _ in range(25):
@@ -252,8 +227,8 @@ def _sigmoid_basins(r_out, r_in, g_out, g_in):
     """Local modes found from both candidate basins (prior and channel)."""
     clipped = np.clip(r_out, 1e-6, 1.0 - 1e-6)
     channel_start = np.log(clipped) - np.log1p(-clipped)
-    x_a = _sigmoid_mode(r_out, r_in, g_out, g_in, start=r_in)
-    x_b = _sigmoid_mode(r_out, r_in, g_out, g_in, start=channel_start)
+    x_a = _sigmoid_mode(r_out, r_in, g_out, g_in, r_in)
+    x_b = _sigmoid_mode(r_out, r_in, g_out, g_in, channel_start)
     return x_a, x_b
 
 
@@ -582,33 +557,33 @@ def separable_output_fields(r_plus, gamma_plus, y, activation, noise_precision, 
     r_plus = np.asarray(r_plus, float)
     y = np.asarray(y, float)
     if math.isfinite(noise_precision):
-        return scalar_pair(
-            mode, activation, math.inf, y, r_plus, noise_precision, gamma_plus, False
-        )
+        return scalar_pair(mode, activation, math.inf, y, r_plus, noise_precision, gamma_plus, False)
 
-    act = activation
-    if act == "identity":
+    sd = 1.0 / math.sqrt(gamma_plus)
+    if activation == "identity":
         zm = y.copy()
         dm = np.zeros_like(y)
-    elif act == "relu":
+    elif activation == "relu":
         if np.any(y < 0):
             raise NumericFailureError("negative observation is infeasible for a relu channel")
         on = y > 0
-        if mode == "mmse":
-            e_neg, v_neg = _trunc_upper_moments(r_plus, 1.0 / math.sqrt(gamma_plus), 0.0)
-            zm = np.where(on, y, e_neg)
+        if mode == "mmse":  # where y = 0 the input is below 0: its moments are -x's above 0
+            z = -(r_plus / sd)
+            e_neg, v_neg = _moments_above(-r_plus, sd, z, log_ndtr(z))
+            zm = np.where(on, y, -e_neg)
             dm = np.where(on, 0.0, gamma_plus * v_neg)
         else:
             zm = np.where(on, y, np.minimum(r_plus, 0.0))
             dm = np.where(on, 0.0, (r_plus < 0.0).astype(float))
-    elif act == "sign":
+    elif activation == "sign":
         if not np.all(np.abs(y) == 1.0):
             raise NumericFailureError("sign-channel observations must be +/-1")
         pos = y > 0
         if mode == "mmse":
-            e_pos, v_pos = _trunc_lower_moments(r_plus, 1.0 / math.sqrt(gamma_plus), 0.0)
-            e_neg, v_neg = _trunc_upper_moments(r_plus, 1.0 / math.sqrt(gamma_plus), 0.0)
-            zm = np.where(pos, e_pos, e_neg)
+            z = r_plus / sd
+            e_pos, v_pos = _moments_above(r_plus, sd, z, log_ndtr(z))
+            e_neg, v_neg = _moments_above(-r_plus, sd, -z, log_ndtr(-z))
+            zm = np.where(pos, e_pos, -e_neg)
             dm = gamma_plus * np.where(pos, v_pos, v_neg)
         else:
             zm = np.where(pos, np.maximum(r_plus, 0.0), np.minimum(r_plus, 0.0))
@@ -616,14 +591,6 @@ def separable_output_fields(r_plus, gamma_plus, y, activation, noise_precision, 
     else:
         raise InvalidModelError("deterministic sigmoid measurements are not invertible here")
     return zm, dm
-
-
-def output_separable(r_plus, gamma_plus, y, layer, mode):
-    """Estimate of the last hidden signal under a separable measurement of it."""
-    zm, dm = separable_output_fields(
-        r_plus, gamma_plus, y, layer.activation, layer.noise_precision, mode
-    )
-    return zm, _mean(dm)
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,10 @@ def _output_estimate(state, bank, iteration):
             return dn.output_linear(
                 r_plus, gamma_plus, bank.y, layer.factors, layer.noise_precision, rotate=bank.rotate
             )
-        return dn.output_separable(r_plus, gamma_plus, bank.y, layer, bank.mode)
+        zm, dm = dn.separable_output_fields(
+            r_plus, gamma_plus, bank.y, layer.activation, layer.noise_precision, bank.mode
+        )
+        return zm, dn._mean(dm)
     except NumericFailureError as exc:
         raise DivergedIterationError(str(exc), layer=last, iteration=iteration) from exc
 
@@ -576,12 +579,13 @@ def fixed_point_report(state, spec, y, mode):
     )
 
 
-def map_stationarity(spec, y, zs, kink_tol=1e-12):
+def map_stationarity(spec, y, zs):
     """Relative gradient norm of the joint negative log-density at ``zs``.
 
     All layer conditionals must have finite noise precision so the
-    objective is differentiable; at relu kinks the subgradient element of
-    least magnitude is selected (zero whenever the interval contains it).
+    objective is differentiable; at relu kinks (``|x| <= 1e-12``) the
+    subgradient element of least magnitude is selected (zero whenever the
+    interval contains it).
     """
     grads = [np.zeros_like(z) for z in zs]
     contribs = [_norm(zs[0])]
@@ -608,7 +612,7 @@ def map_stationarity(spec, y, zs, kink_tol=1e-12):
                 contribs.append(_norm(nu * resid))
             slope = activation_slope(layer.activation, x)
             if layer.activation == "relu":
-                at_kink = np.abs(x) <= kink_tol
+                at_kink = np.abs(x) <= 1e-12
                 slope = np.where(at_kink, 0.0, slope)
                 if np.any(at_kink):
                     kinks.append((ell - 1, at_kink, -nu * resid))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg.lapack import dgesdd, dgesdd_lwork
 from scipy.special import ndtri
 
-from .engine import EngineConfig, nmse_db, run
+from .engine import EngineConfig, run
 from .errors import (
     DivergedIterationError, InvalidModelError, NumericFailureError, UndefinedMetricError,
     check_count, check_real,
@@ -564,11 +564,11 @@ def compare_rows(empirical_rows, se_rows_):
     return joined
 
 
-def max_abs_gap(joined, layer=None, min_half=1):
+def max_abs_gap(joined, layer=None):
     sel = [
         abs(r["gap_db"])
         for r in joined
-        if (layer is None or r["layer"] == layer) and r["half_iter"] >= min_half
+        if (layer is None or r["layer"] == layer) and r["half_iter"] >= 1
     ]
     return max(sel) if sel else math.nan
 

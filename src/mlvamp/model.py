@@ -146,7 +146,9 @@ class LinearLayerSpec:
     noise; ``NOISELESS`` (infinity) means the map is exact.  Every layer
     carries its compact ``factors``: a package-made layer holds only them and
     builds ``weight`` when read; one made from a dense ``weight`` (as a loaded
-    network's are) keeps it, factored by one checked SVD at construction.
+    network's are) keeps it, factored by one checked SVD at construction.  A
+    ``bias`` given with ``factors`` must equal theirs, and a ``weight`` must be
+    their product within ``RECONSTRUCTION_TOL``; one equal to it is not kept.
     """
 
     weight: np.ndarray | None = _Weight()
@@ -158,12 +160,18 @@ class LinearLayerSpec:
         w = self.__dict__["_weight"]
         b = np.asarray(self.bias, dtype=float)
         object.__setattr__(self, "bias", b)
-        if w is not None and self.factors is None:
-            object.__setattr__(self, "factors", _svd_factors(w, b))
         if self.factors is None:
-            raise InvalidModelError("an affine layer needs a weight or its factors")
-        if b.shape != (self.out_dim,) or not np.all(np.isfinite(b)):
-            raise InvalidModelError("bias must hold out_dim finite entries")
+            if w is None:
+                raise InvalidModelError("an affine layer needs a weight or its factors")
+            object.__setattr__(self, "factors", _svd_factors(w, b))
+        elif w is not None:  # beside its factors, as ``dataclasses.replace`` passes it
+            rebuilt = self.factors.to_weight()
+            if w.shape != rebuilt.shape or not _relative_gap(rebuilt, w) <= RECONSTRUCTION_TOL:
+                raise InvalidModelError("weight disagrees with the layer's factors")
+            if np.array_equal(w, rebuilt):
+                object.__setattr__(self, "weight", None)
+        if not np.array_equal(b, self.factors.bias):  # the factors check its shape and entries
+            raise InvalidModelError("bias disagrees with the layer's factors")
         if not (self.noise_precision > 0):
             raise InvalidModelError("noise_precision must be positive (or NOISELESS)")
 
@@ -189,11 +197,15 @@ def _svd_factors(weight, bias):
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"SVD failed for a {weight.shape} layer") from exc
     factors = SvdFactors(left_orthogonal=u, singular_values=s, right_orthogonal=vt, bias=bias)
-    scale = max(np.max(np.abs(weight)), 1e-300)
-    err = np.max(np.abs(factors.to_weight() - weight))
-    if err > RECONSTRUCTION_TOL * scale:
-        raise NumericFailureError(f"SVD reconstruction error {err:.3e} exceeds tolerance")
+    gap = _relative_gap(factors.to_weight(), weight)
+    if gap > RECONSTRUCTION_TOL:
+        raise NumericFailureError(f"relative SVD reconstruction error {gap:.3e} exceeds tolerance")
     return factors
+
+
+def _relative_gap(rebuilt, weight):
+    """``max|rebuilt - weight|`` over the largest ``|weight|``; NaN for a non-finite weight."""
+    return np.max(np.abs(rebuilt - weight)) / max(np.max(np.abs(weight)), 1e-300)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import denoisers as dn
-from .engine import ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, clip_alpha, sweep
+from .engine import ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, sweep
 from .errors import check_count, check_real
 from .model import apply_activation, zero_pad
 
@@ -415,7 +415,7 @@ def _grid(K, mu, tau_m, xi_var, order, kink=None):
     return p0, r_plus, t[2], xi, w
 
 
-def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip=clip_alpha):
+def _separable_step(layer, forward, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip):
     """Update at a separable layer: returns what the affine step returns.
 
     Forward, the estimate is of the output ``q0 = phi(p0) + xi`` from its
@@ -461,7 +461,7 @@ def _extrinsic_moments(w, truth, message, est, alpha, forward):
     return alpha, np.array([[dn._total(w_truth * truth), k01], [k01, k11]]), mse
 
 
-def _input_step(gm, tau_m, clip=clip_alpha):
+def _input_step(gm, tau_m, clip):
     """Forward update for the standard-normal input prior (exact algebra)."""
     slope = gm / (1.0 + gm)
     alpha = clip(slope)
@@ -479,7 +479,7 @@ def _input_step(gm, tau_m, clip=clip_alpha):
 # ---------------------------------------------------------------------------
 
 
-def se_forward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip=clip_alpha):
+def se_forward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip):
     """One forward update at layer ``ell`` (1-based): ``(alpha, K_new, mse_plus)``."""
     layer = law.layers[ell - 1]
     if layer.kind == "linear":
@@ -487,7 +487,7 @@ def se_forward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order,
     return _separable_step(layer, True, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip)
 
 
-def se_backward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip=clip_alpha):
+def se_backward_layer(law, ell, K_prev, mu_prev, tau_m, gm, gp_prev, mode, order, clip):
     """One backward update at layer ``ell`` (1-based): ``(alpha, tau_new, mse_minus)``.
 
     The measurement layer is observed exactly: it takes ``gm = inf`` and

@@ -17,7 +17,7 @@ from mlvamp.denoisers import (
     _MAP,
     _PANEL_OFFSETS,
     DEFAULT_QUAD_ORDER,
-    _branch_weights,
+    _branch_weight,
     _effective_channel,
     _norm_logpdf,
     _sigmoid_basins,
@@ -49,6 +49,11 @@ def _trunc_upper_moments(mu, sigma, cut=0.0, log_mass=None):
     mean, var = _trunc_lower_moments(-np.asarray(mu, dtype=float), sigma, -cut, log_mass)
     return -mean, var
 
+
+def _branch_weights(log_a, log_b):
+    """Normalized (w_a, w_b) from log-masses, stable under large gaps."""
+    wa = _branch_weight(log_a, log_b)
+    return wa, 1.0 - wa
 
 
 def _identity_stats(r_out, r_in, g_out, g_in):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mlvamp import denoisers as dn
+from mlvamp.engine import clip_alpha
 from mlvamp.errors import InvalidModelError
 from mlvamp.model import zero_pad
 from mlvamp.state_evolution import _separable_step, se_initial_pass
@@ -65,7 +66,9 @@ def _matched_mse(law, ell, forward, tau0, mu, gm, gp_prev, order):
             return float(np.mean(np.where(s > 0, 0.0, 1.0 / gp_prev)))
         return float(np.mean(1.0 / (gp_prev + nu * s * s)))
     K = _matched_K(tau0[ell - 1], gp_prev)
-    return _separable_step(layer, forward, K, mu[ell - 1], 1.0 / gm, gm, gp_prev, "mmse", order)[2]
+    return _separable_step(
+        layer, forward, K, mu[ell - 1], 1.0 / gm, gm, gp_prev, "mmse", order, clip_alpha
+    )[2]
 
 
 def matched_mmse_recursion(law, config):

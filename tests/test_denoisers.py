@@ -19,9 +19,9 @@ from mlvamp.denoisers import (
     map_pair_nonlinear,
     mmse_pair_nonlinear,
     output_linear,
-    output_separable,
     scalar_pair_map,
     scalar_pair_mmse,
+    separable_output_fields,
 )
 from mlvamp.errors import NumericFailureError
 from mlvamp.model import (
@@ -463,9 +463,9 @@ def two_pass_relu_stats(r_out, r_in, g_out, g_in):
         + log_ndtr(m_pos * math.sqrt(gt))
         - 0.5 * math.log(gt)
     )
-    w_pos, w_neg = dn._branch_weights(log_pos, log_neg)
-    e_neg, v_neg = dn._trunc_upper_moments(r_in, sig_in, 0.0)
-    e_pos, v_pos = dn._trunc_lower_moments(m_pos, 1.0 / math.sqrt(gt), 0.0)
+    w_pos, w_neg = four_field_rules._branch_weights(log_pos, log_neg)
+    e_neg, v_neg = four_field_rules._trunc_upper_moments(r_in, sig_in, 0.0)
+    e_pos, v_pos = four_field_rules._trunc_lower_moments(m_pos, 1.0 / math.sqrt(gt), 0.0)
     ex = w_neg * e_neg + w_pos * e_pos
     ex2 = w_neg * (v_neg + e_neg**2) + w_pos * (v_pos + e_pos**2)
     vx = np.clip(ex2 - ex**2, 0.0, None)
@@ -514,15 +514,15 @@ class TestSharedReluLogMass:
         self.assert_matches_two_passes(r_out, r_in, g_out, g_in)
 
     def test_the_positive_moments_keep_their_bits(self):
-        # the shared log-mass is the one the moments computed for themselves
+        # the shared log-mass is the one the textbook moments compute for themselves
         m, sig = np.linspace(-40.0, 40.0, 801), 1.0 / math.sqrt(7.3)
-        for got, want in zip(dn._trunc_lower_moments(m, sig, 0.0, log_ndtr(m / sig)),
-                             dn._trunc_lower_moments(m, sig, 0.0)):
-            np.testing.assert_array_equal(got, want)
+        for got, want in zip(dn._moments_above(m, sig, m / sig, log_ndtr(m / sig)),
+                             four_field_rules._trunc_lower_moments(m, sig, 0.0)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBranchWeights:
-    """``_branch_weights`` forms ``1 / (1 + exp(log_b - log_a))`` with numpy's
+    """``_branch_weight`` forms ``1 / (1 + exp(log_b - log_a))`` with numpy's
     ``exp``; ``expit(log_a - log_b)`` is the reference."""
 
     def test_matches_expit(self):
@@ -533,13 +533,12 @@ class TestBranchWeights:
         want = expit(gap)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w_a, w_b = dn._branch_weights(gap, 0.0)
+            w_a = dn._branch_weight(gap, 0.0)
         finite = np.isfinite(want)
         assert np.all(np.abs(w_a - want)[finite] <= 4 * np.spacing(want[finite]))
         for exact in (0.0, 1.0):
             assert np.all(w_a[want == exact] == exact)
         np.testing.assert_array_equal(np.isnan(w_a), np.isnan(want))
-        np.testing.assert_array_equal(w_b, 1.0 - w_a)
 
 
 class TestOneSideRules:
@@ -731,17 +730,53 @@ class TestDivergences:
         assert linear_pair(params, f, 2.0, False)[1] == pytest.approx(fd_m, abs=1e-7)
 
 
+class TestObservedSeparableOutput:
+    """``separable_output_fields`` on an exactly observed relu or sign output
+    keeps the bits of the textbook truncated moments (``four_field_rules``)."""
+
+    R_PLUS = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, -40.0, 40.0],
+                             np.linspace(-40.0, 40.0, 161),
+                             3.0 * np.random.default_rng(7).standard_normal(200)])
+
+    @staticmethod
+    def want(activation, mode, r, gp, y):
+        sd = 1.0 / math.sqrt(gp)
+        if mode == "mmse":  # the posterior moments on each side of 0, variances scaled by gp
+            (e_pos, v_pos), (e_neg, v_neg) = (four_field_rules._trunc_lower_moments(r, sd),
+                                              four_field_rules._trunc_upper_moments(r, sd))
+            pos, neg = (e_pos, gp * v_pos), (e_neg, gp * v_neg)
+        else:  # each side's maximizer and its slope
+            pos = np.maximum(r, 0.0), (r > 0.0).astype(float)
+            neg = np.minimum(r, 0.0), (r < 0.0).astype(float)
+        if activation == "relu":  # y > 0 reveals the input, y = 0 puts it below 0
+            pos = y, np.zeros_like(y)
+        up = y > 0
+        return np.where(up, pos[0], neg[0]), np.where(up, pos[1], neg[1])
+
+    @pytest.mark.parametrize("gp", [1e-10, 1e-3, 0.37, 1.0, 7.3, 1e3, 1e10])
+    @pytest.mark.parametrize("mode", ["mmse", "map"])
+    @pytest.mark.parametrize("activation", ["relu", "sign"])
+    def test_fields_keep_their_bits(self, activation, mode, gp):
+        r = self.R_PLUS
+        up = np.arange(r.size) % 3 == 0
+        for mask in (up, ~up):  # each special input on both sides
+            y = np.where(mask, 1.5, 0.0) if activation == "relu" else np.where(mask, 1.0, -1.0)
+            got = separable_output_fields(r, gp, y, activation, NOISELESS, mode)
+            for g, w in zip(got, self.want(activation, mode, r, gp, y)):
+                np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
 class TestOutputDenoisers:
     def test_exact_identity_observation(self):
-        layer = NonlinearLayerSpec("identity", noise_precision=NOISELESS)
         y = np.array([0.3, -1.2])
-        zhat, _ = output_separable(np.array([5.0, 5.0]), 1e-9, y, layer, "mmse")
+        zhat, _ = separable_output_fields(
+            np.array([5.0, 5.0]), 1e-9, y, "identity", NOISELESS, "mmse"
+        )
         np.testing.assert_allclose(zhat, y)
 
     def test_awgn_scalar_channel(self):
-        layer = NonlinearLayerSpec("identity", noise_precision=1.0)
         y = np.array([2.0])
-        zhat, _ = output_separable(np.array([0.5]), 1.0, y, layer, "mmse")
+        zhat, _ = separable_output_fields(np.array([0.5]), 1.0, y, "identity", 1.0, "mmse")
         assert zhat[0] == pytest.approx(1.25)  # (y + r)/2 with nu=gp=1
 
     def test_occlusion_rows(self):
@@ -763,10 +798,9 @@ class TestOutputDenoisers:
             assert zhat[i] == pytest.approx(expected, abs=1e-12)
 
     def test_relu_exact_observation(self):
-        layer = NonlinearLayerSpec("relu", noise_precision=NOISELESS)
         y = np.array([1.5, 0.0])
         r_plus = np.array([0.3, 0.8])
-        zhat, _ = output_separable(r_plus, 2.0, y, layer, "mmse")
+        zhat, _ = separable_output_fields(r_plus, 2.0, y, "relu", NOISELESS, "mmse")
         assert zhat[0] == pytest.approx(1.5)
         # y == 0 leaves an upper-truncated posterior; reference by trapezoid
         xs = np.arange(-12, 0, 1e-5)
@@ -775,7 +809,8 @@ class TestOutputDenoisers:
         assert zhat[1] == pytest.approx(float(w @ xs), abs=1e-5)
 
     def test_relu_map_exact_observation(self):
-        layer = NonlinearLayerSpec("relu", noise_precision=NOISELESS)
-        zhat, _ = output_separable(np.array([0.8, -0.4]), 2.0, np.array([0.0, 0.0]), layer, "map")
+        zhat, _ = separable_output_fields(
+            np.array([0.8, -0.4]), 2.0, np.array([0.0, 0.0]), "relu", NOISELESS, "map"
+        )
         assert zhat[0] == pytest.approx(0.0)
         assert zhat[1] == pytest.approx(-0.4)

@@ -717,6 +717,16 @@ class TestCli:
         assert cli_main([*argv, "--out", str(out)]) == 2
         assert calls == [] and not out.exists()
 
+    def test_a_size_the_host_cannot_allocate_exits_2(self, tmp_path, monkeypatch, capsys):
+        # stands in for numpy's allocation failure at M = 1e12; nothing is allocated
+        def too_large(config, measurement_list):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(harness, "measurement_sweep", too_large)
+        argv = ["sweep", "--config", self._config_file(tmp_path), "--measurements", "1000000000000"]
+        assert cli_main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("given", ["--empirical", "--predicted"])
     def test_compare_with_one_input_file_exits_2(self, tmp_path, given):
         # one file alone must not fall back to fresh trials
@@ -990,5 +1000,32 @@ class TestBenchTracer:
         assert set(seen) == {
             (pairs[0] if ell % 2 else pairs[1], ell, d) for ell in (1, 2, 3, 4) for d in ("fwd", "bwd")
         }
+        for (module, name), fn in originals.items():
+            assert getattr(importlib.import_module(f"mlvamp.{module}"), name) is fn, name
+
+    def test_predictor_spans_carry_their_layer(self):
+        # the state-evolution per-layer figures read args[1] of each step and
+        # the points of each scalar_pair call
+        tracing = _bench_module("tracing")
+        recipe = SyntheticRecipe(hidden_dims=(8, 20, 20, 30, 30), measurements=12)
+        law = recipe_law(recipe, calibrate_recipe(recipe, 0))
+        assert law.num_layers == 5
+        originals = {
+            (module, name): getattr(importlib.import_module(f"mlvamp.{module}"), name)
+            for module, name in tracing.TRACED
+        }
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            state_evolution.run_se(law, SEConfig(iterations=2, damping=0.7))
+        finally:
+            tracer.uninstall()
+        layers = {d: sorted(span[5]["layer"] for span in tracer.spans
+                            if span[0] == f"state_evolution.se_{d}_layer")
+                  for d in ("forward", "backward")}
+        assert layers["forward"] == [1, 1, 2, 2, 3, 3, 4, 4]
+        assert layers["backward"] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        points = [span[5]["points"] for span in tracer.spans if span[0] == "denoisers.scalar_pair"]
+        assert len(points) == 8 and min(points) > 0
         for (module, name), fn in originals.items():
             assert getattr(importlib.import_module(f"mlvamp.{module}"), name) is fn, name

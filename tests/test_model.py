@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,6 +333,55 @@ class TestSvdFactorization:
         smat = np.zeros(shape)
         smat[: s.size, : s.size] = np.diag(s)
         np.testing.assert_array_equal(f.to_weight(), u @ smat @ v)
+
+
+class TestFactorConsistency:
+    """A bias or weight given beside a layer's factors must agree with them."""
+
+    @staticmethod
+    def package_layer():
+        left = sample_haar_orthogonal(6, substream(5, 0x7C), columns=4)
+        return linear_layer_from_factors(left, geometric_singular_values(6, 4, 2.0), haar(4, 6),
+                                         np.linspace(-1.0, 1.0, 6), 1.0)
+
+    def test_a_bias_other_than_the_factors_is_rejected(self):
+        layer = self.package_layer()
+        with pytest.raises(InvalidModelError, match="bias disagrees"):
+            LinearLayerSpec(bias=layer.bias + 1.0, noise_precision=1.0, factors=layer.factors)
+        with pytest.raises(InvalidModelError, match="bias disagrees"):
+            replace(layer, bias=np.zeros(6))
+
+    def test_a_weight_the_factors_do_not_reproduce_is_rejected(self):
+        layer = self.package_layer()
+        w = layer.weight
+        bent, wide, broken = w.copy(), np.zeros((6, 5)), w.copy()
+        bent[2, 1] += 1e-6
+        broken[0, 0] = math.nan
+        for bad in (bent, wide, broken):
+            with pytest.raises(InvalidModelError, match="weight disagrees"):
+                LinearLayerSpec(weight=bad, bias=layer.bias, noise_precision=1.0,
+                                factors=layer.factors)
+        near = w.copy()
+        near[2, 1] += 1e-12
+        kept = LinearLayerSpec(weight=near, bias=layer.bias, noise_precision=1.0,
+                               factors=layer.factors)
+        np.testing.assert_array_equal(kept.__dict__["_weight"], near)  # stored, as given
+
+    def test_replace_keeps_a_package_made_layer_compact(self):
+        layer = self.package_layer()
+        noisier = replace(layer, noise_precision=2.0)
+        assert noisier.__dict__["_weight"] is None and noisier.factors is layer.factors
+        np.testing.assert_array_equal(noisier.weight, layer.weight)
+
+    def test_replace_keeps_a_loaded_weight_bit_for_bit(self):
+        w = np.random.default_rng(11).standard_normal((5, 7))
+        doc = {"dims": [7, 5], "layers": [{"kind": "linear", "weight": w.tolist(),
+                                           "bias": [0.5] * 5, "noise_precision": 3.0}]}
+        layer = network_from_json(doc).layers[0]
+        assert not np.array_equal(layer.factors.to_weight(), layer.weight)  # the SVD rounds
+        noisier = replace(layer, noise_precision=2.0)
+        assert noisier.weight is layer.weight
+        np.testing.assert_array_equal(noisier.weight.view(np.uint64), w.view(np.uint64))
 
 
 class TestNetworkValidation:

@@ -99,7 +99,7 @@ class TestNullSpaceBias:
 
 class TestScalarUpdates:
     def test_input_layer_shrinkage(self):
-        alpha, K, mse = se._input_step(1.0, 1.0)
+        alpha, K, mse = se._input_step(1.0, 1.0, clip_alpha)
         assert alpha == pytest.approx(0.5)
         eta = 1.0 / alpha
         assert eta == pytest.approx(2.0)
@@ -119,13 +119,13 @@ class TestScalarUpdates:
         layer = SeparableLaw("relu", NOISELESS, 100)
         K = np.array([[1.0, -0.3], [-0.3, 0.3]])
         alpha, K_new, mse = se._separable_step(
-            layer, True, K, 0.0, 0.5, 1 / 0.5, 1 / 0.3, "mmse", 40
+            layer, True, K, 0.0, 0.5, 1 / 0.5, 1 / 0.3, "mmse", 40, clip_alpha
         )
         assert alpha == pytest.approx(0.174631, abs=3e-4)
         assert mse == pytest.approx(0.087391, abs=3e-4)
         assert K_new[1, 1] == pytest.approx(0.105873, abs=4e-4)
         alpha_b, tau_new, mse_b = se._separable_step(
-            layer, False, K, 0.0, 0.5, 1 / 0.5, 1 / 0.3, "mmse", 40
+            layer, False, K, 0.0, 0.5, 1 / 0.5, 1 / 0.3, "mmse", 40, clip_alpha
         )
         assert alpha_b == pytest.approx(0.839399, abs=3e-4)
         assert tau_new == pytest.approx(1.568166, abs=2e-3)
@@ -140,7 +140,7 @@ class TestScalarUpdates:
         )
         K = np.array([[1.3, 0.0], [0.0, 0.4]])
         alpha, tau_new, mse = se.se_backward_layer(
-            law, 1, K, 0.0, 0.0, math.inf, 2.5, "mmse", 20
+            law, 1, K, 0.0, 0.0, math.inf, 2.5, "mmse", 20, clip_alpha
         )
         assert tau_new <= 1e-9
         assert mse <= 1e-9
@@ -150,7 +150,7 @@ class TestScalarUpdates:
         # substream (4, 1)), frozen
         layer = SeparableLaw("relu", NOISELESS, 100)
         K = np.array([[1.0, 0.0], [0.0, 0.3]])
-        quad = se._separable_step(layer, True, K, -0.3, 0.5, 2.0, 3.0, "mmse", 30)
+        quad = se._separable_step(layer, True, K, -0.3, 0.5, 2.0, 3.0, "mmse", 30, clip_alpha)
         assert quad[0] == pytest.approx(0.14527620554670118, abs=3e-3)
         assert quad[2] == pytest.approx(0.06833017849249548, abs=3e-3)
 
