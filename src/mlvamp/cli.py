@@ -106,6 +106,8 @@ def _load_problem(args):
         signals = tuple(np.asarray(z, float) for z in doc["signals"])
     except (TypeError, ValueError) as exc:
         raise InvalidModelError(f"invalid signals file: {exc}") from exc
+    if not signals:
+        raise InvalidModelError("a signals file must hold at least one signal")
     return spec, SignalSet(signals=signals)
 
 

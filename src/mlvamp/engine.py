@@ -415,22 +415,17 @@ def _references(truth, spec):
     return refs
 
 
-def _consistency(state, energy=None):
+def _consistency(state):
     """Largest ``||zhat_plus - zhat_minus|| / ||zhat_plus||`` over the signals.
 
     A zero plus estimate (as the prior's can be in the first iteration) is
     measured against the minus estimate instead; two zero estimates agree.
-    ``energy`` holds each estimate's ``z @ z``, plus side then minus side,
-    when the caller has them.
     """
-    n = state.num_signals
-    if energy is None:
-        energy = [z @ z for z in state.zhat_plus + state.zhat_minus]
     worst = 0.0
-    for ell, (zp, zm) in enumerate(zip(state.zhat_plus, state.zhat_minus)):
+    for zp, zm in zip(state.zhat_plus, state.zhat_minus):
         gap = _norm(zp - zm)
         if gap > 0.0:
-            worst = max(worst, gap / (math.sqrt(energy[ell]) or math.sqrt(energy[n + ell])))
+            worst = max(worst, gap / (_norm(zp) or _norm(zm)))
     return worst
 
 
@@ -445,28 +440,23 @@ def run(spec, y, config, truth=None):
     state = initialize(spec, config)
     power = signal_power_ladder(bank.spec)
     trace = IterationTrace()
-    half = 0
     for k in range(config.max_iters):
         prev = state.zhat_plus + state.zhat_minus  # estimates are replaced, never mutated
         book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)
         try:
             forward_pass(state, bank, book)
-            plus = _check_blowup(state.zhat_plus, power, k)
-            half += 1
-            _record(trace, state, half, "forward", refs, book.events, math.nan)
+            _check_blowup(state.zhat_plus, power, k)
+            _record(trace, state, 2 * k + 1, "forward", refs, book.events, math.nan)
             backward_pass(state, bank, book)
-            minus = _check_blowup(state.zhat_minus, power, k)
+            _check_blowup(state.zhat_minus, power, k)
         except DivergedIterationError as exc:
             exc.trace = trace
             raise
-        half += 1
-        # the energies of prev are those its sweeps' energy checks took
         delta = math.inf if k == 0 else max(
-            _norm(new - old) / max(math.sqrt(e), _TINY)
-            for new, old, e in zip(state.zhat_plus + state.zhat_minus, prev, energy)
+            _norm(new - old) / max(_norm(old), _TINY)
+            for new, old in zip(state.zhat_plus + state.zhat_minus, prev)
         )
-        energy = plus + minus
-        _record(trace, state, half, "backward", refs, book.events, delta, energy)
+        _record(trace, state, 2 * k + 2, "backward", refs, book.events, delta)
         if config.convergence_tol > 0 and delta < config.convergence_tol:
             break
     report = fixed_point_report(state, spec, y, config.mode)
@@ -479,26 +469,23 @@ BLOWUP_FACTOR = 1e3
 
 
 def _check_blowup(estimates, power, iteration):
-    """Each of one side's estimates' energy ``z @ z``; raise unless each is
-    within the energy bound.
+    """Raise unless each of one side's estimates' energy ``z @ z`` is within
+    the energy bound.
 
     A sweep replaces one side only; the other passed after the sweep before.
     """
-    energy = [float(z @ z) for z in estimates]
     for ell, z in enumerate(estimates):
-        if not energy[ell] <= BLOWUP_FACTOR * z.size * power[ell]:
+        if not float(z @ z) <= BLOWUP_FACTOR * z.size * power[ell]:
             raise DivergedIterationError(
                 f"estimate energy exceeds {BLOWUP_FACTOR:.0e} x the prior signal "
                 f"energy at layer {ell}",
                 layer=ell,
                 iteration=iteration,
             )
-    return energy
 
 
-def _record(trace, state, half, direction, refs, clip_events, delta, energy=None):
-    """Append one pass's row; ``refs`` are the truth's ``_references``, if any,
-    and ``energy`` the estimates' energies after a backward pass."""
+def _record(trace, state, half, direction, refs, clip_events, delta):
+    """Append one pass's row; ``refs`` are the truth's ``_references``, if any."""
     nmse = None
     if refs is not None:
         estimates = state.zhat_plus if direction == "forward" else state.zhat_minus
@@ -512,7 +499,7 @@ def _record(trace, state, half, direction, refs, clip_events, delta, energy=None
             gamma_minus=state.gamma_minus.copy(),
             alpha_plus=state.alpha_plus.copy(),
             alpha_minus=state.alpha_minus.copy(),
-            consistency=_consistency(state, energy) if direction == "backward" else math.nan,
+            consistency=_consistency(state) if direction == "backward" else math.nan,
             max_delta=delta,
             clip_events=clip_events,
         )

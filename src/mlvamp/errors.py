@@ -13,10 +13,19 @@ class InvalidModelError(MlvampError, ValueError):
     """A network description or argument violates a structural requirement."""
 
 
-def check_count(name, value, least):
-    """Raise ``InvalidModelError`` unless ``value`` is an integer, not a bool, >= ``least``."""
+#: The longest side of a square float64 array numpy can size: past it numpy
+#: raises ValueError ("array is too big"), where a smaller one fails, if at
+#: all, with MemoryError.
+MAX_SIDE = math.isqrt(np.iinfo(np.intp).max // 8)
+
+
+def check_count(name, value, least, most=math.inf):
+    """Raise ``InvalidModelError`` unless ``value`` is an integer, not a bool, with
+    ``least <= value <= most``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise InvalidModelError(f"{name} must be an integer of at least {least}, not {value!r}")
+    if value > most:
+        raise InvalidModelError(f"{name} must be at most {most}, not {value!r}")
 
 
 def check_real(name, value, least=-math.inf, below=math.inf):

@@ -24,8 +24,8 @@ from scipy.special import ndtri
 
 from .engine import EngineConfig, run
 from .errors import (
-    DivergedIterationError, InvalidModelError, NumericFailureError, UndefinedMetricError,
-    check_count, check_real,
+    MAX_SIDE, DivergedIterationError, InvalidModelError, NumericFailureError,
+    UndefinedMetricError, check_count, check_real,
 )
 from .model import (
     NOISELESS,
@@ -105,9 +105,10 @@ class SyntheticRecipe:
     activation: str = "relu"
 
     def __post_init__(self):
+        # each width sides a square Gaussian draw
         for width in self.hidden_dims:
-            check_count("a hidden_dims width", width, 1)
-        check_count("measurements", self.measurements, 1)
+            check_count("a hidden_dims width", width, 1, MAX_SIDE)
+        check_count("measurements", self.measurements, 1, MAX_SIDE)
         if len(self.hidden_dims) < 2 or len(self.hidden_dims) % 2 == 0:
             raise InvalidModelError(
                 "hidden_dims must hold an odd count of widths (affine/separable pairs)"
@@ -119,7 +120,8 @@ class SyntheticRecipe:
             raise InvalidModelError("positive_fraction must lie in (0, 1)")
         check_real("condition_number", self.condition_number, 1.0)
         check_real("snr_db", self.snr_db)
-        check_real("bias_std", self.bias_std, 0.0)
+        # the calibration squares it
+        check_real("bias_std", self.bias_std, 0.0, math.sqrt(np.finfo(float).max))
 
     @property
     def dims(self):
@@ -475,6 +477,16 @@ def curve_rows(experiment_id, trial_seed, nmse_empirical, nmse_se,
     return rows
 
 
+#: The end-of-iteration arrays a ``TrialResult`` and an ``SEResult`` share, in ``curve_rows`` order.
+END_VALUES = ("gamma_plus", "gamma_minus", "alpha_plus", "alpha_minus")
+
+
+def _per_half(record, n_half, names=END_VALUES):
+    """``record``'s end-of-iteration arrays, each row given to both halves of its
+    iteration, for the first ``n_half`` halves."""
+    return [np.repeat(getattr(record, name), 2, axis=0)[:n_half] for name in names]
+
+
 def result_rows(result):
     """Rows of every successful trial; both halves of an iteration carry its end values."""
     n_half = result.n_half
@@ -482,10 +494,7 @@ def result_rows(result):
     se_db = np.vstack([se_db, np.full((n_half - len(se_db), se_db.shape[1]), math.nan)])
     rows = []
     for t in result.ok_trials:
-        per_half = [
-            np.repeat(a, 2, axis=0)[:n_half]
-            for a in (t.gamma_plus, t.gamma_minus, t.alpha_plus, t.alpha_minus, t.consistency)
-        ]
+        per_half = _per_half(t, n_half, END_VALUES + ("consistency",))
         rows += curve_rows(result.config.experiment_id, t.seed, t.nmse_db[:n_half], se_db, *per_half)
     return rows
 
@@ -531,13 +540,8 @@ def read_result_csv(path):
 def se_rows(experiment_id, se_result):
     """Predictor-only rows (trial_seed = -1, empirical columns NaN)."""
     db = se_result.nmse_db
-    states = [se_result.states[h // 2] for h in range(len(db))]
-    return curve_rows(
-        experiment_id, -1, np.full_like(db, math.nan), db,
-        [st.gamma_plus for st in states], [st.gamma_minus for st in states],
-        [st.alpha_plus for st in states], [st.alpha_minus for st in states],
-        np.full(len(db), math.nan),
-    )
+    return curve_rows(experiment_id, -1, np.full_like(db, math.nan), db,
+                      *_per_half(se_result, len(db)), np.full(len(db), math.nan))
 
 
 def compare_rows(empirical_rows, se_rows_):

@@ -45,7 +45,7 @@ from scipy.special import ndtr
 
 from . import denoisers as dn
 from .engine import ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, sweep
-from .errors import check_count, check_real
+from .errors import MAX_SIDE, check_count, check_real
 from .model import apply_activation, zero_pad
 
 
@@ -163,21 +163,21 @@ class SEConfig:
         # the fields an engine run shares are checked as the engine checks them
         EngineConfig(max_iters=self.iterations, mode=self.mode, gamma_init=self.gamma_init,
                      damping=self.damping, alpha_clip=self.alpha_clip)
-        check_count("quad_order", self.quad_order, 1)
+        check_count("quad_order", self.quad_order, 1, MAX_SIDE)  # sides the rule's companion matrix
         check_real("stop_tol", self.stop_tol, 0.0)
 
 
 @dataclass
-class SEState(Precisions):
-    """The engine's precisions, run on scalars, and the error moments they stand for."""
-
-    K_plus: np.ndarray  # (L, 2, 2) second moments of (true, plus error), cross term included
-    tau_minus: np.ndarray  # (L,)
-
-
-@dataclass
 class SEResult:
-    states: list  # an SEState after each full iteration
+    """Each iteration's end values, under ``TrialResult``'s names and shapes
+    ``(iterations, L)``, and the error predicted after each half-iteration."""
+
+    gamma_plus: np.ndarray
+    gamma_minus: np.ndarray
+    alpha_plus: np.ndarray
+    alpha_minus: np.ndarray
+    K_plus: np.ndarray  # (iterations, L, 2, 2) second moments of (true, plus error), cross term included
+    tau_minus: np.ndarray  # (iterations, L) second moments of the minus error
     nmse_db: np.ndarray  # (half_iterations, L) predicted NMSE in dB
     mse: np.ndarray  # same grid, linear scale
 
@@ -503,23 +503,19 @@ def run_se(law, config):
     """Iterate the scalar recursion and emit per-half-iteration error predictions.
 
     The recursion runs the engine's sweep schedule and precision bookkeeping
-    (``engine.sweep``, ``engine.Bookkeeping``) on one ``SEState``, whose
-    messages are the plus-side moments ``K_plus`` and the minus-side error
-    second moments ``tau_minus``; ``states`` keeps a copy after each iteration.
+    (``engine.sweep``, ``engine.Bookkeeping``) on plain ``Precisions``; its
+    messages are the plus-side moments ``K`` and the minus-side error second
+    moments ``tau_m``.
     """
     n = law.num_layers  # hidden signals 0 .. n-1
     tau0, mu = se_initial_pass(law)
-    state = SEState(
-        **Precisions.start(n, config.gamma_init),
-        # prior messages are zero, so the plus error is minus the truth
-        K_plus=np.array([[[t, -t], [-t, t]] for t in tau0[:n]]),
-        tau_minus=tau0[:n].copy(),
-    )
-    K, tau_m = state.K_plus, state.tau_minus
+    prec = Precisions(**Precisions.start(n, config.gamma_init))
+    # prior messages are zero, so the plus error is minus the truth
+    K = np.array([[[t, -t], [-t, t]] for t in tau0[:n]])
+    tau_m = tau0[:n].copy()
 
-    states = []
+    ends = []  # per iteration: the SEResult fields up to tau_minus
     nmse_rows = []
-    prev_params = None
     for k in range(config.iterations):
         book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)
         mse = np.zeros((2, n))
@@ -527,13 +523,13 @@ def run_se(law, config):
         # each step's clip names the signal it updates, as the engine's does
         def input_prior():
             clip = functools.partial(book.clip, layer=0)
-            alpha, K[0], mse[0, 0] = _input_step(state.gamma_minus[0], tau_m[0], clip)
+            alpha, K[0], mse[0, 0] = _input_step(prec.gamma_minus[0], tau_m[0], clip)
             return alpha
 
         def forward(ell):
             alpha, K[ell], mse[0, ell] = se_forward_layer(
-                law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], state.gamma_minus[ell],
-                state.gamma_plus[ell - 1], config.mode, config.quad_order,
+                law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], prec.gamma_minus[ell],
+                prec.gamma_plus[ell - 1], config.mode, config.quad_order,
                 clip=functools.partial(book.clip, layer=ell),
             )
             return alpha
@@ -542,24 +538,23 @@ def run_se(law, config):
             observed = ell == n
             alpha, tau_m[ell - 1], mse[1, ell - 1] = se_backward_layer(
                 law, ell, K[ell - 1], mu[ell - 1],
-                0.0 if observed else tau_m[ell], math.inf if observed else state.gamma_minus[ell],
-                state.gamma_plus[ell - 1], config.mode, config.quad_order,
+                0.0 if observed else tau_m[ell], math.inf if observed else prec.gamma_minus[ell],
+                prec.gamma_plus[ell - 1], config.mode, config.quad_order,
                 clip=functools.partial(book.clip, layer=ell - 1),
             )
             return alpha
 
-        sweep(state, True, input_prior, forward, book)
-        sweep(state, False, lambda: backward(n), backward, book)
+        sweep(prec, True, input_prior, forward, book)
+        sweep(prec, False, lambda: backward(n), backward, book)
         nmse_rows += [mse[0] / tau0[:n], mse[1] / tau0[:n]]
-        states.append(SEState(**{k: v.copy() for k, v in vars(state).items()}))
-        params = np.concatenate([state.gamma_plus, state.gamma_minus])
-        if prev_params is not None and config.stop_tol > 0:
-            change = np.max(np.abs(params - prev_params) / np.maximum(np.abs(prev_params), 1e-30))
+        ends.append([a.copy() for a in (prec.gamma_plus, prec.gamma_minus, prec.alpha_plus,
+                                        prec.alpha_minus, K, tau_m)])
+        if k > 0 and config.stop_tol > 0:
+            params, prev = (np.concatenate(end[:2]) for end in (ends[-1], ends[-2]))
+            change = np.max(np.abs(params - prev) / np.maximum(np.abs(prev), 1e-30))
             if change < config.stop_tol:
                 break
-        prev_params = params
 
-    mse = np.array(nmse_rows) * tau0[:n]
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.maximum(np.array(nmse_rows), 1e-30))
-    return SEResult(states=states, nmse_db=db, mse=mse)
+    nmse = np.array(nmse_rows)
+    return SEResult(*map(np.array, zip(*ends)),
+                    nmse_db=10.0 * np.log10(np.maximum(nmse, 1e-30)), mse=nmse * tau0[:n])

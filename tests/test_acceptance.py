@@ -97,9 +97,8 @@ class TestCriterion1ExactPosterior:
         spec, sig = chain
         law = se.NetworkLaw.from_network(spec)
         res = se.run_se(law, se.SEConfig(iterations=400, stop_tol=1e-14))
-        st = res.states[-1]
         _, avg_vars = exact_gaussian_posterior(spec, sig.y)
-        got = 1.0 / (st.gamma_plus + st.gamma_minus)
+        got = 1.0 / (res.gamma_plus[-1] + res.gamma_minus[-1])
         worst = float(np.max(np.abs(got - avg_vars) / np.asarray(avg_vars)))
         ok = worst <= 1e-6
         assert _verdict(1, ok, f"predicted-vs-exact posterior variance rel err {worst:.2e}")
@@ -210,11 +209,10 @@ class TestCriterion6MatchedRecursionConsistency:
         cal = harness.calibrate_recipe(recipe, paper_experiment.config.master_seed)
         law = harness.recipe_law(recipe, cal)
         full = se.run_se(law, se.SEConfig(iterations=400, stop_tol=1e-13))
-        st = full.states[-1]
         matched = matched_mmse_recursion(law, se.SEConfig())
         rel = max(
-            float(np.max(np.abs(st.gamma_plus - matched.gamma_plus) / matched.gamma_plus)),
-            float(np.max(np.abs(st.gamma_minus - matched.gamma_minus) / matched.gamma_minus)),
+            float(np.max(np.abs(full.gamma_plus[-1] - matched.gamma_plus) / matched.gamma_plus)),
+            float(np.max(np.abs(full.gamma_minus[-1] - matched.gamma_minus) / matched.gamma_minus)),
         )
         elapsed = time.perf_counter() - start
         ok = rel <= 1e-4 and matched.converged and matched.residual <= 1e-8 and elapsed < 120
@@ -321,18 +319,12 @@ class TestCriterion9ParameterLimits:
         res = paper_experiment
         ok_trials = res.ok_trials
         n = len(ok_trials)
-        states = res.se_result.states
         worst = 0.0
         ok = True
         offenders = []
         for k in (9, PAPER_ITERS - 1):
-            st = states[k]
-            for name, ref in (
-                ("gamma_plus", st.gamma_plus),
-                ("gamma_minus", st.gamma_minus),
-                ("alpha_plus", st.alpha_plus),
-                ("alpha_minus", st.alpha_minus),
-            ):
+            for name in ("gamma_plus", "gamma_minus", "alpha_plus", "alpha_minus"):
+                ref = getattr(res.se_result, name)[k]
                 values = np.array([getattr(t, name)[k] for t in ok_trials])
                 rels = np.abs(values.mean(axis=0) - ref) / np.abs(ref)
                 sems = values.std(axis=0, ddof=1) / math.sqrt(n) / np.abs(ref)

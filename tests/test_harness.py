@@ -51,6 +51,14 @@ SMALL_RECIPE = SyntheticRecipe(
 FAST_ENGINE = EngineConfig(max_iters=6, convergence_tol=0.0)
 
 
+#: Values no float or numpy array can hold, each read before any work starts.
+UNHOLDABLE = [
+    ("recipe", "bias_std", 1e308),  # the calibration squares it
+    ("recipe", "measurements", 10**30),
+    ("recipe", "hidden_dims", [10**30, 8, 8]),
+    ("se", "quad_order", 10**30),
+]
+
 #: A 4/8/8 recipe that runs in moments, and numeric config values each of its
 #: config objects must reject: (block, key, value).
 TINY_CONFIG = {"recipe": {"hidden_dims": [4, 8, 8], "measurements": 6}, "trials": 2}
@@ -74,6 +82,7 @@ BAD_VALUES = [
     ("recipe", "condition_number", math.nan),
     ("recipe", "condition_number", math.inf),
     ("recipe", "condition_number", True),
+    *UNHOLDABLE,
 ]
 BAD_VALUE_IDS = [f"{key}={value!r}" for _, key, value in BAD_VALUES]
 
@@ -559,6 +568,19 @@ class TestCsv:
             k = (row["half_iter"] - 1) // 2
             assert row["gamma_plus"] == trials[row["trial_seed"]].gamma_plus[k, row["layer"]]
 
+    def test_a_prediction_holds_the_end_values_a_trial_holds(self, small_result):
+        prediction, trial = small_result.se_result, small_result.ok_trials[0]
+        shared = {f for f in vars(prediction) if f in vars(trial)}
+        assert shared == {"nmse_db", *harness.END_VALUES}
+        for name in shared:
+            assert getattr(prediction, name).shape == getattr(trial, name).shape, name
+        rows = se_rows("t", prediction)
+        assert len(rows) == prediction.nmse_db.size
+        for row in rows:
+            k = (row["half_iter"] - 1) // 2
+            for name in harness.END_VALUES:
+                assert row[name] == getattr(prediction, name)[k, row["layer"]], name
+
     def test_mismatched_grids_are_a_hard_error(self, small_result):
         emp = result_rows(small_result)
         pred = se_rows("t", small_result.se_result)
@@ -815,7 +837,7 @@ class TestCli:
         path.write_text(json.dumps(_tiny_config_with("recipe", "snr_db", snr_db)))
         assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
 
-    @pytest.mark.parametrize("bad", BAD_VALUES[:3], ids=BAD_VALUE_IDS[:3])
+    @pytest.mark.parametrize("bad", BAD_VALUES[:3] + UNHOLDABLE, ids=lambda bad: f"{bad[1]}={bad[2]!r}")
     def test_malformed_config_exit_code_through_se(self, tmp_path, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(_tiny_config_with(*bad)))
@@ -830,6 +852,8 @@ class TestCli:
             ("run", [1], None),
             ("run", "ragged", None),
             ("run", None, {"signals": [["a"]]}),
+            *((command, None, {"signals": empty}) for empty in ([], {})
+              for command in ("run", "fixedpoint")),
         ],
         ids=[
             "run-without-signals",
@@ -838,6 +862,8 @@ class TestCli:
             "network-not-an-object",
             "ragged-weight",
             "signal-not-a-number",
+            *(f"{command}-empty-signals-{kind}" for kind in ("list", "object")
+              for command in ("run", "fixedpoint")),
         ],
     )
     def test_bad_network_input_exit_code(self, tmp_path, command, network, signals):
