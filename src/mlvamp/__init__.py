@@ -59,8 +59,8 @@ from .model import (
     save_network,
 )
 from .state_evolution import (
-    NetworkLaw,
     SEConfig,
+    network_law,
     run_se,
     se_initial_pass,
 )
@@ -72,7 +72,6 @@ __all__ = [
     "IterationTrace",
     "LinearLayerSpec",
     "MessageState",
-    "NetworkLaw",
     "NetworkSpec",
     "NonlinearLayerSpec",
     "NOISELESS",
@@ -85,6 +84,7 @@ __all__ = [
     "linear_pair",
     "map_pair_nonlinear",
     "mmse_pair_nonlinear",
+    "network_law",
     "forward_generate",
     "geometric_singular_values",
     "load_network",

@@ -25,7 +25,7 @@ import numpy as np
 from . import harness
 from .engine import run
 from .errors import DivergedIterationError, InvalidModelError, MlvampError, NumericFailureError
-from .model import SignalSet, forward_generate, load_network, save_network
+from .model import SignalSet, forward_generate, load_network, number_array, save_network
 from .state_evolution import run_se
 
 
@@ -103,7 +103,7 @@ def _load_problem(args):
     if not isinstance(doc, dict):
         raise InvalidModelError("a signals file must be a JSON object")
     try:
-        signals = tuple(np.asarray(z, float) for z in doc["signals"])
+        signals = tuple(number_array("a signal", z) for z in doc["signals"])
     except (TypeError, ValueError) as exc:
         raise InvalidModelError(f"invalid signals file: {exc}") from exc
     if not signals:

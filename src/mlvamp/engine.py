@@ -283,9 +283,9 @@ def signal_power_ladder(spec):
     The predictor's initial pass over the network's own law; used to detect
     runaway estimates.
     """
-    from .state_evolution import NetworkLaw, se_initial_pass  # it imports this module
+    from .state_evolution import network_law, se_initial_pass  # it imports this module
 
-    return se_initial_pass(NetworkLaw.from_network(spec))[0]
+    return se_initial_pass(network_law(spec))[0]
 
 
 def _pair_estimate(state, bank, ell, forward, iteration):

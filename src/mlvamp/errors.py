@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument checks that raise them."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -20,22 +21,25 @@ MAX_SIDE = math.isqrt(np.iinfo(np.intp).max // 8)
 
 
 def check_count(name, value, least, most=math.inf):
-    """Raise ``InvalidModelError`` unless ``value`` is an integer, not a bool, with
-    ``least <= value <= most``."""
+    """``value`` as an int; ``InvalidModelError`` unless it is an integer, not a bool,
+    with ``least <= value <= most``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise InvalidModelError(f"{name} must be an integer of at least {least}, not {value!r}")
     if value > most:
         raise InvalidModelError(f"{name} must be at most {most}, not {value!r}")
+    return int(value)
 
 
 def check_real(name, value, least=-math.inf, below=math.inf):
-    """Raise ``InvalidModelError`` unless ``value`` is a finite real number, not a
-    bool, with ``least <= value < below``."""
+    """``value`` as a float; ``InvalidModelError`` unless it is a real number, not a
+    bool, within the float range (so finite) and with ``least <= value < below``."""
     real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-    if not (real and math.isfinite(value) and least <= value < below):
+    # compared, not converted: an int past the float range does not convert
+    if not (real and abs(value) <= sys.float_info.max and least <= value < below):
         raise InvalidModelError(
             f"{name} must be a finite number in [{least}, {below}), not {value!r}"
         )
+    return float(value)
 
 
 class DegenerateModelError(MlvampError, ValueError):
@@ -58,3 +62,7 @@ class DivergedIterationError(MlvampError, RuntimeError):
         self.layer = layer
         self.iteration = iteration
         self.trace = trace
+
+
+class WorkerLostError(MlvampError, RuntimeError):
+    """A pool worker died (killed, say, for want of memory) before its job returned."""

@@ -15,6 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -25,7 +26,7 @@ from scipy.special import ndtri
 from .engine import EngineConfig, run
 from .errors import (
     MAX_SIDE, DivergedIterationError, InvalidModelError, NumericFailureError,
-    UndefinedMetricError, check_count, check_real,
+    UndefinedMetricError, WorkerLostError, check_count, check_real,
 )
 from .model import (
     NOISELESS,
@@ -38,14 +39,7 @@ from .model import (
     standard_normal_fortran,
 )
 from .seeding import substream
-from .state_evolution import (
-    LinearLaw,
-    NetworkLaw,
-    SEConfig,
-    SeparableLaw,
-    activation_second_moment,
-    run_se,
-)
+from .state_evolution import LinearLaw, SEConfig, activation_second_moment, run_se
 
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = (
@@ -241,39 +235,21 @@ def build_synthetic_network(recipe, seed, calibration):
 
 
 def recipe_law(recipe, calibration):
-    """Ensemble-level perturbation law for the scalar predictor."""
-    dims = recipe.dims
-    laws = []
+    """Ensemble-level perturbation law for the scalar predictor: a ``NetworkSpec``
+    whose affine layers are ``LinearLaw``s and whose separable layers are those
+    ``build_synthetic_network`` makes."""
+    dims, laws = recipe.dims, []
     for pair in range(recipe.num_generative_pairs):
-        n_in, n_out = dims[2 * pair], dims[2 * pair + 1]
-        mu = calibration.bias_means[pair]
-        laws.append(
-            LinearLaw(
-                singular_values=np.asarray(calibration.generative_singular_values[pair]),
-                n_out=n_out,
-                n_in=n_in,
-                noise_precision=NOISELESS,
-                bbar_atoms=None,
-                bbar_var=mu * mu + recipe.bias_std**2,
-                bias_mean=mu,
-            )
-        )
-        laws.append(
-            SeparableLaw(activation=recipe.activation, noise_precision=NOISELESS, dim=n_out)
-        )
+        mu, s = calibration.bias_means[pair], calibration.generative_singular_values[pair]
+        laws += [
+            LinearLaw(np.asarray(s), dims[2 * pair + 1], dims[2 * pair], NOISELESS,
+                      bbar_var=mu * mu + recipe.bias_std**2, bias_mean=mu),
+            NonlinearLayerSpec(activation=recipe.activation),
+        ]
     m, n_last = dims[-1], dims[-2]
-    laws.append(
-        LinearLaw(
-            singular_values=geometric_singular_values(m, n_last, recipe.condition_number),
-            n_out=m,
-            n_in=n_last,
-            noise_precision=calibration.measurement_noise_precision,
-            bbar_atoms=None,
-            bbar_var=0.0,
-            bias_mean=0.0,
-        )
-    )
-    return NetworkLaw(layers=tuple(laws), dims=dims)
+    s = geometric_singular_values(m, n_last, recipe.condition_number)
+    laws.append(LinearLaw(s, m, n_last, calibration.measurement_noise_precision))
+    return NetworkSpec(layers=tuple(laws), dims=dims)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +368,8 @@ def run_trials(config, calibration=None, law=None, workers=None):
 
     With more than one worker the predictor is a pool job beside the trials;
     if it fails, its error is raised once it finishes and the queued trials
-    are cancelled.
+    are cancelled.  A worker that dies is a ``WorkerLostError`` naming the
+    first trial, else the predictor, that it left without a result.
     Trial seeds derive from the master seed; aggregation is keyed by trial
     index so the result is independent of completion order.
     """
@@ -417,8 +394,14 @@ def run_trials(config, calibration=None, law=None, workers=None):
             if predictor.exception() is not None:
                 # a failed predictor ends the run before the queued trials start
                 pool.shutdown(cancel_futures=True)
-            se_result = predictor.result()
-            results = [job.result() for job in jobs]
+            try:
+                se_result = predictor.result()
+                results = [job.result() for job in jobs]
+            except BrokenProcessPool as exc:
+                lost = (f"trial {t} (seed {seeds[t]})" for t, job in enumerate(jobs)
+                        if job.cancelled() or isinstance(job.exception(), BrokenProcessPool))
+                raise WorkerLostError(f"a pool worker died; {next(lost, 'the predictor')} was left "
+                                      "without a result") from exc
     else:
         se_result = run_se(law, se_config)
         results = list(map(run_single_trial, *args))
@@ -517,7 +500,9 @@ def _fmt(value):
 def read_result_csv(path):
     rows = []
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+        lines = fh.readlines()
+    if lines and lines[0].startswith("# schema_version"):
+        del lines[0]  # the one comment line: a data row's experiment_id may begin with "#"
     reader = csv.DictReader(lines)
     if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
         raise InvalidModelError(f"unexpected CSV columns in {path}")

@@ -239,13 +239,11 @@ class NetworkSpec:
 
     def __post_init__(self):
         layers = tuple(self.layers)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(check_count("a dimension", d, 1) for d in self.dims)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "dims", dims)
         if len(dims) != len(layers) + 1:
             raise InvalidModelError("need one dimension per signal z_0..z_L")
-        if any(d < 1 for d in dims):
-            raise InvalidModelError("dimensions must be positive")
         prev_kind = None
         for ell, layer in enumerate(layers, start=1):
             if layer.kind == "linear":
@@ -459,26 +457,39 @@ def network_to_json(spec):
     return {"dims": list(spec.dims), "layers": layers}
 
 
+def number_array(name, value):
+    """A JSON array, nested or not, as a float array; an entry that is not a JSON
+    number (a bool, a string, null, a row where a number belongs) is an InvalidModelError."""
+    if not set(map(type, np.asarray(value, dtype=object).flat)) <= {int, float}:
+        raise InvalidModelError(f"{name} must hold only numbers")
+    return np.asarray(value, dtype=float)
+
+
 def network_from_json(doc):
-    """Inverse of :func:`network_to_json`; a malformed document is an InvalidModelError."""
+    """Inverse of :func:`network_to_json`; a malformed document is an InvalidModelError.
+    A precision is finite: noiseless is ``"noiseless": true`` or ``"noise": {"kind": "none"}``."""
     if not isinstance(doc, dict):
         raise InvalidModelError("a network must be a JSON object")
     layers = []
     try:
         for entry in doc["layers"]:
             if entry["kind"] == "linear":
-                prec = NOISELESS if entry.get("noiseless", False) else float(entry["noise_precision"])
+                noiseless = entry.get("noiseless", False)
+                if type(noiseless) is not bool:  # "false" would be truthy
+                    raise InvalidModelError(f"noiseless must be true or false, not {noiseless!r}")
+                nu = NOISELESS if noiseless else check_real("a precision", entry["noise_precision"])
                 layers.append(
                     LinearLayerSpec(
-                        weight=np.asarray(entry["weight"], dtype=float),
-                        bias=np.asarray(entry["bias"], dtype=float),
-                        noise_precision=prec,
+                        weight=number_array("weight", entry["weight"]),
+                        bias=number_array("bias", entry["bias"]),
+                        noise_precision=nu,
                     )
                 )
             elif entry["kind"] == "nonlinear":
                 noise = entry.get("noise", {"kind": "none"})
-                prec = NOISELESS if noise["kind"] == "none" else float(noise["precision"])
-                layers.append(NonlinearLayerSpec(activation=entry["activation"], noise_precision=prec))
+                noiseless = noise["kind"] == "none"
+                nu = NOISELESS if noiseless else check_real("a precision", noise["precision"])
+                layers.append(NonlinearLayerSpec(activation=entry["activation"], noise_precision=nu))
             else:
                 raise InvalidModelError(f"unknown layer kind {entry.get('kind')!r}")
         return NetworkSpec(layers=tuple(layers), dims=tuple(doc["dims"]))

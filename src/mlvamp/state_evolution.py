@@ -46,7 +46,7 @@ from scipy.special import ndtr
 from . import denoisers as dn
 from .engine import ALPHA_MIN, Bookkeeping, EngineConfig, Precisions, sweep
 from .errors import MAX_SIDE, check_count, check_real
-from .model import apply_activation, zero_pad
+from .model import NetworkSpec, apply_activation, zero_pad
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +66,8 @@ class LinearLaw:
     """
 
     singular_values: np.ndarray
-    n_out: int
-    n_in: int
+    out_dim: int
+    in_dim: int
     noise_precision: float
     bbar_atoms: np.ndarray | None = None
     bbar_var: float = 0.0
@@ -83,56 +83,22 @@ class LinearLaw:
         return None, float(self.bbar_var)
 
 
-@dataclass(frozen=True)
-class SeparableLaw:
-    activation: str
-    noise_precision: float
-    dim: int
-
-    kind = "nonlinear"
-
-
-@dataclass(frozen=True)
-class NetworkLaw:
-    """Per-layer perturbation laws plus the signal dimensions."""
-
-    layers: tuple
-    dims: tuple
-
-    @property
-    def num_layers(self):
-        return len(self.layers)
-
-    @classmethod
-    def from_network(cls, spec):
-        """Instance-level law: empirical singular values and bias samples."""
-        laws = []
-        for ell, layer in enumerate(spec.layers, start=1):
-            if layer.kind == "linear":
-                f = layer.factors
-                laws.append(
-                    LinearLaw(
-                        singular_values=f.singular_values.copy(),
-                        n_out=layer.out_dim,
-                        n_in=layer.in_dim,
-                        noise_precision=layer.noise_precision,
-                        bbar_atoms=_bias_atoms(f),
-                        bias_mean=float(np.mean(layer.bias)),
-                    )
-                )
-            else:
-                laws.append(
-                    SeparableLaw(
-                        activation=layer.activation,
-                        noise_precision=layer.noise_precision,
-                        dim=spec.dims[ell],
-                    )
-                )
-        return cls(layers=tuple(laws), dims=tuple(spec.dims))
+def network_law(spec):
+    """Instance-level law of a network: a ``NetworkSpec`` whose affine layers are
+    ``LinearLaw``s of their empirical singular values and bias samples, and whose
+    separable layers are the spec's own."""
+    laws = []
+    for layer in spec.layers:
+        if layer.kind == "linear":
+            f = layer.factors
+            layer = LinearLaw(f.singular_values.copy(), f.out_dim, f.in_dim, layer.noise_precision,
+                              _bias_atoms(f), bias_mean=float(np.mean(layer.bias)))
+        laws.append(layer)
+    return NetworkSpec(layers=tuple(laws), dims=spec.dims)
 
 
 def _bias_atoms(factors):
-    """Transformed-bias atoms of an affine layer's ``n_out`` output components.
+    """Transformed-bias atoms of an affine layer's ``out_dim`` output components.
 
     The range components are ``left.T @ bias``.  The null components share
     every coefficient (singular value 0), so only their total bias energy
@@ -219,8 +185,8 @@ def se_initial_pass(law):
     tau[0] = 1.0
     for ell, layer in enumerate(law.layers, start=1):
         if layer.kind == "linear":
-            atoms, bvar = layer.bias_terms(layer.n_out)
-            s = zero_pad(layer.singular_values, layer.n_out)
+            atoms, bvar = layer.bias_terms(layer.out_dim)
+            s = zero_pad(layer.singular_values, layer.out_dim)
             noise = 0.0 if math.isinf(layer.noise_precision) else 1.0 / layer.noise_precision
             atom_energy = 0.0 if atoms is None else np.mean(atoms * atoms)
             tau[ell] = float(np.mean(s * s) * tau[ell - 1] + atom_energy + bvar + noise)
@@ -273,7 +239,7 @@ def _affine_step(layer, forward, K_prev, tau_m, gm, gp_prev, clip):
     models the minus error as noise independent of the truth.
     """
     nu = layer.noise_precision
-    s = zero_pad(layer.singular_values, layer.n_out if forward else layer.n_in)
+    s = zero_pad(layer.singular_values, layer.out_dim if forward else layer.in_dim)
     if forward:
         g_q, g_p, g_b = dn.linear_gains_plus(s, nu, gm, gp_prev)
     elif math.isinf(gm):

@@ -39,7 +39,7 @@ def _cross_moment(ca, da, cb, db, K, tau_m, xi_var, b_var):
 def _affine_step(layer, forward, gains, K_prev, tau_m, clip):
     nu = layer.noise_precision
     xi_var = 0.0 if math.isinf(nu) else 1.0 / nu
-    s = zero_pad(layer.singular_values, layer.n_out if forward else layer.n_in)
+    s = zero_pad(layer.singular_values, layer.out_dim if forward else layer.in_dim)
     atoms, b_var = _bias_terms(layer, s.size)
     g_q, g_p, g_b = gains
     one = np.ones_like(s)
@@ -73,10 +73,10 @@ def affine_step(layer, forward, K_prev, tau_m, gm, gp_prev, clip):
     the observed output)."""
     nu = layer.noise_precision
     if forward:
-        s = zero_pad(layer.singular_values, layer.n_out)
+        s = zero_pad(layer.singular_values, layer.out_dim)
         gains = dn.linear_gains_plus(s, nu, gm, gp_prev)
     else:
-        s = zero_pad(layer.singular_values, layer.n_in)
+        s = zero_pad(layer.singular_values, layer.in_dim)
         if math.isinf(gm):
             g_r, g_obs = dn.observed_linear_gains(s, nu, gp_prev)
             gains = (g_obs, g_r, -g_obs)

@@ -56,7 +56,7 @@ def _matched_mse(law, ell, forward, tau0, mu, gm, gp_prev, order):
     layer = law.layers[ell - 1]
     if layer.kind == "linear":
         nu = layer.noise_precision
-        s = zero_pad(layer.singular_values, layer.n_out if forward else layer.n_in)
+        s = zero_pad(layer.singular_values, layer.out_dim if forward else layer.in_dim)
         if forward:
             aq, _, _ = dn.linear_gains_plus(s, nu, gm, gp_prev)
             return float(np.mean(aq)) / gm

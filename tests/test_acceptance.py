@@ -95,7 +95,7 @@ class TestCriterion1ExactPosterior:
 
     def test_recursion_matches_the_exact_posterior_variances(self, chain):
         spec, sig = chain
-        law = se.NetworkLaw.from_network(spec)
+        law = se.network_law(spec)
         res = se.run_se(law, se.SEConfig(iterations=400, stop_tol=1e-14))
         _, avg_vars = exact_gaussian_posterior(spec, sig.y)
         got = 1.0 / (res.gamma_plus[-1] + res.gamma_minus[-1])

@@ -95,6 +95,10 @@ def _failing_predictor(law, config):
     raise NumericFailureError("predictor failed")
 
 
+def _dying_trial(recipe, calibration, engine_cfg, trial_seed):
+    os._exit(9)
+
+
 def _recorded_trial(directory, recipe, calibration, engine_cfg, trial_seed):
     (directory / str(trial_seed)).touch()
     time.sleep(0.05)
@@ -381,17 +385,25 @@ class TestDivergenceLocation:
     law layers 0, 2, 4 and 6."""
 
     @staticmethod
-    def poison(monkeypatch, law, step, layer, forward, iteration):
+    def poison(monkeypatch, step, layer, forward, iteration):
         """Make the divergence of ``step`` at law layer ``layer`` (None: every
         call) in the sweep ``forward`` NaN from the call of ``iteration`` on."""
         original = getattr(state_evolution, step)
-        # by repr, which a copy of the law sent to a pool worker keeps
-        target = None if layer is None else repr(law.layers[layer])
+        # by position: the (ell, direction) of the se_*_layer call running,
+        # which a copy of the law sent to a pool worker keeps
+        at = [None]
+        for name, direction in (("se_forward_layer", True), ("se_backward_layer", False)):
+            def located(law, ell, *args, _layer_step=getattr(state_evolution, name),
+                        _direction=direction, **kwargs):
+                at[0] = (ell - 1, _direction)
+                return _layer_step(law, ell, *args, **kwargs)
+
+            monkeypatch.setattr(state_evolution, name, located)
         calls = []
 
         def patched(*args):
             *args, clip = args
-            if target is None or (repr(args[0]) == target and args[1] == forward):
+            if layer is None or (at[0] == (layer, forward) and args[1] == forward):
                 calls.append(None)
                 if len(calls) > iteration:
                     return original(*args, lambda alpha: clip(math.nan))
@@ -409,7 +421,7 @@ class TestDivergenceLocation:
     def test_run_se_and_run_trials_name_the_signal(self, monkeypatch, step, layer, forward, signal):
         cal = calibrate_recipe(SMALL_RECIPE, 7)
         law = recipe_law(SMALL_RECIPE, cal)
-        calls = self.poison(monkeypatch, law, step, layer, forward, iteration=2)
+        calls = self.poison(monkeypatch, step, layer, forward, iteration=2)
         with pytest.raises(DivergedIterationError) as exc:
             run_se(law, SEConfig(iterations=4))
         assert (exc.value.layer, exc.value.iteration) == (signal, 2)
@@ -787,6 +799,45 @@ class TestCli:
             ["run", "--config", cfg, "--network", net, "--signals", sig_path, "--out", out]
         ) == 3
 
+    def test_a_dead_trial_worker_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a worker that dies mid-trial (as one the out-of-memory killer ends) breaks the pool
+        monkeypatch.setenv("MLVAMP_THREADS", "2")
+        monkeypatch.setattr(harness, "run_single_trial", _dying_trial)
+        argv = ["run", "--config", self._config_file(tmp_path), "--out", str(tmp_path / "o.csv")]
+        assert cli_main(argv) == 2
+        seed = int(substream(self.CONFIG["master_seed"], 0x7A1A, 0).integers(2**62))
+        assert f"trial 0 (seed {seed}) was left without a result" in capsys.readouterr().err
+
+    def test_an_experiment_id_beginning_with_a_hash_reads_back(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, experiment_id="#7")))
+        emp, pred = str(tmp_path / "emp.csv"), str(tmp_path / "pred.csv")
+        assert cli_main(["run", "--config", str(cfg), "--out", emp]) == 0
+        assert cli_main(["se", "--config", str(cfg), "--out", pred]) == 0
+        assert {row["experiment_id"] for row in read_result_csv(emp)} == {"#7"}
+        capsys.readouterr()
+        assert cli_main(["compare", "--empirical", emp, "--predicted", pred]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rows"] == 4 * 2 * len(self.CONFIG["recipe"]["hidden_dims"])
+        assert math.isfinite(report["max_abs_gap_db"])
+
+    @pytest.mark.parametrize("file", ["network", "signals"])
+    @pytest.mark.parametrize("value", [True, False, "0", "2.5"])
+    def test_a_non_number_in_an_input_file_exit_code(self, tmp_path, file, value):
+        cfg = self._config_file(tmp_path)
+        net, sig = tmp_path / "net.json", tmp_path / "net.signals.json"
+        assert cli_main(["generate", "--config", cfg, "--out", str(net)]) == 0
+        path = net if file == "network" else sig
+        doc = json.loads(path.read_text())
+        if file == "network":
+            doc["layers"][0]["weight"][0][0] = value
+        else:
+            doc["signals"][-1][0] = value
+        path.write_text(json.dumps(doc))
+        argv = ["run", "--config", cfg, "--network", str(net), "--signals", str(sig),
+                "--out", str(tmp_path / "o.csv")]
+        assert cli_main(argv) == 2
+
     def test_invalid_worker_count_exit_code(self, tmp_path, monkeypatch):
         # read before any work: no calibration or predictor run comes first
         monkeypatch.setenv("MLVAMP_THREADS", "abc")
@@ -828,6 +879,13 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "se"])
+    def test_an_int_past_the_float_range_exit_code(self, tmp_path, command):
+        # a JSON integer of 401 digits does not convert to a float
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_tiny_config_with("recipe", "snr_db", 10**400)))
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
 
     @pytest.mark.parametrize("command", ["run", "se"])
     @pytest.mark.parametrize("snr_db", [5000.0, -5000.0])

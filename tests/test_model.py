@@ -537,6 +537,44 @@ class TestJsonRoundTrip:
                 assert a.activation == b.activation
                 assert a.noise_precision == b.noise_precision
 
+    @staticmethod
+    def small_doc():
+        return {"dims": [1, 2, 2], "layers": [
+            {"kind": "linear", "weight": [[1.0], [0.5]], "bias": [0.0, 0.1], "noise_precision": 2},
+            {"kind": "nonlinear", "activation": "relu", "noise": {"kind": "gaussian", "precision": 3.0}},
+        ]}
+
+    def test_a_small_document_loads(self):
+        spec = network_from_json(self.small_doc())
+        assert spec.dims == (1, 2, 2) and spec.layers[0].noise_precision == 2.0
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("dims", 0), 1.9),
+            (("dims", 0), True),
+            (("layers", 0, "noise_precision"), True),
+            (("layers", 0, "noise_precision"), "2.5"),
+            (("layers", 1, "noise", "precision"), "1e400"),
+            (("layers", 1, "noise", "precision"), math.inf),  # what a JSON 1e400 parses to
+            pytest.param(("layers", 0, "noise_precision"), 10**400, id="int-past-the-float-range"),
+            (("layers", 0, "noiseless"), "false"),
+            (("layers", 0, "noiseless"), 0),
+            *((("layers", 0, key, *index), value) for key, index in (("weight", (0, 0)), ("bias", (1,)))
+              for value in (True, False, "0", "2.5")),
+        ],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else repr(v),
+    )
+    def test_a_value_of_the_wrong_json_type_is_rejected(self, path, value):
+        doc = self.small_doc()
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(InvalidModelError):
+            network_from_json(doc)
+
     def test_schema_fields(self):
         spec = network_from_layers(
             (

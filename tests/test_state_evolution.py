@@ -11,15 +11,10 @@ from mlvamp import harness
 from mlvamp import state_evolution as se
 from mlvamp.engine import EngineConfig, clip_alpha, run
 from mlvamp.errors import InvalidModelError
-from mlvamp.model import NOISELESS, forward_generate, geometric_singular_values as sv
-from mlvamp.state_evolution import (
-    LinearLaw,
-    NetworkLaw,
-    SEConfig,
-    SeparableLaw,
-    run_se,
-    se_initial_pass,
+from mlvamp.model import (
+    NOISELESS, NetworkSpec, NonlinearLayerSpec, forward_generate, geometric_singular_values as sv,
 )
+from mlvamp.state_evolution import LinearLaw, SEConfig, network_law, run_se, se_initial_pass
 import full_term_moments as ref
 from matched_recursion import matched_mmse_recursion
 from conftest import exact_gaussian_posterior, make_gaussian_chain, make_relu_network
@@ -27,15 +22,15 @@ from conftest import exact_gaussian_posterior, make_gaussian_chain, make_relu_ne
 
 class TestInitialPass:
     def test_unit_normal_input(self):
-        law = NetworkLaw.from_network(make_gaussian_chain((6, 5, 4), (1.0, 1.0), seed=1))
+        law = network_law(make_gaussian_chain((6, 5, 4), (1.0, 1.0), seed=1))
         tau, mu = se_initial_pass(law)
         assert tau[0] == 1.0 and mu[0] == 0.0
 
     def test_identity_noiseless_chain_preserves_the_second_moment(self):
-        law = NetworkLaw(
+        law = NetworkSpec(
             layers=(
                 LinearLaw(np.ones(5), 5, 5, NOISELESS, bbar_atoms=np.zeros(5)),
-                SeparableLaw("identity", NOISELESS, 5),
+                NonlinearLayerSpec("identity", NOISELESS),
                 LinearLaw(np.ones(5), 5, 5, NOISELESS, bbar_atoms=np.zeros(5)),
             ),
             dims=(5, 5, 5, 5),
@@ -45,10 +40,10 @@ class TestInitialPass:
 
     def test_relu_of_standard_normal(self):
         # E[max(Z, 0)^2] = 1/2 by symmetry; Monte-Carlo cross-check.
-        law = NetworkLaw(
+        law = NetworkSpec(
             layers=(
                 LinearLaw(np.ones(4), 4, 4, NOISELESS, bbar_atoms=np.zeros(4)),
-                SeparableLaw("relu", NOISELESS, 4),
+                NonlinearLayerSpec("relu", NOISELESS),
             ),
             dims=(4, 4, 4),
         )
@@ -59,12 +54,12 @@ class TestInitialPass:
 
     def test_bias_mean_shifts_the_activation_statistics(self):
         mu_b = -0.6
-        law = NetworkLaw(
+        law = NetworkSpec(
             layers=(
                 LinearLaw(
                     np.ones(4), 4, 4, NOISELESS, bbar_atoms=None, bbar_var=mu_b**2, bias_mean=mu_b
                 ),
-                SeparableLaw("relu", NOISELESS, 4),
+                NonlinearLayerSpec("relu", NOISELESS),
             ),
             dims=(4, 4, 4),
         )
@@ -77,12 +72,43 @@ class TestInitialPass:
         assert tau[2] == pytest.approx(expected, rel=1e-8)
 
 
+class TestLawIsANetwork:
+    """A law is a ``NetworkSpec``: its checks hold, and its separable layers
+    are the network's own."""
+
+    def test_a_mismatched_width_is_rejected(self):
+        with pytest.raises(InvalidModelError):
+            NetworkSpec(layers=(LinearLaw(np.ones(4), 4, 5, NOISELESS),), dims=(4, 4))
+
+    def test_an_unknown_activation_is_rejected(self):
+        with pytest.raises(InvalidModelError):
+            NetworkSpec(
+                layers=(LinearLaw(np.ones(4), 4, 4, NOISELESS), NonlinearLayerSpec("tanh")),
+                dims=(4, 4, 4),
+            )
+
+    def test_the_network_law_keeps_the_separable_layers(self):
+        spec = make_relu_network((10, 30, 30, 20), 0.6, NOISELESS, 5.0, 50.0, seed=3)
+        law = network_law(spec)
+        assert law.dims == spec.dims and law.layers[1] is spec.layers[1]
+        assert [layer.kind for layer in law.layers] == [layer.kind for layer in spec.layers]
+
+    def test_the_recipe_law_has_the_built_networks_separable_layers(self):
+        recipe = harness.SyntheticRecipe(hidden_dims=(6, 10, 10, 8, 8), measurements=5)
+        cal = harness.calibrate_recipe(recipe, 1)
+        law = harness.recipe_law(recipe, cal)
+        spec = harness.build_synthetic_network(recipe, 2, cal)
+        assert law.dims == spec.dims
+        for ell in (1, 3):
+            assert law.layers[ell] == spec.layers[ell]
+
+
 class TestNullSpaceBias:
     def test_the_null_bias_energy_gives_the_square_basis_moments(self):
         # compact factors keep only the null-space bias energy of an expanding
         # layer; a square SVD's per-component null atoms give the same moments
         spec = make_relu_network((10, 30, 30, 60, 60, 20), 0.6, NOISELESS, NOISELESS, 50.0, seed=3)
-        law = NetworkLaw.from_network(spec)
+        law = network_law(spec)
         square = []
         for layer, layer_law in zip(spec.layers, law.layers):
             if layer.kind == "linear":
@@ -116,7 +142,7 @@ class TestScalarUpdates:
         # values frozen from the oracle run with roughly 3-sigma bands.  A
         # calibrated input channel has its error orthogonal to the message,
         # i.e. E[truth * error] = -0.3 in the full-covariance convention.
-        layer = SeparableLaw("relu", NOISELESS, 100)
+        layer = NonlinearLayerSpec("relu", NOISELESS)
         K = np.array([[1.0, -0.3], [-0.3, 0.3]])
         alpha, K_new, mse = se._separable_step(
             layer, True, K, 0.0, 0.5, 1 / 0.5, 1 / 0.3, "mmse", 40, clip_alpha
@@ -134,7 +160,7 @@ class TestScalarUpdates:
     def test_exact_observation_collapses_the_backward_error(self):
         # Noiseless square measurement with unit spectrum reveals the layer
         # input: the backward error variance vanishes.
-        law = NetworkLaw(
+        law = NetworkSpec(
             layers=(LinearLaw(np.ones(40), 40, 40, NOISELESS, bbar_atoms=np.zeros(40)),),
             dims=(40, 40),
         )
@@ -148,7 +174,7 @@ class TestScalarUpdates:
     def test_monte_carlo_expectations_agree_with_quadrature(self):
         # (alpha, mse) of a 2e6-sample Monte-Carlo run of this step (Philox
         # substream (4, 1)), frozen
-        layer = SeparableLaw("relu", NOISELESS, 100)
+        layer = NonlinearLayerSpec("relu", NOISELESS)
         K = np.array([[1.0, 0.0], [0.0, 0.3]])
         quad = se._separable_step(layer, True, K, -0.3, 0.5, 2.0, 3.0, "mmse", 30, clip_alpha)
         assert quad[0] == pytest.approx(0.14527620554670118, abs=3e-3)
@@ -180,11 +206,11 @@ class TestScalarUpdates:
         from mlvamp import denoisers as dn
         from mlvamp.model import geometric_singular_values
 
-        law = NetworkLaw(
+        law = NetworkSpec(
             layers=(
                 LinearLaw(geometric_singular_values(60, 40, 3.0), 60, 40, 100.0,
                           bbar_var=0.3**2 + 1.0, bias_mean=0.3),
-                SeparableLaw("relu", NOISELESS, 60),
+                NonlinearLayerSpec("relu", NOISELESS),
             ),
             dims=(40, 60, 60),
         )
@@ -203,14 +229,14 @@ class TestScalarUpdates:
 
 def _mixed_activation_law():
     """Hidden sign, sigmoid and identity layers between affine ones."""
-    return NetworkLaw(
+    return NetworkSpec(
         layers=(
             LinearLaw(sv(40, 20, 3.0), 40, 20, 100.0, bbar_var=0.3**2 + 0.5, bias_mean=0.3),
-            SeparableLaw("sign", NOISELESS, 40),
+            NonlinearLayerSpec("sign", NOISELESS),
             LinearLaw(sv(40, 40, 2.0), 40, 40, 100.0, bbar_var=0.5),
-            SeparableLaw("sigmoid", NOISELESS, 40),
+            NonlinearLayerSpec("sigmoid", NOISELESS),
             LinearLaw(sv(30, 40, 2.0), 30, 40, 100.0, bbar_var=0.5),
-            SeparableLaw("identity", NOISELESS, 30),
+            NonlinearLayerSpec("identity", NOISELESS),
             LinearLaw(sv(25, 30, 2.0), 25, 30, 100.0),
         ),
         dims=(20, 40, 40, 40, 40, 30, 30, 25),
@@ -220,12 +246,12 @@ def _mixed_activation_law():
 def _noisy_relu_law():
     """A noisy hidden relu (the output-noise axis is integrated) and a noisy
     relu measurement layer (observed exactly, gm = inf)."""
-    return NetworkLaw(
+    return NetworkSpec(
         layers=(
             LinearLaw(sv(40, 20, 3.0), 40, 20, 100.0, bbar_var=0.3**2 + 0.5, bias_mean=0.3),
-            SeparableLaw("relu", 50.0, 40),
+            NonlinearLayerSpec("relu", 50.0),
             LinearLaw(sv(30, 40, 2.0), 30, 40, 100.0, bbar_var=0.2**2 + 0.5, bias_mean=-0.2),
-            SeparableLaw("relu", 50.0, 30),
+            NonlinearLayerSpec("relu", 50.0),
         ),
         dims=(20, 40, 40, 30, 30),
     )
@@ -362,7 +388,7 @@ class TestGaussianChainFixedPoint:
         spec = make_gaussian_chain(
             (30, 24, 18), (1.0, 2.0), seed=5, unit_spectrum=True
         )
-        law = NetworkLaw.from_network(spec)
+        law = network_law(spec)
         res = run_se(law, SEConfig(iterations=300, stop_tol=1e-14))
         sig = forward_generate(spec, 6)
         _, avg_vars = exact_gaussian_posterior(spec, sig.y)
@@ -375,7 +401,7 @@ class TestGaussianChainFixedPoint:
         spec = make_gaussian_chain((12, 9, 7), (1.0, 1.0), seed=11)
         sig = forward_generate(spec, 12)
         state, _, _ = run(spec, sig.y, EngineConfig(max_iters=50, convergence_tol=1e-13))
-        law = NetworkLaw.from_network(spec)
+        law = network_law(spec)
         res = run_se(law, SEConfig(iterations=300, stop_tol=1e-14))
         np.testing.assert_allclose(state.gamma_plus, res.gamma_plus[-1], rtol=1e-6)
         np.testing.assert_allclose(state.gamma_minus, res.gamma_minus[-1], rtol=1e-6)
@@ -386,13 +412,13 @@ class TestGaussianChainFixedPoint:
         spec = make_gaussian_chain(
             (16, 16, 16), (1.0, 1.0), seed=9, bias_scale=0.0, unit_spectrum=True
         )
-        law = NetworkLaw.from_network(spec)
+        law = network_law(spec)
         res = run_se(law, SEConfig(iterations=200, stop_tol=1e-14))
         # interior signal: the chain looks the same from both ends
         assert res.gamma_plus[-1, 1] == pytest.approx(res.gamma_minus[-1, 0], rel=1e-9)
 
     def test_zero_iterations_returns_prior_errors(self):
-        law = NetworkLaw.from_network(make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=2))
+        law = network_law(make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=2))
         res = run_se(law, SEConfig(iterations=1))
         tau, _ = se_initial_pass(law)
         # first forward half-iteration with a vacuous backward message:
@@ -400,7 +426,7 @@ class TestGaussianChainFixedPoint:
         assert res.mse[0, 0] == pytest.approx(tau[0], rel=1e-3)
 
     def test_determinism(self):
-        law = NetworkLaw.from_network(make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=2))
+        law = network_law(make_gaussian_chain((8, 6, 5), (1.0, 1.0), seed=2))
         a = run_se(law, SEConfig(iterations=10))
         b = run_se(law, SEConfig(iterations=10))
         np.testing.assert_array_equal(a.nmse_db, b.nmse_db)
@@ -409,7 +435,7 @@ class TestGaussianChainFixedPoint:
         spec = make_relu_network(
             (10, 30, 30, 20), rho=0.4, nu_lin=NOISELESS, nu_act=NOISELESS, nu_meas=50.0, seed=4
         )
-        law = NetworkLaw.from_network(spec)
+        law = network_law(spec)
         res = run_se(law, SEConfig(iterations=20))
         for K in res.K_plus.reshape(-1, 2, 2):
             assert np.min(np.linalg.eigvalsh(K)) >= -1e-12
@@ -422,7 +448,7 @@ class TestMatchedRecursion:
         # exact scalar posterior variances.
         spec = make_gaussian_chain((1, 1, 1), (1.0, 1.0), seed=3, bias_scale=0.0,
                                    unit_spectrum=True)
-        law = NetworkLaw.from_network(spec)
+        law = network_law(spec)
         mr = matched_mmse_recursion(law, SEConfig())
         sig = forward_generate(spec, 4)
         _, avg_vars = exact_gaussian_posterior(spec, sig.y)
@@ -438,7 +464,7 @@ class TestMatchedRecursion:
         spec = make_relu_network(
             (12, 40, 40, 30), rho=0.4, nu_lin=NOISELESS, nu_act=NOISELESS, nu_meas=80.0, seed=8
         )
-        law = NetworkLaw.from_network(spec)
+        law = network_law(spec)
         full = run_se(law, SEConfig(iterations=400, stop_tol=1e-13))
         mr = matched_mmse_recursion(law, SEConfig())
         assert mr.converged and mr.residual <= 1e-8
@@ -465,7 +491,7 @@ class TestEngineAgreement:
             (40, 160, 160, 120), rho=0.4, nu_lin=NOISELESS, nu_act=NOISELESS,
             nu_meas=200.0, seed=seed,
         )
-        law = NetworkLaw.from_network(spec_builder(1))
+        law = network_law(spec_builder(1))
         res = run_se(law, SEConfig(iterations=5))
         acc = []
         for seed in range(1, 9):
@@ -488,7 +514,7 @@ class TestEngineAgreement:
             (40, 160, 160, 120), rho=0.4, nu_lin=NOISELESS, nu_act=NOISELESS,
             nu_meas=200.0, seed=seed,
         )
-        law = NetworkLaw.from_network(spec_builder(1))
+        law = network_law(spec_builder(1))
         res = run_se(law, SEConfig(iterations=6, damping=0.7))
         for K in res.K_plus:
             assert K[0, 0, 1] == pytest.approx(-K[0, 1, 1], rel=1e-12)
