@@ -55,6 +55,10 @@ CASES = (
     ("fixedpoint --config {cfg}", 1, {"fixedpoint.stdout": True}),
     ("fixedpoint --config {cfg} --network {dir}/generate-network.json "
      "--signals {dir}/generate-network.signals.json", 1, {"fixedpoint-network.stdout": True}),
+    ("run --config {cfg} --network {dir}/generate-network.json "
+     "--signals {dir}/generate-network.signals.json --out {dir}/run-network.csv", 1,
+     {"run-network.csv": True}),
+    ("run --config {cfg} --mode map --out {dir}/run-map.csv", 1, {"run-map.csv": True}),
 )
 
 
