@@ -9,7 +9,8 @@ Subcommands:
 * ``compare``    join empirical and predicted curves, report the worst gap
 * ``fixedpoint`` print the fixed-point diagnostics of a converged run
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence.
+Exit codes: 0 success, 2 configuration error (or out of memory, or a lost
+trial worker), 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import numpy as np
 
 from . import harness
 from .engine import run
-from .errors import DivergedIterationError, InvalidModelError, MlvampError, NumericFailureError
+from .errors import (
+    DivergedIterationError, InvalidModelError, MlvampError, NumericFailureError, WorkerLostError,
+)
 from .model import SignalSet, forward_generate, load_network, number_array, save_network
 from .state_evolution import run_se
 
@@ -252,7 +255,9 @@ def cli_main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (MlvampError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        label = ("out of memory" if isinstance(exc, MemoryError)
+                 else "worker lost" if isinstance(exc, WorkerLostError) else "configuration error")
+        print(f"{label}: {exc}", file=sys.stderr)
         return 2
 
 

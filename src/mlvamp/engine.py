@@ -188,31 +188,28 @@ class Bookkeeping:
         return eta, damp(gamma, new, self.damping)
 
 
-def sweep(prec, forward, endpoint, pair, book):
+def sweep(prec, forward, step, book):
     """One directional sweep of the schedule over the precisions ``prec``.
 
-    Forward, the input prior updates the plus side of signal 0, then the
-    pair at layer ``ell = 1 .. L-1`` that of signal ``ell``.  Backward, the
-    observed output layer updates the minus side of signal L-1, then the
-    pair at layer ``ell = L-1 .. 1`` that of signal ``ell - 1``.
-    ``endpoint()`` and ``pair(ell)`` run the estimator, store the new
-    extrinsic message and return the divergence clipped by ``book.clip``.
+    ``step(ell)`` runs the estimator of hidden signal ``ell`` on the sweep's
+    side, stores the new extrinsic message and returns the divergence clipped
+    by ``book.clip``; the side's alpha, eta and gamma are then updated.
+    Forward it is called for ``ell = 0 .. L-1``: the input prior serves signal
+    0 and pair layer ``ell`` signal ``ell``.  Backward it is called for
+    ``ell = L-1 .. 0``: the observed output layer serves signal L-1 and pair
+    layer ``ell + 1`` signal ``ell``.
     """
     n = prec.gamma_plus.size
     if forward:
-        for ell in range(n):
-            alpha = pair(ell) if ell > 0 else endpoint()
-            prec.alpha_plus[ell] = alpha
-            prec.eta_plus[ell], prec.gamma_plus[ell] = book.update(
-                prec.gamma_plus[ell], prec.gamma_minus[ell], alpha
-            )
+        order, alphas, etas = range(n), prec.alpha_plus, prec.eta_plus
+        gammas, others = prec.gamma_plus, prec.gamma_minus
     else:
-        for ell in range(n - 1, -1, -1):
-            alpha = pair(ell + 1) if ell < n - 1 else endpoint()
-            prec.alpha_minus[ell] = alpha
-            prec.eta_minus[ell], prec.gamma_minus[ell] = book.update(
-                prec.gamma_minus[ell], prec.gamma_plus[ell], alpha
-            )
+        order, alphas, etas = range(n - 1, -1, -1), prec.alpha_minus, prec.eta_minus
+        gammas, others = prec.gamma_minus, prec.gamma_plus
+    for ell in order:
+        alpha = step(ell)
+        alphas[ell] = alpha
+        etas[ell], gammas[ell] = book.update(gammas[ell], others[ell], alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +285,29 @@ def signal_power_ladder(spec):
     return se_initial_pass(network_law(spec))[0]
 
 
-def _pair_estimate(state, bank, ell, forward, iteration):
-    """``(estimate, divergence)`` at the pair layer ``ell`` (1-based) from the
-    current messages: of its output (signal ``ell``) forward, of its input
-    (signal ``ell - 1``) backward.  A failure names that signal."""
-    layer = bank.spec.layers[ell - 1]
-    params = dn.BeliefParams(
-        state.r_minus[ell], state.r_plus[ell - 1], state.gamma_minus[ell], state.gamma_plus[ell - 1]
-    )
+def _estimate(state, bank, ell, forward, iteration):
+    """``(estimate, divergence)`` of hidden signal ``ell`` from the current
+    messages, by the estimator ``sweep`` names for it.  A failure names the signal."""
     try:
+        if forward and ell == 0:
+            return dn.input_denoiser(state.r_minus[0], state.gamma_minus[0])
+        pair = ell if forward else ell + 1  # layer ``pair`` maps signal pair - 1 to signal pair
+        layer = bank.spec.layers[pair - 1]
+        if pair == state.num_signals:  # the output layer: its output is observed
+            r_plus, gamma_plus = state.r_plus[ell], state.gamma_plus[ell]
+            if layer.kind == "linear":
+                return dn.output_linear(
+                    r_plus, gamma_plus, bank.y, layer.factors, layer.noise_precision,
+                    rotate=bank.rotate,
+                )
+            zm, dm = dn.separable_output_fields(
+                r_plus, gamma_plus, bank.y, layer.activation, layer.noise_precision, bank.mode
+            )
+            return zm, dn._mean(dm)
+        params = dn.BeliefParams(
+            state.r_minus[pair], state.r_plus[pair - 1],
+            state.gamma_minus[pair], state.gamma_plus[pair - 1],
+        )
         if layer.kind == "linear":
             return dn.linear_pair(
                 params, layer.factors, layer.noise_precision, forward, rotate=bank.rotate
@@ -305,74 +316,41 @@ def _pair_estimate(state, bank, ell, forward, iteration):
             return dn.mmse_pair_nonlinear(params, layer, forward)
         return dn.map_pair_nonlinear(params, layer, forward)
     except NumericFailureError as exc:
-        signal = ell if forward else ell - 1
-        raise DivergedIterationError(str(exc), layer=signal, iteration=iteration) from exc
+        raise DivergedIterationError(str(exc), layer=ell, iteration=iteration) from exc
 
 
-def _output_estimate(state, bank, iteration):
-    """``(estimate, divergence)`` of the last hidden signal given the observation."""
-    last = state.num_signals - 1
-    layer = bank.spec.layers[-1]
-    r_plus, gamma_plus = state.r_plus[last], state.gamma_plus[last]
-    try:
-        if layer.kind == "linear":
-            return dn.output_linear(
-                r_plus, gamma_plus, bank.y, layer.factors, layer.noise_precision, rotate=bank.rotate
+def _pass(state, bank, book, forward):
+    """One sweep: each signal's estimate on the sweep's side, and the extrinsic
+    message it sends, ``(zhat - alpha received) / (1 - alpha)``, where
+    ``received`` is the other side's message."""
+    zhats, sent, received = (
+        (state.zhat_plus, state.r_plus, state.r_minus) if forward
+        else (state.zhat_minus, state.r_minus, state.r_plus)
+    )
+
+    def step(ell):
+        zhat, alpha = _estimate(state, bank, ell, forward, book.iteration)
+        if not np.isfinite(zhat).all():
+            raise DivergedIterationError(
+                f"non-finite estimate at layer {ell}", layer=ell, iteration=book.iteration
             )
-        zm, dm = dn.separable_output_fields(
-            r_plus, gamma_plus, bank.y, layer.activation, layer.noise_precision, bank.mode
-        )
-        return zm, dn._mean(dm)
-    except NumericFailureError as exc:
-        raise DivergedIterationError(str(exc), layer=last, iteration=iteration) from exc
+        alpha = book.clip(alpha, ell)
+        sent[ell] = (zhat - alpha * received[ell]) / (1.0 - alpha)
+        zhats[ell] = zhat
+        return alpha
 
-
-def _extrinsic(zhat, message, alpha, ell, book):
-    """Clipped divergence and extrinsic message ``(zhat - alpha message) / (1 - alpha)``."""
-    if not np.isfinite(zhat).all():
-        raise DivergedIterationError(
-            f"non-finite estimate at layer {ell}", layer=ell, iteration=book.iteration
-        )
-    alpha = book.clip(alpha, ell)
-    return alpha, (zhat - alpha * message) / (1.0 - alpha)
+    sweep(state, forward, step, book)
+    return state
 
 
 def forward_pass(state, bank, book):
     """One left-to-right sweep; updates the plus-side quantities."""
-
-    def update(ell, estimate):
-        zhat, alpha = estimate
-        alpha, state.r_plus[ell] = _extrinsic(zhat, state.r_minus[ell], alpha, ell, book)
-        state.zhat_plus[ell] = zhat
-        return alpha
-
-    sweep(
-        state,
-        True,
-        lambda: update(0, dn.input_denoiser(state.r_minus[0], state.gamma_minus[0])),
-        lambda ell: update(ell, _pair_estimate(state, bank, ell, True, book.iteration)),
-        book,
-    )
-    return state
+    return _pass(state, bank, book, True)
 
 
 def backward_pass(state, bank, book):
     """One right-to-left sweep; updates the minus-side quantities."""
-
-    def update(ell, estimate):
-        zhat, alpha = estimate
-        alpha, state.r_minus[ell] = _extrinsic(zhat, state.r_plus[ell], alpha, ell, book)
-        state.zhat_minus[ell] = zhat
-        return alpha
-
-    sweep(
-        state,
-        False,
-        lambda: update(state.num_signals - 1, _output_estimate(state, bank, book.iteration)),
-        lambda ell: update(ell - 1, _pair_estimate(state, bank, ell, False, book.iteration)),
-        book,
-    )
-    return state
+    return _pass(state, bank, book, False)
 
 
 def _norm(x):

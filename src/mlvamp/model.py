@@ -467,7 +467,8 @@ def number_array(name, value):
 
 def network_from_json(doc):
     """Inverse of :func:`network_to_json`; a malformed document is an InvalidModelError.
-    A precision is finite: noiseless is ``"noiseless": true`` or ``"noise": {"kind": "none"}``."""
+    A precision is finite: noiseless is ``"noiseless": true`` or ``"noise": {"kind": "none"}``,
+    and a separable layer's other noise kind is ``"gaussian"``."""
     if not isinstance(doc, dict):
         raise InvalidModelError("a network must be a JSON object")
     layers = []
@@ -487,6 +488,8 @@ def network_from_json(doc):
                 )
             elif entry["kind"] == "nonlinear":
                 noise = entry.get("noise", {"kind": "none"})
+                if noise["kind"] not in ("none", "gaussian"):
+                    raise InvalidModelError(f"unknown noise kind {noise['kind']!r}")
                 noiseless = noise["kind"] == "none"
                 nu = NOISELESS if noiseless else check_real("a precision", noise["precision"])
                 layers.append(NonlinearLayerSpec(activation=entry["activation"], noise_precision=nu))

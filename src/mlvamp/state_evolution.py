@@ -487,31 +487,28 @@ def run_se(law, config):
         mse = np.zeros((2, n))
 
         # each step's clip names the signal it updates, as the engine's does
-        def input_prior():
-            clip = functools.partial(book.clip, layer=0)
-            alpha, K[0], mse[0, 0] = _input_step(prec.gamma_minus[0], tau_m[0], clip)
-            return alpha
-
         def forward(ell):
-            alpha, K[ell], mse[0, ell] = se_forward_layer(
-                law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], prec.gamma_minus[ell],
-                prec.gamma_plus[ell - 1], config.mode, config.quad_order,
-                clip=functools.partial(book.clip, layer=ell),
-            )
+            clip = functools.partial(book.clip, layer=ell)
+            if ell == 0:
+                alpha, K[0], mse[0, 0] = _input_step(prec.gamma_minus[0], tau_m[0], clip)
+            else:
+                alpha, K[ell], mse[0, ell] = se_forward_layer(
+                    law, ell, K[ell - 1], mu[ell - 1], tau_m[ell], prec.gamma_minus[ell],
+                    prec.gamma_plus[ell - 1], config.mode, config.quad_order, clip=clip,
+                )
             return alpha
 
         def backward(ell):
-            observed = ell == n
-            alpha, tau_m[ell - 1], mse[1, ell - 1] = se_backward_layer(
-                law, ell, K[ell - 1], mu[ell - 1],
-                0.0 if observed else tau_m[ell], math.inf if observed else prec.gamma_minus[ell],
-                prec.gamma_plus[ell - 1], config.mode, config.quad_order,
-                clip=functools.partial(book.clip, layer=ell - 1),
+            observed = ell == n - 1
+            alpha, tau_m[ell], mse[1, ell] = se_backward_layer(
+                law, ell + 1, K[ell], mu[ell], 0.0 if observed else tau_m[ell + 1],
+                math.inf if observed else prec.gamma_minus[ell + 1], prec.gamma_plus[ell],
+                config.mode, config.quad_order, clip=functools.partial(book.clip, layer=ell),
             )
             return alpha
 
-        sweep(prec, True, input_prior, forward, book)
-        sweep(prec, False, lambda: backward(n), backward, book)
+        sweep(prec, True, forward, book)
+        sweep(prec, False, backward, book)
         nmse_rows += [mse[0] / tau0[:n], mse[1] / tau0[:n]]
         ends.append([a.copy() for a in (prec.gamma_plus, prec.gamma_minus, prec.alpha_plus,
                                         prec.alpha_minus, K, tau_m)])

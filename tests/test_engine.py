@@ -172,6 +172,43 @@ class TestUpdateArithmetic:
         assert math.isnan(engine.clip_alpha(np.float64(math.nan)))
 
 
+class TestSweepSchedule:
+    """``sweep`` calls one step per signal, in schedule order, and writes that
+    side's alpha, eta and gamma through ``Bookkeeping.update``."""
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_one_step_per_signal_on_the_sweeps_side(self, forward):
+        fields = engine.Precisions.start(3, 1e-2)
+        fields.update(gamma_plus=np.array([0.3, 1.1, 2.4]), gamma_minus=np.array([0.7, 0.2, 1.9]))
+        prec = engine.Precisions(**fields)
+        before = {name: value.copy() for name, value in fields.items()}
+        side, other = ("plus", "minus") if forward else ("minus", "plus")
+        alphas = [0.2, 0.45, 0.7]
+        seen = []
+
+        def step(ell):
+            seen.append((ell, getattr(prec, f"gamma_{side}").copy()))
+            return alphas[ell]
+
+        engine.sweep(prec, forward, step, engine.Bookkeeping(damping=0.6))
+        order = [0, 1, 2] if forward else [2, 1, 0]
+        assert [ell for ell, _ in seen] == order
+        reference = engine.Bookkeeping(damping=0.6)
+        expected = [reference.update(before[f"gamma_{side}"][ell], before[f"gamma_{other}"][ell],
+                                     alphas[ell]) for ell in range(3)]
+        np.testing.assert_array_equal(getattr(prec, f"alpha_{side}"), alphas)
+        np.testing.assert_array_equal(getattr(prec, f"eta_{side}"), [eta for eta, _ in expected])
+        np.testing.assert_array_equal(getattr(prec, f"gamma_{side}"), [g for _, g in expected])
+        for name in (f"alpha_{other}", f"eta_{other}", f"gamma_{other}"):
+            np.testing.assert_array_equal(getattr(prec, name), before[name])
+        # each step sees the signals visited before it updated, and its own not yet
+        for i, (ell, gammas) in enumerate(seen):
+            done = order[:i]
+            for j in range(3):
+                want = expected[j][1] if j in done else before[f"gamma_{side}"][j]
+                assert gammas[j] == want
+
+
 class TestRotationCache:
     """An engine run rotates each affine message once per sweep and serves
     that product to the other sweep; it must change no bit."""

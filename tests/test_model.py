@@ -575,6 +575,13 @@ class TestJsonRoundTrip:
         with pytest.raises(InvalidModelError):
             network_from_json(doc)
 
+    @pytest.mark.parametrize("noise", [{"kind": "gausian", "precision": 3.0}, {"kind": "nonee"}])
+    def test_an_unknown_noise_kind_is_rejected(self, noise):
+        doc = self.small_doc()
+        doc["layers"][1]["noise"] = noise
+        with pytest.raises(InvalidModelError, match=f"unknown noise kind '{noise['kind']}'"):
+            network_from_json(doc)
+
     def test_schema_fields(self):
         spec = network_from_layers(
             (
