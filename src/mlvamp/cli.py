@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from . import harness
 from .engine import run
@@ -119,14 +116,7 @@ def _cmd_run(args):
     if args.network:
         spec, truth = _load_problem(args)
         _, trace, _ = run(spec, truth.y, config.engine, truth=truth)
-        half = trace.rows
-        rows = harness.curve_rows(
-            config.experiment_id, config.master_seed, [r.nmse_db for r in half],
-            [np.full_like(r.gamma_plus, math.nan) for r in half],
-            [r.gamma_plus for r in half], [r.gamma_minus for r in half],
-            [r.alpha_plus for r in half], [r.alpha_minus for r in half],
-            [r.consistency for r in half],
-        )
+        rows = harness.trace_rows(config.experiment_id, config.master_seed, trace)
         count = f"{len(rows)} rows"
     else:
         rows = harness.result_rows(harness.run_trials(config))

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import denoisers as dn
 from .errors import (
+    MAX_SIDE,
     DivergedIterationError,
     InvalidModelError,
     NumericFailureError,
@@ -52,7 +53,7 @@ class EngineConfig:
             raise InvalidModelError("mode must be 'mmse' or 'map'")
         if not (0.0 < self.damping <= 1.0):
             raise InvalidModelError("damping must lie in (0, 1]")
-        check_count("max_iters", self.max_iters, 0)
+        check_count("max_iters", self.max_iters, 0, MAX_SIDE)
         check_real("convergence_tol", self.convergence_tol, 0.0)
         check_real("gamma_init", self.gamma_init, dn.GAMMA_MIN, dn.GAMMA_MAX)
         # clip_alpha clamps to [alpha_clip, 1 - alpha_clip], a point or empty from 0.5 on
@@ -116,7 +117,19 @@ class TraceRow:
 
 @dataclass
 class IterationTrace:
+    """One run's rows, one per directional pass, over ``signals`` hidden signals."""
+
+    signals: int = 0
     rows: list = field(default_factory=list)
+    #: The ``TraceRow`` fields holding one value per hidden signal.
+    PER_SIGNAL = ("nmse_db", "gamma_plus", "gamma_minus", "alpha_plus", "alpha_minus")
+
+    def column(self, name, direction=None):
+        """``TraceRow`` field ``name`` stacked over the rows, or over one
+        direction's: ``(rows, signals)`` for a per-signal field, else ``(rows,)``."""
+        values = [getattr(row, name) for row in self.rows if direction in (None, row.direction)]
+        shape = (len(values), self.signals) if name in self.PER_SIGNAL else (len(values),)
+        return np.array(values, float).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -417,7 +430,7 @@ def run(spec, y, config, truth=None):
     refs = None if truth is None else _references(truth, bank.spec)
     state = initialize(spec, config)
     power = signal_power_ladder(bank.spec)
-    trace = IterationTrace()
+    trace = IterationTrace(state.num_signals)
     for k in range(config.max_iters):
         prev = state.zhat_plus + state.zhat_minus  # estimates are replaced, never mutated
         book = Bookkeeping(config.alpha_clip, config.damping, iteration=k)

@@ -267,9 +267,13 @@ class ExperimentConfig:
     experiment_id: str = "synthetic"
 
     def __post_init__(self):
-        check_count("trials", self.trials, 1)
+        check_count("trials", self.trials, 1, MAX_SIDE)  # a trial seed is derived for each
         check_count("master_seed", self.master_seed, 0)
         check_count("max_iters", self.engine.max_iters, 1)
+
+
+#: The end-of-iteration arrays a ``TrialResult`` and an ``SEResult`` share, in ``curve_rows`` order.
+END_VALUES = ("gamma_plus", "gamma_minus", "alpha_plus", "alpha_minus")
 
 
 @dataclass
@@ -316,39 +320,20 @@ class ExperimentResult:
 
 
 def run_single_trial(recipe, calibration, engine_cfg, trial_seed):
-    """Draw a fresh network + signals, run the engine, collect metrics."""
+    """Draw a fresh network + signals, run the engine, collect metrics from its trace."""
     start = time.perf_counter()
     try:
         spec = build_synthetic_network(recipe, trial_seed, calibration)
         truth = forward_generate(spec, trial_seed)
         _, trace, _ = run(spec, truth.y, engine_cfg, truth=truth)
+        # each iteration's end values, which its backward half holds
+        fields = {name: trace.column(name, "backward") for name in END_VALUES + ("consistency",)}
     except (DivergedIterationError, NumericFailureError, UndefinedMetricError) as exc:
-        partial = getattr(exc, "trace", None)
-        return TrialResult(
-            seed=trial_seed,
-            wall_ms=1e3 * (time.perf_counter() - start),
-            nmse_db=None if partial is None else _nmse_rows(partial, recipe),
-            error=str(exc),
-            error_layer=getattr(exc, "layer", None),
-            error_iteration=getattr(exc, "iteration", None),
-        )
-    back = [row for row in trace.rows if row.direction == "backward"]
-    return TrialResult(
-        seed=trial_seed,
-        nmse_db=_nmse_rows(trace, recipe),
-        gamma_plus=np.array([r.gamma_plus for r in back]),
-        gamma_minus=np.array([r.gamma_minus for r in back]),
-        alpha_plus=np.array([r.alpha_plus for r in back]),
-        alpha_minus=np.array([r.alpha_minus for r in back]),
-        consistency=np.array([r.consistency for r in back]),
-        wall_ms=1e3 * (time.perf_counter() - start),
-        error=None,
-    )
-
-
-def _nmse_rows(trace, recipe):
-    """The trace's per-half-iteration NMSE, one column per hidden signal."""
-    return np.array([row.nmse_db for row in trace.rows], float).reshape(-1, len(recipe.hidden_dims))
+        trace = getattr(exc, "trace", None)
+        fields = dict(error=str(exc), error_layer=getattr(exc, "layer", None),
+                      error_iteration=getattr(exc, "iteration", None))
+    return TrialResult(seed=trial_seed, nmse_db=None if trace is None else trace.column("nmse_db"),
+                       **fields, wall_ms=1e3 * (time.perf_counter() - start))
 
 
 def predictor_config(config):
@@ -460,14 +445,17 @@ def curve_rows(experiment_id, trial_seed, nmse_empirical, nmse_se,
     return rows
 
 
-#: The end-of-iteration arrays a ``TrialResult`` and an ``SEResult`` share, in ``curve_rows`` order.
-END_VALUES = ("gamma_plus", "gamma_minus", "alpha_plus", "alpha_minus")
-
-
 def _per_half(record, n_half, names=END_VALUES):
     """``record``'s end-of-iteration arrays, each row given to both halves of its
     iteration, for the first ``n_half`` halves."""
     return [np.repeat(getattr(record, name), 2, axis=0)[:n_half] for name in names]
+
+
+def trace_rows(experiment_id, trial_seed, trace):
+    """Rows of one engine run (no prediction); each half carries its own trace row."""
+    nmse = trace.column("nmse_db")
+    return curve_rows(experiment_id, trial_seed, nmse, np.full_like(nmse, math.nan),
+                      *(trace.column(name) for name in END_VALUES), trace.column("consistency"))
 
 
 def result_rows(result):

@@ -224,6 +224,34 @@ class TestCriterion6MatchedRecursionConsistency:
         )
 
 
+class TestOptimalityCondition:
+    #: Relative agreement of every precision from the two starts; fixed before measuring.
+    BOUND = 1e-9
+
+    def test_an_informed_start_reaches_the_same_fixed_point(self, sweep_results):
+        """The matched posterior-mean recursion, started uninformed (every
+        gamma 1e-4) and informed (every gamma 1e6), reaches one fixed point at
+        each M of the sweep: no second fixed point is reachable from an
+        informed start.  That is necessary for the algorithm's fixed point to
+        be the Bayes-optimal one, not sufficient: it rules out no fixed point
+        that neither start reaches, and it does not compute the replica
+        prediction (Krzakala, Mezard, Sausset, Sun & Zdeborova, PRX 2012).
+        """
+        lines = []
+        for m, res in sorted(sweep_results.items()):
+            recipe = res.config.recipe
+            law = harness.recipe_law(recipe, harness.calibrate_recipe(recipe, res.config.master_seed))
+            low, high = (matched_mmse_recursion(law, se.SEConfig(gamma_init=g)) for g in (1e-4, 1e6))
+            assert low.converged and high.converged, f"M={m}: a start did not converge"
+            rel = max(float(np.max(np.abs(a - b) / a))
+                      for a, b in ((low.gamma_plus, high.gamma_plus), (low.gamma_minus, high.gamma_minus)))
+            assert rel <= self.BOUND, f"M={m}: the two starts' precisions differ by {rel:.2e}"
+            lines.append(f"M={m}: {rel:.1e}, fixed point {10 * math.log10(low.mse[0]):.2f} dB, "
+                         f"engine mean {res.mean_nmse_db()[-1, 0]:.2f} dB")
+        print("\n[optimality] start agreement, layer-0 fixed-point MSE and final engine NMSE: "
+              + "; ".join(lines))
+
+
 class TestCriterion7DivergenceCorrectness:
     CASES = [
         ("mmse-identity", lambda rm, rp, gm, gp: both_sides(dn.scalar_pair_mmse, "identity", NOISELESS, rm, rp, gm, gp)),

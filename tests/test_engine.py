@@ -450,6 +450,20 @@ class TestTraceFields:
         )
         assert trace.rows[-1].max_delta == want
 
+    def test_a_column_stacks_one_field_over_the_rows_or_one_directions(self):
+        spec, truth = self.problem()
+        _, trace, _ = run(spec, truth.y, EngineConfig(max_iters=3, convergence_tol=0.0), truth=truth)
+        back = trace.rows[1::2]
+        np.testing.assert_array_equal(trace.column("nmse_db"), [row.nmse_db for row in trace.rows])
+        np.testing.assert_array_equal(trace.column("gamma_plus", "backward"),
+                                      [row.gamma_plus for row in back])
+        np.testing.assert_array_equal(trace.column("consistency", "backward"),
+                                      [row.consistency for row in back])
+        assert trace.column("alpha_minus", "forward").shape == (3, len(spec.dims) - 1)
+        # a run stopped before its first row keeps one column per hidden signal
+        empty = engine.IterationTrace(3)
+        assert empty.column("nmse_db").shape == (0, 3) and empty.column("consistency").shape == (0,)
+
 
 class TestNmse:
     def test_exact_recovery_floors_at_minus_300(self):
