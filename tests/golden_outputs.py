@@ -37,9 +37,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "MANIFEST.json"
 
 #: (CLI arguments, trial workers, {output: stored beside the manifest}).
-#: ``{cfg}`` is the config file and ``{dir}`` the work directory.  An output
-#: is the file of that name in the work directory, or what the command printed
-#: if its name ends in ``.stdout``.  Later cases read files that earlier ones wrote.
+#: ``{cfg}`` is the config file, ``{dir}`` the work directory and ``{golden}``
+#: the golden directory.  An output is the file of that name in the work
+#: directory, or what the command printed if its name ends in ``.stdout``.
+#: Later cases read files that earlier ones wrote.
+#:
+#: ``map-network.json`` and ``map-network.signals.json`` are a fixed noisy
+#: network: ``generate`` on the recipe ``{"hidden_dims": [6, 12, 12, 16, 16],
+#: "measurements": 10}`` with master seed 3, then each of the four noiseless
+#: generative layers given noise precision 1000.0 (``"noise_precision"`` on an
+#: affine layer, a ``"gaussian"`` noise on a separable one); the measurement
+#: layer keeps its calibrated precision.  With noise on every layer, ``--mode
+#: map`` reports ``map_stationarity``, which reads the loaded weight matrices.
 CASES = (
     ("generate --config {cfg} --out {dir}/generate-network.json", 1,
      {"generate-network.json": False, "generate-network.signals.json": False}),
@@ -59,6 +68,8 @@ CASES = (
      "--signals {dir}/generate-network.signals.json --out {dir}/run-network.csv", 1,
      {"run-network.csv": True}),
     ("run --config {cfg} --mode map --out {dir}/run-map.csv", 1, {"run-map.csv": True}),
+    ("fixedpoint --config {cfg} --mode map --network {golden}/map-network.json "
+     "--signals {golden}/map-network.signals.json", 1, {"fixedpoint-map-network.stdout": True}),
 )
 
 
@@ -102,7 +113,7 @@ def compute(workdir):
             os.environ["MLVAMP_THREADS"] = str(workers)
             printed = io.StringIO()
             with contextlib.redirect_stdout(printed):
-                code = cli_main([arg.format(cfg=GOLDEN / "config.json", dir=workdir)
+                code = cli_main([arg.format(cfg=GOLDEN / "config.json", dir=workdir, golden=GOLDEN)
                                  for arg in command.split()])
             if code != 0:
                 raise RuntimeError(f"mlvamp {command} exited {code}")
