@@ -377,10 +377,18 @@ def nmse_db(zhat, z0):
     zhat = np.asarray(zhat, float)
     if zhat.shape != z0.shape:
         raise UndefinedMetricError("estimate and reference lengths differ")
+    return _nmse_db(zhat, z0, _reference_energy(z0))
+
+
+def _reference_energy(z0, where=""):
+    """``z0 @ z0``, the NMSE's denominator; zero or not finite (an entry that is
+    NaN or infinite, or a sum that overflows) is an UndefinedMetricError."""
     ref = float(z0 @ z0)
     if ref <= 0.0:
-        raise UndefinedMetricError("zero reference signal")
-    return _nmse_db(zhat, z0, ref)
+        raise UndefinedMetricError(f"zero reference signal{where}")
+    if not ref < math.inf:
+        raise UndefinedMetricError(f"reference signal energy {ref} is not finite{where}")
+    return ref
 
 
 def _nmse_db(zhat, z0, ref):
@@ -399,10 +407,7 @@ def _references(truth, spec):
         z0 = np.asarray(z0, float)
         if z0.shape != (width,):
             raise UndefinedMetricError(f"truth signal {ell} is not a vector of length {width}")
-        ref = float(z0 @ z0)
-        if ref <= 0.0:
-            raise UndefinedMetricError(f"zero reference signal at layer {ell}")
-        refs.append((z0, ref))
+        refs.append((z0, _reference_energy(z0, f" at layer {ell}")))
     return refs
 
 

@@ -125,55 +125,41 @@ class SvdFactors:
         return (self.left_orthogonal * self.singular_values) @ self.right_orthogonal
 
 
-class _Weight:
-    """``LinearLayerSpec.weight``: the stored matrix, else the factors multiplied out."""
-
-    def __get__(self, layer, owner=None):
-        if layer is None:
-            return None  # the field's default
-        w = layer.__dict__["_weight"]
-        return layer.factors.to_weight() if w is None else w
-
-    def __set__(self, layer, value):
-        layer.__dict__["_weight"] = None if value is None else np.asarray(value, dtype=float)
-
-
 @dataclass(frozen=True, kw_only=True)
 class LinearLayerSpec:
     """Affine layer ``z_out = weight @ z_in + bias + noise``.
 
     ``noise_precision`` is the inverse variance of the additive Gaussian
-    noise; ``NOISELESS`` (infinity) means the map is exact.  Every layer
-    carries its compact ``factors``: a package-made layer holds only them and
-    builds ``weight`` when read; one made from a dense ``weight`` (as a loaded
-    network's are) keeps it, factored by one checked SVD at construction.  A
-    ``bias`` given with ``factors`` must equal theirs, and a ``weight`` must be
-    their product within ``RECONSTRUCTION_TOL``; one equal to it is not kept.
+    noise; ``NOISELESS`` (infinity) means the map is exact.  A layer is its
+    compact ``factors`` and its noise: ``bias`` is ``factors.bias``, and
+    ``weight`` is built from the factors when read.  A layer made by
+    ``from_weight`` (as a loaded network's are) keeps the dense matrix it was
+    given, so ``weight`` reads it bit for bit; ``dataclasses.replace`` keeps it too.
     """
 
-    weight: np.ndarray | None = _Weight()
-    bias: np.ndarray
+    factors: SvdFactors
     noise_precision: float
-    factors: SvdFactors | None = field(default=None, compare=False, repr=False)
+    _weight: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        w = self.__dict__["_weight"]
-        b = np.asarray(self.bias, dtype=float)
-        object.__setattr__(self, "bias", b)
-        if self.factors is None:
-            if w is None:
-                raise InvalidModelError("an affine layer needs a weight or its factors")
-            object.__setattr__(self, "factors", _svd_factors(w, b))
-        elif w is not None:  # beside its factors, as ``dataclasses.replace`` passes it
-            rebuilt = self.factors.to_weight()
-            if w.shape != rebuilt.shape or not _relative_gap(rebuilt, w) <= RECONSTRUCTION_TOL:
-                raise InvalidModelError("weight disagrees with the layer's factors")
-            if np.array_equal(w, rebuilt):
-                object.__setattr__(self, "weight", None)
-        if not np.array_equal(b, self.factors.bias):  # the factors check its shape and entries
-            raise InvalidModelError("bias disagrees with the layer's factors")
         if not (self.noise_precision > 0):
             raise InvalidModelError("noise_precision must be positive (or NOISELESS)")
+
+    @classmethod
+    def from_weight(cls, weight, bias, noise_precision):
+        """The layer of a dense ``weight``, factored by one checked SVD and kept."""
+        weight = np.asarray(weight, dtype=float)
+        factors = _svd_factors(weight, np.asarray(bias, dtype=float))
+        return cls(factors=factors, noise_precision=noise_precision, _weight=weight)
+
+    @property
+    def weight(self):
+        """The kept matrix, else the factors multiplied out (built on each read)."""
+        return self.factors.to_weight() if self._weight is None else self._weight
+
+    @property
+    def bias(self):
+        return self.factors.bias
 
     @property
     def out_dim(self):
@@ -197,15 +183,10 @@ def _svd_factors(weight, bias):
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"SVD failed for a {weight.shape} layer") from exc
     factors = SvdFactors(left_orthogonal=u, singular_values=s, right_orthogonal=vt, bias=bias)
-    gap = _relative_gap(factors.to_weight(), weight)
+    gap = np.max(np.abs(factors.to_weight() - weight)) / max(np.max(np.abs(weight)), 1e-300)
     if gap > RECONSTRUCTION_TOL:
         raise NumericFailureError(f"relative SVD reconstruction error {gap:.3e} exceeds tolerance")
     return factors
-
-
-def _relative_gap(rebuilt, weight):
-    """``max|rebuilt - weight|`` over the largest ``|weight|``; NaN for a non-finite weight."""
-    return np.max(np.abs(rebuilt - weight)) / max(np.max(np.abs(weight)), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -377,7 +358,7 @@ def linear_layer_from_factors(left, singular_values, right, bias, noise_precisio
     s = np.asarray(singular_values, dtype=float)
     bias = np.asarray(bias, dtype=float)
     factors = SvdFactors(left_orthogonal=left, singular_values=s, right_orthogonal=right, bias=bias)
-    return LinearLayerSpec(bias=bias, noise_precision=noise_precision, factors=factors)
+    return LinearLayerSpec(factors=factors, noise_precision=noise_precision)
 
 
 def forward_generate(spec, seed):
@@ -480,10 +461,8 @@ def network_from_json(doc):
                     raise InvalidModelError(f"noiseless must be true or false, not {noiseless!r}")
                 nu = NOISELESS if noiseless else check_real("a precision", entry["noise_precision"])
                 layers.append(
-                    LinearLayerSpec(
-                        weight=number_array("weight", entry["weight"]),
-                        bias=number_array("bias", entry["bias"]),
-                        noise_precision=nu,
+                    LinearLayerSpec.from_weight(
+                        number_array("weight", entry["weight"]), number_array("bias", entry["bias"]), nu
                     )
                 )
             elif entry["kind"] == "nonlinear":

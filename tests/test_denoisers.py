@@ -784,7 +784,9 @@ class TestOutputDenoisers:
         # conjugacy formula, erased coordinates return the pseudo-observation.
         keep = np.array([1.0, 0.0, 1.0, 0.0])
         w = np.diag(keep)[keep > -1]  # full 4x4 diag with zero rows
-        layer = LinearLayerSpec(weight=np.diag(keep), bias=np.zeros(4), noise_precision=2.0)
+        layer = LinearLayerSpec.from_weight(
+            weight=np.diag(keep), bias=np.zeros(4), noise_precision=2.0
+        )
         f = layer.factors
         rng = np.random.default_rng(9)
         r_plus = rng.standard_normal(4)

@@ -351,7 +351,7 @@ class TestGaussianChain:
         _, trace_a, _ = run(spec, sig.y, cfg, truth=sig)
         rot = haar(7, 999)
         final = spec.layers[-1]
-        rotated = LinearLayerSpec(
+        rotated = LinearLayerSpec.from_weight(
             weight=rot @ final.weight, bias=rot @ final.bias, noise_precision=final.noise_precision
         )
         spec2 = NetworkSpec(layers=spec.layers[:-1] + (rotated,), dims=spec.dims)
@@ -400,8 +400,11 @@ class TestRunControl:
     @pytest.mark.parametrize(
         "signal, bad, match",
         [(1, np.zeros(5), "zero reference signal at layer 1"),
-         (0, np.ones(5), "truth signal 0 is not a vector of length 6")],
-        ids=["zero", "short"],
+         (0, np.ones(5), "truth signal 0 is not a vector of length 6"),
+         (0, np.r_[1e308, np.ones(5)], "energy inf is not finite at layer 0"),
+         (1, np.r_[np.ones(4), math.nan], "energy nan is not finite at layer 1"),
+         (0, np.r_[np.ones(5), -math.inf], "energy inf is not finite at layer 0")],
+        ids=["zero", "short", "overflow", "nan", "infinite"],
     )
     def test_truth_is_checked_before_the_first_sweep(self, monkeypatch, signal, bad, match):
         spec = make_gaussian_chain((6, 5, 4), (1.0, 1.0), seed=13)
@@ -483,6 +486,11 @@ class TestNmse:
     def test_zero_reference_rejected(self):
         with pytest.raises(UndefinedMetricError):
             nmse_db(np.ones(3), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [1e308, math.nan, math.inf])
+    def test_a_reference_of_non_finite_energy_is_rejected(self, bad):
+        with pytest.raises(UndefinedMetricError, match="is not finite"):
+            nmse_db(np.ones(3), np.array([1.0, bad, 1.0]))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(UndefinedMetricError):

@@ -800,6 +800,20 @@ class TestCli:
             ["run", "--config", cfg, "--network", net, "--signals", sig_path, "--out", out]
         ) == 3
 
+    @pytest.mark.parametrize("signal", [0, 1])
+    @pytest.mark.parametrize("value", [1e308, math.nan, math.inf])
+    def test_a_truth_signal_of_non_finite_energy_exit_code(self, tmp_path, capsys, signal, value):
+        cfg = self._config_file(tmp_path)
+        net, sig = tmp_path / "net.json", tmp_path / "net.signals.json"
+        assert cli_main(["generate", "--config", cfg, "--out", str(net)]) == 0
+        doc = json.loads(sig.read_text())
+        doc["signals"][signal][0] = value
+        sig.write_text(json.dumps(doc))
+        argv = ["run", "--config", cfg, "--network", str(net), "--signals", str(sig),
+                "--max-iters", "2", "--out", str(tmp_path / "o.csv")]
+        assert cli_main(argv) == 2
+        assert f"is not finite at layer {signal}" in capsys.readouterr().err
+
     def test_a_dead_trial_worker_exit_code(self, tmp_path, monkeypatch, capsys):
         # a worker that dies mid-trial (as one the out-of-memory killer ends) breaks the pool
         monkeypatch.setenv("MLVAMP_THREADS", "2")

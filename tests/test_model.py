@@ -228,12 +228,12 @@ class TestGeometricSingularValues:
 
 class TestSvdFactorization:
     def test_identity(self):
-        layer = LinearLayerSpec(weight=np.eye(3), bias=np.zeros(3), noise_precision=1.0)
+        layer = LinearLayerSpec.from_weight(weight=np.eye(3), bias=np.zeros(3), noise_precision=1.0)
         f = layer.factors
         np.testing.assert_allclose(f.singular_values, np.ones(3))
 
     def test_diagonal(self):
-        layer = LinearLayerSpec(
+        layer = LinearLayerSpec.from_weight(
             weight=np.diag([3.0, 2.0, 1.0]), bias=np.zeros(3), noise_precision=1.0
         )
         f = layer.factors
@@ -242,7 +242,9 @@ class TestSvdFactorization:
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(42)
         w = rng.standard_normal((20, 50))
-        layer = LinearLayerSpec(weight=w, bias=rng.standard_normal(20), noise_precision=2.0)
+        layer = LinearLayerSpec.from_weight(
+            weight=w, bias=rng.standard_normal(20), noise_precision=2.0
+        )
         f = layer.factors
         err = np.max(np.abs(f.to_weight() - w))
         assert err <= 1e-8 * np.max(np.abs(w))
@@ -251,7 +253,7 @@ class TestSvdFactorization:
     def test_a_dense_layer_carries_the_svd_of_its_weight(self, shape):
         # factored once, at construction, and the weight itself is kept
         w = np.random.default_rng(shape[0]).standard_normal(shape)
-        layer = LinearLayerSpec(weight=w, bias=np.ones(shape[0]), noise_precision=1.0)
+        layer = LinearLayerSpec.from_weight(weight=w, bias=np.ones(shape[0]), noise_precision=1.0)
         u, s, vt = np.linalg.svd(w, full_matrices=False)
         f = layer.factors
         for got, want in ((f.left_orthogonal, u), (f.singular_values, s), (f.right_orthogonal, vt)):
@@ -262,7 +264,9 @@ class TestSvdFactorization:
     @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
     def test_a_weight_with_an_empty_axis_is_rejected(self, shape):
         with pytest.raises(InvalidModelError, match="positive dimensions"):
-            LinearLayerSpec(weight=np.zeros(shape), bias=np.zeros(shape[0]), noise_precision=1.0)
+            LinearLayerSpec.from_weight(
+                weight=np.zeros(shape), bias=np.zeros(shape[0]), noise_precision=1.0
+            )
         k = min(shape)
         with pytest.raises(InvalidModelError, match="positive dimensions"):
             linear_layer_from_factors(np.zeros((shape[0], k)), np.zeros(k),
@@ -275,7 +279,7 @@ class TestSvdFactorization:
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         w = rng.standard_normal(shape)
         b = rng.standard_normal(shape[0])
-        f = LinearLayerSpec(weight=w, bias=b, noise_precision=1.0).factors
+        f = LinearLayerSpec.from_weight(weight=w, bias=b, noise_precision=1.0).factors
         for _ in range(5):
             z = rng.standard_normal(shape[1])
             out = w @ z + b
@@ -336,7 +340,8 @@ class TestSvdFactorization:
 
 
 class TestFactorConsistency:
-    """A bias or weight given beside a layer's factors must agree with them."""
+    """A layer is its factors and its noise: no bias or weight is taken beside
+    the factors, and ``replace`` keeps what the layer holds."""
 
     @staticmethod
     def package_layer():
@@ -344,33 +349,19 @@ class TestFactorConsistency:
         return linear_layer_from_factors(left, geometric_singular_values(6, 4, 2.0), haar(4, 6),
                                          np.linspace(-1.0, 1.0, 6), 1.0)
 
-    def test_a_bias_other_than_the_factors_is_rejected(self):
+    def test_the_bias_is_the_factors_and_nothing_is_taken_beside_them(self):
         layer = self.package_layer()
-        with pytest.raises(InvalidModelError, match="bias disagrees"):
-            LinearLayerSpec(bias=layer.bias + 1.0, noise_precision=1.0, factors=layer.factors)
-        with pytest.raises(InvalidModelError, match="bias disagrees"):
-            replace(layer, bias=np.zeros(6))
-
-    def test_a_weight_the_factors_do_not_reproduce_is_rejected(self):
-        layer = self.package_layer()
-        w = layer.weight
-        bent, wide, broken = w.copy(), np.zeros((6, 5)), w.copy()
-        bent[2, 1] += 1e-6
-        broken[0, 0] = math.nan
-        for bad in (bent, wide, broken):
-            with pytest.raises(InvalidModelError, match="weight disagrees"):
-                LinearLayerSpec(weight=bad, bias=layer.bias, noise_precision=1.0,
-                                factors=layer.factors)
-        near = w.copy()
-        near[2, 1] += 1e-12
-        kept = LinearLayerSpec(weight=near, bias=layer.bias, noise_precision=1.0,
-                               factors=layer.factors)
-        np.testing.assert_array_equal(kept.__dict__["_weight"], near)  # stored, as given
+        assert layer.bias is layer.factors.bias
+        for extra in ({"bias": layer.bias}, {"weight": layer.weight}):
+            with pytest.raises(TypeError):
+                LinearLayerSpec(factors=layer.factors, noise_precision=1.0, **extra)
+            with pytest.raises(TypeError):
+                replace(layer, **extra)
 
     def test_replace_keeps_a_package_made_layer_compact(self):
         layer = self.package_layer()
         noisier = replace(layer, noise_precision=2.0)
-        assert noisier.__dict__["_weight"] is None and noisier.factors is layer.factors
+        assert noisier._weight is None and noisier.factors is layer.factors
         np.testing.assert_array_equal(noisier.weight, layer.weight)
 
     def test_replace_keeps_a_loaded_weight_bit_for_bit(self):
@@ -386,12 +377,12 @@ class TestFactorConsistency:
 
 class TestNetworkValidation:
     def test_dims_mismatch_rejected(self):
-        layer = LinearLayerSpec(weight=np.eye(3), bias=np.zeros(3), noise_precision=1.0)
+        layer = LinearLayerSpec.from_weight(weight=np.eye(3), bias=np.zeros(3), noise_precision=1.0)
         with pytest.raises(InvalidModelError):
             NetworkSpec(layers=(layer,), dims=(3, 4))
 
     def test_consecutive_separable_rejected(self):
-        lin = LinearLayerSpec(weight=np.eye(3), bias=np.zeros(3), noise_precision=1.0)
+        lin = LinearLayerSpec.from_weight(weight=np.eye(3), bias=np.zeros(3), noise_precision=1.0)
         with pytest.raises(InvalidModelError):
             network_from_layers(
                 (lin, NonlinearLayerSpec("relu"), NonlinearLayerSpec("relu"))
@@ -400,14 +391,16 @@ class TestNetworkValidation:
 
 class TestForwardGenerate:
     def test_identity_chain_copies_the_input(self):
-        lin = LinearLayerSpec(weight=np.eye(5), bias=np.zeros(5), noise_precision=NOISELESS)
+        lin = LinearLayerSpec.from_weight(
+            weight=np.eye(5), bias=np.zeros(5), noise_precision=NOISELESS
+        )
         spec = network_from_layers((lin, NonlinearLayerSpec("identity"), lin))
         sig = forward_generate(spec, 3)
         for z in sig.signals[1:]:
             np.testing.assert_array_equal(z, sig.signals[0])
 
     def test_relu_zeroes_negative_components(self):
-        lin = LinearLayerSpec(
+        lin = LinearLayerSpec.from_weight(
             weight=np.eye(1) * -2.5, bias=np.zeros(1), noise_precision=NOISELESS
         )
         spec = network_from_layers((lin, NonlinearLayerSpec("relu")))
@@ -417,7 +410,7 @@ class TestForwardGenerate:
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
-        lin = LinearLayerSpec(
+        lin = LinearLayerSpec.from_weight(
             weight=rng.standard_normal((4, 4)), bias=rng.standard_normal(4), noise_precision=2.0
         )
         spec = network_from_layers((lin, NonlinearLayerSpec("relu"), lin))
@@ -451,9 +444,11 @@ class TestSnrCalibration:
         w2 = rng.standard_normal((25, 30)) / math.sqrt(30)
         return network_from_layers(
             (
-                LinearLayerSpec(weight=w1, bias=np.zeros(30), noise_precision=NOISELESS),
+                LinearLayerSpec.from_weight(
+                    weight=w1, bias=np.zeros(30), noise_precision=NOISELESS
+                ),
                 NonlinearLayerSpec("relu"),
-                LinearLayerSpec(weight=w2, bias=np.zeros(25), noise_precision=1.0),
+                LinearLayerSpec.from_weight(weight=w2, bias=np.zeros(25), noise_precision=1.0),
             )
         )
 
@@ -481,7 +476,7 @@ class TestSnrCalibration:
         spec2 = NetworkSpec(
             layers=spec.layers[:-1]
             + (
-                LinearLayerSpec(
+                LinearLayerSpec.from_weight(
                     weight=final.weight, bias=final.bias, noise_precision=nu
                 ),
             ),
@@ -499,7 +494,11 @@ class TestSnrCalibration:
 
     def test_degenerate_model_rejected(self):
         spec = network_from_layers(
-            (LinearLayerSpec(weight=np.zeros((3, 3)), bias=np.zeros(3), noise_precision=1.0),)
+            (
+                LinearLayerSpec.from_weight(
+                    weight=np.zeros((3, 3)), bias=np.zeros(3), noise_precision=1.0
+                ),
+            )
         )
         with pytest.raises(DegenerateModelError):
             calibrate_noise_to_snr(spec, 10.0, trials=3, seed=0)
@@ -510,13 +509,13 @@ class TestJsonRoundTrip:
         rng = np.random.default_rng(8)
         spec = network_from_layers(
             (
-                LinearLayerSpec(
+                LinearLayerSpec.from_weight(
                     weight=rng.standard_normal((4, 3)),
                     bias=rng.standard_normal(4),
                     noise_precision=NOISELESS,
                 ),
                 NonlinearLayerSpec("sigmoid", noise_precision=5.0),
-                LinearLayerSpec(
+                LinearLayerSpec.from_weight(
                     weight=rng.standard_normal((2, 4)),
                     bias=rng.standard_normal(2),
                     noise_precision=3.5,
@@ -585,7 +584,9 @@ class TestJsonRoundTrip:
     def test_schema_fields(self):
         spec = network_from_layers(
             (
-                LinearLayerSpec(weight=np.eye(2), bias=np.zeros(2), noise_precision=NOISELESS),
+                LinearLayerSpec.from_weight(
+                    weight=np.eye(2), bias=np.zeros(2), noise_precision=NOISELESS
+                ),
                 NonlinearLayerSpec("relu"),
             )
         )

@@ -3,13 +3,15 @@ set to each of a list of odd values, run in-process through the CLI.
 
 A case passes when the command returns 0 (the value is valid), 2 (bad input)
 or 3 (a numerical failure).  A traceback out of ``cli_main`` or a run that
-outlasts the per-case alarm is an escape; the test lists every escape it
-finds.  The problem is small (a 4/8/8 recipe, 6 measurements, 2 iterations),
-so a valid case takes milliseconds.  No address-space limit is set: it would
+outlasts the per-case alarm is an escape, and so is a ``run --network`` that
+exits 0 but writes a non-finite NMSE, gamma or alpha; the test lists every
+escape it finds.  The problem is small (a 4/8/8 recipe, 6 measurements,
+2 iterations), so a valid case takes milliseconds.  No address-space limit is set: it would
 bind the whole test process.
 """
 
 import copy
+import csv
 import json
 import math
 import signal
@@ -33,6 +35,10 @@ BASE_CONFIG = {
     "master_seed": 0,
     "experiment_id": "mutation",
 }
+
+
+#: The columns of a ``run --network`` CSV that an exit-0 run must write finite.
+FINITE_COLUMNS = ("nmse_db_empirical", "gamma_plus", "gamma_minus", "alpha_plus", "alpha_minus")
 
 
 class _Hang(BaseException):
@@ -83,14 +89,27 @@ def _outcome(argv):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _non_finite_entry(csv_path):
+    """The first entry of ``FINITE_COLUMNS`` in a result CSV that is not finite, or None."""
+    with open(csv_path, newline="") as fh:
+        for row in csv.DictReader(line for line in fh if not line.startswith("# schema_version")):
+            for key in FINITE_COLUMNS:
+                if not math.isfinite(float(row[key])):
+                    return f"exit 0 with {key} = {row[key]}"
+    return None
+
+
 def _escapes(doc, write, commands):
-    """Each (field, value, command, outcome) whose outcome is not exit 0, 2 or 3."""
+    """Each (field, value, command, outcome) whose outcome is not exit 0, 2 or 3;
+    a ``run --network`` that exits 0 has its CSV read back."""
     found = []
     for path in _fields(doc):
         for value in ODD_VALUES:
             write(_mutated(doc, path, value))
             for argv in commands:
                 outcome = _outcome(argv)
+                if outcome == 0 and argv[0] == "run" and "--network" in argv:
+                    outcome = _non_finite_entry(argv[argv.index("--out") + 1]) or 0
                 if outcome not in (0, 2, 3):
                     found.append((".".join(map(str, path)), repr(value), argv[0], outcome))
     return found
