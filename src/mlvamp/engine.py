@@ -383,7 +383,8 @@ def nmse_db(zhat, z0):
 def _reference_energy(z0, where=""):
     """``z0 @ z0``, the NMSE's denominator; zero or not finite (an entry that is
     NaN or infinite, or a sum that overflows) is an UndefinedMetricError."""
-    ref = float(z0 @ z0)
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        ref = float(z0 @ z0)
     if ref <= 0.0:
         raise UndefinedMetricError(f"zero reference signal{where}")
     if not ref < math.inf:

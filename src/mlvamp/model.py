@@ -69,7 +69,7 @@ def _check_orthonormal(q):
         raise InvalidModelError(f"factor not orthogonal (|QtQp - p| = {err:.3e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Compact SVD ``W = left @ diag(s) @ right`` of an affine layer.
 
@@ -125,7 +125,7 @@ class SvdFactors:
         return (self.left_orthogonal * self.singular_values) @ self.right_orthogonal
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class LinearLayerSpec:
     """Affine layer ``z_out = weight @ z_in + bias + noise``.
 

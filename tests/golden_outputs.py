@@ -134,10 +134,17 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _largest_change(a, b):
+    """Largest ``|a - b|`` over two float arrays; NaN against NaN is no change,
+    a NaN on one side only an infinite one."""
+    delta = np.where(np.isnan(a) & np.isnan(b), 0.0, np.nan_to_num(np.abs(a - b), nan=np.inf))
+    return float(delta.max())
+
+
 def column_changes(old, new):
     """``{column: largest absolute change}`` between two result CSVs with the
-    same rows, over the numeric columns that changed (NaN against NaN is no
-    change); None if their rows or columns differ."""
+    same rows, over the numeric columns that changed; None if their rows or
+    columns differ."""
     tables = [list(csv.DictReader(ln for ln in text.decode().splitlines() if not ln.startswith("#")))
               for text in (old, new)]
     if len(tables[0]) != len(tables[1]) or not tables[0] or tables[0][0].keys() != tables[1][0].keys():
@@ -148,21 +155,52 @@ def column_changes(old, new):
             a, b = (np.array([float(row[key]) for row in table]) for table in tables)
         except ValueError:
             continue
-        # a NaN on one side only is an infinite change
-        delta = np.where(np.isnan(a) & np.isnan(b), 0.0, np.nan_to_num(np.abs(a - b), nan=np.inf))
-        if delta.max() > 0:
-            changes[key] = float(delta.max())
+        if (delta := _largest_change(a, b)) > 0:
+            changes[key] = delta
+    return changes
+
+
+def _numbers(doc, field=""):
+    """``(field, value)`` of every number in a JSON document, in order; a field
+    is the number's key path with list indices left out."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _numbers(value, f"{field}.{key}" if field else key)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _numbers(value, field)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield field, float(doc)
+
+
+def number_changes(old, new):
+    """``{field: largest absolute change}`` between two JSON outputs (a ``.json``
+    file, or a command's printed report) of the same shape, over the fields that
+    changed; None if either is not JSON or their numbers' fields differ."""
+    try:
+        pairs = [list(_numbers(json.loads(text))) for text in (old, new)]
+    except ValueError:
+        return None
+    if [field for field, _ in pairs[0]] != [field for field, _ in pairs[1]]:
+        return None
+    changes = {}
+    for (field, a), (_, b) in zip(*pairs):
+        if (delta := _largest_change(np.array(a), np.array(b))) > changes.get(field, 0.0):
+            changes[field] = delta
     return changes
 
 
 def regenerate(workdir):
-    """Write every output and the manifest; print what moved in each stored CSV."""
+    """Write every output and the manifest; print what moved in each stored
+    output, per column of a CSV and per field of a JSON report."""
     outputs = compute(workdir)
     stored = sorted(name for _, _, names in CASES for name, keep in names.items() if keep)
     for name in stored:
         path = GOLDEN / name
-        if name.endswith(".csv") and path.exists() and path.read_bytes() != outputs[name]:
-            print(f"{name}: largest absolute change per column {column_changes(path.read_bytes(), outputs[name])}")
+        if path.exists() and path.read_bytes() != outputs[name]:
+            per, changes = (("column", column_changes) if name.endswith(".csv")
+                            else ("field", number_changes))
+            print(f"{name}: largest absolute change per {per} {changes(path.read_bytes(), outputs[name])}")
         path.write_bytes(outputs[name])
     manifest = {
         "machine": machine_record(),

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mlvamp.model import (
     forward_generate,
     geometric_singular_values,
     linear_layer_from_factors,
+    load_network,
     network_from_json,
     network_to_json,
     sample_haar_orthogonal,
@@ -535,6 +537,13 @@ class TestJsonRoundTrip:
             else:
                 assert a.activation == b.activation
                 assert a.noise_precision == b.noise_precision
+
+    def test_loaded_layers_compare_and_hash_by_identity(self):
+        # a layer's fields are arrays, so equality is identity and the hash never reads them
+        path = Path(__file__).resolve().parent / "golden" / "map-network.json"
+        first, again = load_network(path).layers[0], load_network(path).layers[0]
+        assert first == first and first != again and first.factors != again.factors
+        assert len({first, again, first.factors, again.factors}) == 4
 
     @staticmethod
     def small_doc():

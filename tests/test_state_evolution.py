@@ -1,7 +1,9 @@
 """Deterministic scalar recursion against closed forms and the engine."""
 
+import json
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mlvamp.model import (
     NOISELESS, NetworkSpec, NonlinearLayerSpec, forward_generate, geometric_singular_values as sv,
 )
 from mlvamp.state_evolution import LinearLaw, SEConfig, network_law, run_se, se_initial_pass
+import composite_legendre as oracle
 import full_term_moments as ref
 from matched_recursion import matched_mmse_recursion
 from conftest import exact_gaussian_posterior, make_gaussian_chain, make_relu_network
@@ -102,6 +105,12 @@ class TestLawIsANetwork:
         for ell in (1, 3):
             assert law.layers[ell] == spec.layers[ell]
 
+    def test_an_affine_law_compares_and_hashes_by_identity(self):
+        spec = make_relu_network((10, 30, 30, 20), 0.6, NOISELESS, 5.0, 50.0, seed=3)
+        first, again = network_law(spec).layers[0], network_law(spec).layers[0]
+        assert first == first and first != again
+        assert len({first, again}) == 2
+
 
 class TestNullSpaceBias:
     def test_the_null_bias_energy_gives_the_square_basis_moments(self):
@@ -181,23 +190,21 @@ class TestScalarUpdates:
         assert quad[2] == pytest.approx(0.06833017849249548, abs=3e-3)
 
     #: run_se curves (4 iterations, flattened nmse_db) of the relu-measurement
-    #: law below, from the quadrature that integrated the minus axis in full,
-    #: and the grid points each observed-layer call evaluated then.
+    #: law below, from the quadrature that integrated the minus axis in full
     FULL_GRID_CURVES = {
         "mmse": [
-            -0.0008685021078054198, -4.169005551614444, -6.833929311513333, -10.958362113341973,
-            -6.833929311513334, -12.507601836615832, -9.048124505392863, -14.423671143567693,
-            -9.048124505392863, -14.990495997982194, -10.024299350101657, -15.841563766967901,
-            -10.024299350101655, -16.096989255963347, -10.486878024813464, -16.507009099220692,
+            -0.0008685021078054198, -4.169005551614444, -6.833929312047613, -10.95836211400458,
+            -6.833929312047613, -12.507601837216171, -9.04812450284841, -14.423671141176705,
+            -9.04812450284841, -14.990495995116635, -10.024299352994475, -15.841563769124978,
+            -10.024299352994475, -16.096989259268945, -10.486878024935473, -16.507009100005405,
         ],
         "map": [
-            -0.0008685021078054198, -4.169005551614444, -5.745037874276308, -9.220400262149415,
-            -5.745037874276308, -11.278082647740233, -7.894903587967116, -12.916650284694732,
-            -7.894903587967116, -13.69823633779589, -8.898202515670912, -14.40481751779755,
-            -8.898202515670912, -14.823469819984329, -9.380171327577365, -15.133211389991775,
+            -0.0008685021078054198, -4.169005551614444, -5.735812518451371, -9.21933406474652,
+            -5.735812518451371, -11.267664338634571, -7.882055450010941, -12.909948070434826,
+            -7.882055450010943, -13.683950093350143, -8.888348646188783, -14.393992545020936,
+            -8.888348646188781, -14.812443382448494, -9.382967004959788, -15.125269123965076,
         ],
     }
-    FULL_GRID_POINTS = 52_800
 
     @pytest.mark.parametrize("mode", ["mmse", "map"])
     def test_exact_observation_integrates_no_minus_axis(self, mode, monkeypatch):
@@ -224,7 +231,10 @@ class TestScalarUpdates:
         monkeypatch.setattr(dn, "separable_output_fields", counted)
         res = run_se(law, SEConfig(iterations=4, mode=mode, quad_order=20))
         np.testing.assert_allclose(res.nmse_db.ravel(), self.FULL_GRID_CURVES[mode], rtol=1e-12)
-        assert sizes == [self.FULL_GRID_POINTS // 20] * 4
+        # each call evaluates the truth axis times the r_plus axis
+        tau, mu = se_initial_pass(law)
+        truth_axis = se._kinked_axis(-mu[1] / math.sqrt(tau[1] - mu[1] ** 2), 20)[0]
+        assert sizes == [truth_axis.size * 20] * 4
 
 
 def _mixed_activation_law():
@@ -267,58 +277,58 @@ class TestBroadcastGrid:
     FLAT_GRID_CURVES = {
         "noisy-relu": {
             "mmse": [
-                -0.0008685021078054198, -3.33944186698076, -4.612413888583673, -6.702506958514735,
-                -1.9775620716386548, -4.628326971812033, -6.348594971993952, -9.492007845310082,
-                -1.9775620716386533, -5.974831302453616, -7.725008150706377, -10.703122750571993,
-                -2.506358624957711, -6.291263699665039, -8.090217857062381, -11.200549068698065,
-                -2.50635862495771, -6.638017628500891, -8.435464639272084, -11.483697734818401,
-                -2.649167332718581, -6.721496765067356, -8.527984620587755, -11.607199321181966,
-                -2.6491673327185783, -6.814482667064089, -8.618863176853782, -11.680909229085248,
-                -2.687531885510619, -6.836768632384445, -8.643254758900719, -11.713369291300765,
+                -0.0008685021078054198, -3.33944186698076, -4.61241388860621, -6.702506958536497,
+                -1.9775620800679283, -4.628326983361748, -6.348594989426569, -9.4920079242585,
+                -1.977562080067929, -5.974831313153608, -7.725008171599227, -10.703122782685233,
+                -2.506358622788124, -6.2912637060283245, -8.090217865150468, -11.200549105352769,
+                -2.506358622788127, -6.638017625811944, -8.435464638341514, -11.48369773373619,
+                -2.649167331728993, -6.721496764891346, -8.527984617734674, -11.607199330958156,
+                -2.649167331728993, -6.814482665845063, -8.618863173714393, -11.680909225259711,
+                -2.687531886640345, -6.836768632547714, -8.643254755798958, -11.71336929607347,
             ],
             "map": [
-                -0.0008685021078054198, -3.33944186698076, -4.323625369520871, -6.423326863834263,
-                -2.7390828103234934, -4.337526622064931, -5.969938525157049, -8.422609949452552,
-                -2.7390828103234934, -6.925091324289134, -7.84223522607284, -10.71467489081865,
-                -3.438555932523435, -6.734465177234586, -8.40856396889156, -11.012463119608821,
-                -3.438555932523433, -7.771557757596406, -8.83981318124716, -11.877876860250272,
-                -3.627561662693766, -7.332687627061327, -9.038886065313553, -11.663530799881752,
-                -3.627561662693766, -7.996437359045774, -9.105424306538232, -12.181551381122894,
-                -3.692391365803762, -7.4880661096419985, -9.20340043797669, -11.815675235856514,
+                -0.0008685021078054198, -3.33944186698076, -4.323709859800053, -6.423408545234745,
+                -2.7213483446363678, -4.331153397085608, -5.964689667450486, -8.429427274730216,
+                -2.7213483446363664, -6.9033310578716325, -7.828193372117722, -10.698054051994003,
+                -3.4424684280933295, -6.726079023042685, -8.395725093671063, -10.994454142294936,
+                -3.4424684280933286, -7.776229673873355, -8.837494781029244, -11.877993012246549,
+                -3.631852461355014, -7.332954936299888, -9.039660672041695, -11.656284582727118,
+                -3.631852461355014, -8.001526229745457, -9.103446226779182, -12.174485107964447,
+                -3.70542103159541, -7.49514026136795, -9.206014983251587, -11.818359725617276,
             ],
         },
         "sign-sigmoid-identity": {
             "mmse": [
-                -0.0008685021078054198, -3.33944186698076, -1.9519799088656151, -3.674309345203825,
-                -10.843322851566802, -13.644414201403318, -13.644414201403317, -1.3630279635206803,
-                -4.171208829447809, -3.490583487281522, -5.310396899453434, -12.552691216667425,
-                -17.965531103511314, -17.965531103511314, -1.363027963520682, -5.183269430647178,
-                -4.667471501998206, -6.562017157771843, -13.887324701090034, -18.535569311578076,
-                -18.535569311578076, -1.62023286453514, -5.330770737254412, -4.820827774251465,
-                -6.715300300013919, -14.031560331515088, -18.79636316869831, -18.796363168698306,
-                -1.6202328645351392, -5.517426589655505, -5.087478639029046, -6.976375483437129,
-                -14.301928038178684, -18.888928361775207, -18.88892836177521, -1.6693274390456945,
-                -5.545162614421805, -5.112749807885005, -7.002771609213456, -14.3242904668191,
-                -18.925367942001103, -18.925367942001103, -1.669327439045695, -5.580734495017241,
-                -5.164005469255239, -7.050856008075299, -14.375091542798524, -18.94229212018057,
-                -18.94229212018057, -1.678599093819329, -5.585878122968175, -5.168312573823679,
-                -7.057094085008541, -14.379104224562889, -18.948784028889825, -18.948784028889825,
+                -0.0008685021078054198, -3.33944186698076, -1.9519799089010283, -3.6743093452386946,
+                -10.843322851600686, -13.64441420142761, -13.644414201427608, -1.3630279643232295,
+                -4.171208829614497, -3.490583487309629, -5.310396899481096, -12.552691216694017,
+                -17.965531103525844, -17.965531103525848, -1.3630279643232286, -5.183269431696436,
+                -4.667471486475182, -6.56201715009042, -13.88732469364341, -18.53556930901429,
+                -18.53556930901429, -1.6202328823836294, -5.330770740913065, -4.820827765576967,
+                -6.715300291863847, -14.031560323651833, -18.796363165271927, -18.796363165271927,
+                -1.6202328823836278, -5.517426612698227, -5.087478619069098, -6.976375478440756,
+                -14.301928033274745, -18.888928359379037, -18.888928359379037, -1.6693274698292262,
+                -5.545162614570112, -5.112749803148379, -7.002771604543353, -14.324290462200826,
+                -18.925367940050833, -18.92536794005083, -1.6693274698292262, -5.580734534666824,
+                -5.164005456339227, -7.05085601016595, -14.375091544535403, -18.94229212030718,
+                -18.942292120307183, -1.678599123575701, -5.585878129706174, -5.1683125766454205,
+                -7.0570940874727555, -14.379104226796029, -18.9487840298122, -18.9487840298122,
             ],
             "map": [
-                -0.0008685021078054198, -3.33944186698076, -0.30234119336521764, -2.045808181045758,
-                -9.18255000779547, -12.39307160190996, -12.393071601909957, -2.2478209807752316,
-                -3.3562486954001924, -0.3745002846782705, -2.1963463611632013, -10.656299526332301,
-                -16.841511756730814, -16.841511756730817, -2.2478209807752316, -6.315958587374403,
-                -2.916664030001942, -4.694596096761451, -11.806685891968387, -17.2879702669325,
-                -17.2879702669325, -2.3220027361705786, -5.201497551228557, -2.9166771542031578,
-                -4.718852325351679, -11.825581262639087, -17.636042665902558, -17.636042665902554,
-                -2.3220027361705777, -6.412059524396265, -3.3490659026449574, -5.140023673585886,
-                -12.246945748668256, -17.847900989169542, -17.847900989169545, -2.4271839371436323,
-                -5.361630884442759, -3.349075269397904, -5.142879932637015, -12.247002055570794,
-                -17.873835315191823, -17.873835315191823, -2.4271839371436306, -6.542738475941718,
-                -3.4300593812656817, -5.219998534432468, -12.32548456780382, -17.912228870776612,
-                -17.912228870776612, -2.419306895561487, -5.443806296526006, -3.4300684829726444,
-                -5.222203026779986, -12.325494583220078, -17.916823152030695, -17.916823152030695,
+                -0.0008685021078054198, -3.33944186698076, -0.322625271316535, -2.0658765979593903,
+                -9.202189632144576, -12.408535490338874, -12.408535490338874, -2.2033525480457787,
+                -3.353546206458618, -0.3948270915968214, -2.21646460657202, -10.674986457244762,
+                -16.853601800050974, -16.853601800050978, -2.203352548045779, -6.260158781717063,
+                -2.896576124752137, -4.6749473975190465, -11.78720998038703, -17.27917775913968,
+                -17.27917775913968, -2.3283494994212615, -5.165189853289424, -2.8965892188550817,
+                -4.699131759759673, -11.806101962642279, -17.624853766951865, -17.62485376695187,
+                -2.3283494994212606, -6.419704937416096, -3.3581223412908163, -5.148848303306908,
+                -12.255718810716143, -17.85093303123322, -17.85093303123322, -2.4087334271915974,
+                -5.371806453593861, -3.358131702436437, -5.151751266453135, -12.25577906545876,
+                -17.87865923747026, -17.878659237470256, -2.4087334271915974, -6.519751180003772,
+                -3.4569377775946, -5.246299921262808, -12.351525802515791, -17.925407743613942,
+                -17.925407743613942, -2.4230879840289075, -5.426340948832646, -3.45694689166508,
+                -5.248519803033331, -12.35153804513098, -17.931007838666897, -17.931007838666897,
             ],
         },
     }
@@ -336,6 +346,56 @@ class TestBroadcastGrid:
         for arr in first:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def _gaussian_moments(a, b, kmax):
+    """``int_a^b t^k exp(-t^2 / 2) dt`` for k = 0 .. kmax, as 100-digit decimals.
+
+    The closed-form recurrence ``M_k = (k - 1) M_{k-2} + a^(k-1) g(a) - b^(k-1) g(b)``,
+    ``g(t) = exp(-t^2 / 2)``, multiplies an error in ``M_0`` by ``(k - 1)!!``, so
+    ``M_0`` is summed from its Taylor series at that precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 100
+        a, b = Decimal(a), Decimal(b)  # exact: a float is a binary fraction
+        g_a, g_b = (-a * a / 2).exp(), (-b * b / 2).exp()
+        # M_0 = sum_n (-1/2)^n / n! (b^(2n+1) - a^(2n+1)) / (2n + 1)
+        m0, n, coef, term = Decimal(0), 0, Decimal(1), Decimal(1)
+        while 2 * n <= max(a * a, b * b) or abs(term) > Decimal("1e-95"):
+            term = coef * (b ** (2 * n + 1) - a ** (2 * n + 1)) / (2 * n + 1)
+            m0 += term
+            n += 1
+            coef /= -2 * n
+        moments = [m0, g_a - g_b]
+        for k in range(2, kmax + 1):
+            moments.append((k - 1) * moments[k - 2] + a ** (k - 1) * g_a - b ** (k - 1) * g_b)
+        return moments
+
+
+class TestKinkedAxis:
+    """Each panel of the kinked truth axis carries the Gauss rule of the
+    standard normal density restricted to that panel."""
+
+    #: nodes per panel on |t| <= 1, [1, 2], [2, 4] and the [4, 8.5] tails
+    COUNTS = {8: (14, 10, 6, 3), 12: (14, 10, 6, 3), 40: (20, 15, 9, 5)}
+
+    @pytest.mark.parametrize("order", sorted(COUNTS))
+    @pytest.mark.parametrize("kink_z", [0.25, -0.4, 1.3, -3.0, 6.0, 20.0])
+    def test_each_panel_is_the_gauss_rule_of_the_normal_density(self, kink_z, order):
+        t, w = se._kinked_axis(kink_z, order)
+        edges = sorted({0.0, *se._AXIS_OFFSETS, *-se._AXIS_OFFSETS, *([kink_z] if abs(kink_z) < 8.5 else [])})
+        total = _gaussian_moments(edges[0], edges[-1], 0)[0]  # the weights sum to one over the axis
+        assert np.all(w > 0)
+        covered = 0
+        for a, b in zip(edges[:-1], edges[1:]):
+            inside = (t > a) & (t < b)
+            n = int(inside.sum())
+            covered += n
+            assert n == self.COUNTS[order][int(np.searchsorted([1.0, 2.0, 4.0], min(abs(a), abs(b)), "right"))]
+            exact = [float(m / total) for m in _gaussian_moments(a, b, 2 * n - 1)]
+            quad = [float(np.sum(w[inside] * t[inside] ** k)) for k in range(2 * n)]
+            np.testing.assert_allclose(quad, exact, rtol=1e-12, atol=0)
+        assert covered == t.size  # every node lies strictly inside a panel
 
 
 class TestLayoutReuse:
@@ -373,12 +433,27 @@ class TestLayoutReuse:
 class TestDefaultQuadOrder:
     def test_default_order_is_within_2e_5_db_of_order_20(self):
         # the paper law at M = 300, where the default is farthest from order 20
-        # (1.2e-5 dB at damping 0.7 with calibration seed 0)
+        # (2.8e-6 dB at damping 0.7 with calibration seed 0)
         recipe = harness.SyntheticRecipe(measurements=300)
         law = harness.recipe_law(recipe, harness.calibrate_recipe(recipe, 0))
         default = run_se(law, SEConfig(damping=0.7))
         order20 = run_se(law, SEConfig(damping=0.7, quad_order=20))
         assert np.max(np.abs(default.nmse_db - order20.nmse_db)) <= 2e-5
+
+
+class TestOracleCurves:
+    """The paper-law mmse curves (calibration seed 0, damping 0.7, 50 iterations)
+    at the default order against the frozen curves of the composite-Legendre
+    oracle at 32 nodes per panel and order 40 (``composite_legendre.py``)."""
+
+    #: largest |change| in nmse_db allowed at each M, fixed before measuring
+    BOUND_DB = {100: 1e-6, 300: 5e-5}
+
+    @pytest.mark.parametrize("measurements", sorted(BOUND_DB))
+    def test_the_default_order_holds_the_oracle_curves(self, measurements):
+        frozen = json.loads(oracle.FROZEN.read_text())[f"M={measurements} damping=0.7"]
+        res = run_se(oracle.paper_law(measurements), SEConfig(damping=0.7))
+        assert np.max(np.abs(res.nmse_db - np.array(frozen))) <= self.BOUND_DB[measurements]
 
 
 class TestGaussianChainFixedPoint:
